@@ -31,9 +31,15 @@
 //!
 //! Prints each artefact as an aligned text table; with `--out DIR` also
 //! writes one CSV per artefact (plus raw series for the figures).
+//!
+//! Exit codes: 0 on success, 2 on an operator mistake (an unknown
+//! experiment name or flag, a bad flag value, an invalid configuration;
+//! the usage line goes to stderr), 1 when an output file or directory
+//! cannot be written.
 
 use std::fs;
-use std::path::PathBuf;
+use std::num::NonZeroUsize;
+use std::path::{Path, PathBuf};
 
 use powerprog_core::experiments::{
     ablations, backends, candle_ext, cluster, faults, fig1, fig2, fig3, fig4, fig5, hierarchy,
@@ -41,6 +47,35 @@ use powerprog_core::experiments::{
 };
 use powerprog_core::report::TextTable;
 
+/// Experiment names `repro` accepts; `all` selects every one but
+/// `loadgen`.
+const EXPERIMENTS: [&str; 16] = [
+    "all",
+    "table1",
+    "tables2to5",
+    "table6",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "candle",
+    "ablations",
+    "faults",
+    "backends",
+    "cluster",
+    "sched",
+    "loadgen",
+];
+
+fn usage() -> String {
+    format!(
+        "usage: repro [{}]... [--quick] [--out DIR] [--budget W] [--seed N] [--nodes N] [--shards N] [--clients M]",
+        EXPERIMENTS.join("|")
+    )
+}
+
+#[derive(Debug, Default, PartialEq)]
 struct Opts {
     what: Vec<String>,
     quick: bool,
@@ -52,85 +87,51 @@ struct Opts {
     clients: Option<usize>,
 }
 
-fn parse_args() -> Opts {
-    let mut what = Vec::new();
-    let mut quick = false;
-    let mut out = None;
-    let mut budget_w = None;
-    let mut seed = None;
-    let mut nodes = None;
-    let mut shards = None;
-    let mut clients = None;
-    let mut args = std::env::args().skip(1);
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Cli {
+    Run(Opts),
+    Help,
+}
+
+/// Parse the arguments after the program name. An `Err` is an operator
+/// mistake, reported with the usage line and exit code 2.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    fn value<T: std::str::FromStr>(
+        args: &mut impl Iterator<Item = String>,
+        what: &str,
+    ) -> Result<T, String> {
+        args.next()
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| what.to_string())
+    }
+    let mut o = Opts::default();
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                let dir = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a directory");
-                    std::process::exit(2);
-                });
-                out = Some(PathBuf::from(dir));
-            }
-            "--budget" => {
-                let w = args.next().and_then(|v| v.parse::<f64>().ok());
-                budget_w = Some(w.unwrap_or_else(|| {
-                    eprintln!("--budget requires a wattage");
-                    std::process::exit(2);
-                }));
-            }
-            "--seed" => {
-                let s = args.next().and_then(|v| v.parse::<u64>().ok());
-                seed = Some(s.unwrap_or_else(|| {
-                    eprintln!("--seed requires an integer");
-                    std::process::exit(2);
-                }));
-            }
+            "--quick" => o.quick = true,
+            "--out" => o.out = Some(value(&mut args, "--out requires a directory")?),
+            "--budget" => o.budget_w = Some(value(&mut args, "--budget requires a wattage")?),
+            "--seed" => o.seed = Some(value(&mut args, "--seed requires an integer")?),
             "--nodes" => {
-                let n = args.next().and_then(|v| v.parse::<usize>().ok());
-                nodes = Some(n.filter(|&n| n > 0).unwrap_or_else(|| {
-                    eprintln!("--nodes requires a positive node count");
-                    std::process::exit(2);
-                }));
+                let n: NonZeroUsize = value(&mut args, "--nodes requires a positive node count")?;
+                o.nodes = Some(n.get());
             }
             // Zero is parsed, not rejected: `loadgen` maps it to a
             // ConfigError naming the field (still exit code 2).
-            "--shards" => {
-                let n = args.next().and_then(|v| v.parse::<usize>().ok());
-                shards = Some(n.unwrap_or_else(|| {
-                    eprintln!("--shards requires a shard count");
-                    std::process::exit(2);
-                }));
-            }
+            "--shards" => o.shards = Some(value(&mut args, "--shards requires a shard count")?),
             "--clients" => {
-                let n = args.next().and_then(|v| v.parse::<usize>().ok());
-                clients = Some(n.unwrap_or_else(|| {
-                    eprintln!("--clients requires a producer count");
-                    std::process::exit(2);
-                }));
+                o.clients = Some(value(&mut args, "--clients requires a producer count")?)
             }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [all|table1|tables2to5|table6|fig1|fig2|fig3|fig4|fig5|candle|ablations|faults|backends|cluster|sched|loadgen]... [--quick] [--out DIR] [--budget W] [--seed N] [--nodes N] [--shards N] [--clients M]"
-                );
-                std::process::exit(0);
-            }
-            other => what.push(other.to_string()),
+            "--help" | "-h" => return Ok(Cli::Help),
+            name if EXPERIMENTS.contains(&name) => o.what.push(a),
+            other => return Err(format!("unknown experiment or option '{other}'")),
         }
     }
-    if what.is_empty() {
-        what.push("all".to_string());
+    if o.what.is_empty() {
+        o.what.push("all".to_string());
     }
-    Opts {
-        what,
-        quick,
-        out,
-        budget_w,
-        seed,
-        nodes,
-        shards,
-        clients,
-    }
+    Ok(Cli::Run(o))
 }
 
 /// Reject an invalid cluster configuration with context (which field,
@@ -143,28 +144,44 @@ fn check_config(what: &str, cfg: &::cluster::ClusterConfig) {
     }
 }
 
+/// Unwrap a filesystem result for `path`, or report the failure and
+/// exit 1 (an environment problem, not an operator mistake).
+fn or_exit<T>(r: std::io::Result<T>, path: &Path) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    })
+}
+
 fn emit(t: &TextTable, out: &Option<PathBuf>, name: &str) {
     println!("{}", t.render());
     if let Some(dir) = out {
         let path = dir.join(format!("{name}.csv"));
-        fs::write(&path, t.to_csv()).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        });
+        or_exit(fs::write(&path, t.to_csv()), &path);
     }
 }
 
 fn write_series(out: &Option<PathBuf>, name: &str, s: &progress::series::TimeSeries, v: &str) {
     if let Some(dir) = out {
         let path = dir.join(format!("{name}.csv"));
-        fs::write(&path, s.to_csv("t_s", v)).expect("write series");
+        or_exit(fs::write(&path, s.to_csv("t_s", v)), &path);
     }
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(Cli::Run(opts)) => opts,
+        Ok(Cli::Help) => {
+            println!("{}", usage());
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("repro: {e}\n{}", usage());
+            std::process::exit(2);
+        }
+    };
     if let Some(dir) = &opts.out {
-        fs::create_dir_all(dir).expect("create output dir");
+        or_exit(fs::create_dir_all(dir), dir);
     }
     let wants = |k: &str| opts.what.iter().any(|w| w == k || w == "all");
     let t0 = std::time::Instant::now();
@@ -404,4 +421,47 @@ fn main() {
     }
 
     eprintln!("done in {:.1} s", t0.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn known_names_and_flags_parse() {
+        let Ok(Cli::Run(o)) = parse(&["fig5", "cluster", "--quick", "--nodes", "64"]) else {
+            panic!("valid command line rejected");
+        };
+        assert_eq!(o.what, ["fig5", "cluster"]);
+        assert!(o.quick);
+        assert_eq!(o.nodes, Some(64));
+        let Ok(Cli::Run(o)) = parse(&[]) else {
+            panic!("empty command line rejected");
+        };
+        assert_eq!(o.what, ["all"]);
+        assert_eq!(parse(&["--help"]), Ok(Cli::Help));
+    }
+
+    #[test]
+    fn unknown_names_and_flags_are_errors() {
+        for bad in [&["fgi5"][..], &["--quik"], &["fig5", "--verbose"]] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.starts_with("unknown experiment or option"), "{err}");
+        }
+    }
+
+    #[test]
+    fn flag_values_are_checked() {
+        assert!(parse(&["--seed"]).is_err());
+        assert!(parse(&["--budget", "lots"]).is_err());
+        assert!(parse(&["--nodes", "0"]).is_err());
+        let Ok(Cli::Run(o)) = parse(&["loadgen", "--shards", "0"]) else {
+            panic!("zero shards is loadgen's error to report");
+        };
+        assert_eq!(o.shards, Some(0));
+    }
 }

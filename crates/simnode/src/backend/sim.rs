@@ -1,12 +1,11 @@
 //! The closed-form simulated register file — the seed `MsrDevice`
-//! behaviour, ported verbatim behind [`MsrBackend`].
+//! behaviour behind [`MsrBackend`].
 //!
 //! Every access path here is bit-identical to the pre-trait device: the
 //! conformance suite pins it against a frozen copy of the old
 //! implementation, and `scripts/ci.sh` diffs seeded `repro cluster
 //! --quick` CSVs against golden pre-refactor output.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::backend::{default_permission, Capabilities, MsrBackend};
@@ -17,12 +16,26 @@ use crate::msr::{
 };
 use crate::time::Nanos;
 
+/// One register-file entry: the register's value and, when it is on the
+/// allow-list, its user-space permission. A register only ever touched
+/// through `hw_write` has a value but no permission, so user-space
+/// accesses to it fail with [`MsrError::Unknown`].
+#[derive(Debug, Clone, Copy)]
+struct Reg {
+    addr: u32,
+    value: u64,
+    perm: Option<Permission>,
+}
+
 /// The simulated MSR register file (allow-list + registers + optional
 /// fault layer).
 #[derive(Debug, Clone)]
 pub struct SimBackend {
-    regs: HashMap<u32, u64>,
-    allowlist: HashMap<u32, Permission>,
+    /// Registers and allow-list in one small linear-scan table: the seven
+    /// architected registers, hottest first, then any address a builder
+    /// or `hw_write` added. A handful of integer compares beats hashing
+    /// on the node's per-quantum counter updates.
+    regs: Vec<Reg>,
     /// Simulated time of the device, advanced by `advance_to`; only
     /// consulted by the fault layer.
     now: Nanos,
@@ -35,27 +48,55 @@ impl SimBackend {
     /// A register file with the default RAPL/DVFS allow-list and
     /// power-on values.
     pub fn new() -> Self {
-        let mut allowlist = HashMap::new();
-        let mut regs = HashMap::new();
-        for addr in [
+        let regs = [
+            MSR_PKG_ENERGY_STATUS,
+            IA32_APERF,
+            IA32_MPERF,
             MSR_RAPL_POWER_UNIT,
             MSR_PKG_POWER_LIMIT,
-            MSR_PKG_ENERGY_STATUS,
             IA32_PERF_CTL,
             IA32_CLOCK_MODULATION,
-            IA32_MPERF,
-            IA32_APERF,
-        ] {
-            allowlist.insert(addr, default_permission(addr).expect("default set"));
-            regs.insert(addr, 0);
-        }
-        regs.insert(MSR_RAPL_POWER_UNIT, RaplUnits::SKYLAKE_RAW);
+        ]
+        .into_iter()
+        .map(|addr| Reg {
+            addr,
+            value: if addr == MSR_RAPL_POWER_UNIT {
+                RaplUnits::SKYLAKE_RAW
+            } else {
+                0
+            },
+            perm: Some(default_permission(addr).expect("default set")),
+        })
+        .collect();
         Self {
             regs,
-            allowlist,
             now: 0,
             faults: None,
         }
+    }
+
+    fn reg(&self, addr: u32) -> Option<&Reg> {
+        self.regs.iter().find(|r| r.addr == addr)
+    }
+
+    /// The entry for `addr`, appended (value 0, not allow-listed) if the
+    /// file has none yet.
+    fn reg_mut(&mut self, addr: u32) -> &mut Reg {
+        match self.regs.iter().position(|r| r.addr == addr) {
+            Some(i) => &mut self.regs[i],
+            None => {
+                self.regs.push(Reg {
+                    addr,
+                    value: 0,
+                    perm: None,
+                });
+                self.regs.last_mut().expect("just pushed")
+            }
+        }
+    }
+
+    fn perm(&self, addr: u32) -> Option<Permission> {
+        self.reg(addr).and_then(|r| r.perm)
     }
 
     /// Builder back end: the default file with allow-list overrides,
@@ -68,11 +109,10 @@ impl SimBackend {
     ) -> Self {
         let mut s = Self::new();
         for &(addr, perm) in allow {
-            s.allowlist.insert(addr, perm);
-            s.regs.entry(addr).or_insert(0);
+            s.reg_mut(addr).perm = Some(perm);
         }
         for &(addr, value) in regs {
-            s.regs.insert(addr, value);
+            s.hw_write(addr, value);
         }
         s.faults = faults.map(FaultLayer::new);
         s
@@ -84,7 +124,7 @@ impl SimBackend {
     /// [`MsrBackend::advance_to`]). Shared with [`super::EmulatedBackend`],
     /// whose bus engine stores through its own latch queue.
     pub(crate) fn user_write_gate(&mut self, addr: u32, value: u64) -> Result<bool, MsrError> {
-        match self.allowlist.get(&addr) {
+        match self.perm(addr) {
             None => Err(MsrError::Unknown(addr)),
             Some(p) if !p.write => Err(MsrError::NotAllowed(addr)),
             Some(_) => {
@@ -112,7 +152,7 @@ impl Default for SimBackend {
 
 impl MsrBackend for SimBackend {
     fn read(&self, addr: u32) -> Result<u64, MsrError> {
-        match self.allowlist.get(&addr) {
+        match self.perm(addr) {
             None => Err(MsrError::Unknown(addr)),
             Some(p) if !p.read => Err(MsrError::NotAllowed(addr)),
             Some(_) => {
@@ -126,14 +166,14 @@ impl MsrBackend for SimBackend {
                         }
                     }
                 }
-                Ok(*self.regs.get(&addr).unwrap_or(&0))
+                Ok(self.hw_read(addr))
             }
         }
     }
 
     fn write(&mut self, addr: u32, value: u64) -> Result<(), MsrError> {
         if self.user_write_gate(addr, value)? {
-            self.regs.insert(addr, value);
+            self.hw_write(addr, value);
         }
         Ok(())
     }
@@ -141,13 +181,18 @@ impl MsrBackend for SimBackend {
     fn advance_to(&mut self, now: Nanos) {
         self.now = now;
         if let Some(fl) = &mut self.faults {
-            let energy = *self.regs.get(&MSR_PKG_ENERGY_STATUS).unwrap_or(&0);
+            // Field access, not `hw_read`: `fl` borrows `self.faults`.
+            let energy = self
+                .regs
+                .iter()
+                .find(|r| r.addr == MSR_PKG_ENERGY_STATUS)
+                .map_or(0, |r| r.value);
             let (jump_to, latched) = fl.advance_to(now, energy);
             if let Some(v) = jump_to {
-                self.regs.insert(MSR_PKG_ENERGY_STATUS, v & 0xFFFF_FFFF);
+                self.reg_mut(MSR_PKG_ENERGY_STATUS).value = v & 0xFFFF_FFFF;
             }
             if let Some(raw) = latched {
-                self.regs.insert(MSR_PKG_POWER_LIMIT, raw);
+                self.reg_mut(MSR_PKG_POWER_LIMIT).value = raw;
             }
         }
     }
@@ -163,11 +208,11 @@ impl MsrBackend for SimBackend {
     }
 
     fn hw_read(&self, addr: u32) -> u64 {
-        *self.regs.get(&addr).unwrap_or(&0)
+        self.reg(addr).map_or(0, |r| r.value)
     }
 
     fn hw_write(&mut self, addr: u32, value: u64) {
-        self.regs.insert(addr, value);
+        self.reg_mut(addr).value = value;
     }
 
     fn fault_stats(&self) -> Option<&FaultStats> {

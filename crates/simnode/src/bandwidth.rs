@@ -98,8 +98,16 @@ impl UncoreConfig {
     /// frequency — unloaded latency is DRAM-dominated); `mlp` scales the
     /// final rate for dependent-miss workloads.
     pub fn service_rate(&self, level: UncoreLevel, pressure: f64, mlp: f64) -> f64 {
+        self.service_pipe(level, pressure) * mlp
+    }
+
+    /// The part of [`service_rate`](Self::service_rate) every core shares
+    /// in a step: the fair pipe share at `pressure`, capped by the
+    /// per-core ceiling, before a core's own MLP scales it. The node
+    /// computes it once per step and multiplies by each core's `mlp`.
+    pub fn service_pipe(&self, level: UncoreLevel, pressure: f64) -> f64 {
         let share = self.total_bw(level) / pressure.max(1.0);
-        share.min(self.percore_peak_bw * self.latency_scale(level)) * mlp
+        share.min(self.percore_peak_bw * self.latency_scale(level))
     }
 
     /// Back-compat shim used by tests: fair share among `n` always-pulling

@@ -164,6 +164,20 @@ impl StepOutcome {
     }
 }
 
+/// One computing core's evaluation for the next macro-step: recorded by
+/// [`Node::macro_quanta`] and read back by [`Node::macro_step`], so each
+/// core's times (and the service rate behind them) are computed once per
+/// macro-step.
+#[derive(Debug, Clone, Copy, Default)]
+struct CoreScratch {
+    /// Remaining compute time at the step's effective frequency, s.
+    t_comp: f64,
+    /// Remaining memory time at the step's service rate, s.
+    t_mem: f64,
+    /// Per-quantum packet-decay fraction, set by the macro step.
+    rho: f64,
+}
+
 /// Telemetry for the quantum that just executed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct QuantumTelemetry {
@@ -216,8 +230,8 @@ pub struct Node {
     tables: PStateTables,
     /// Reusable step result; cleared at the start of every step.
     outcome: StepOutcome,
-    /// Reusable per-core packet-decay fractions for the macro step.
-    scratch_rho: Vec<f64>,
+    /// Reusable per-core macro-step evaluations (see [`CoreScratch`]).
+    scratch: Vec<CoreScratch>,
 }
 
 impl Node {
@@ -242,7 +256,7 @@ impl Node {
         Self {
             energy: EnergyMeter::new(retain * 2),
             next_rapl: cfg.rapl_period,
-            scratch_rho: vec![0.0; cfg.cores],
+            scratch: vec![CoreScratch::default(); cfg.cores],
             cfg,
             now: 0,
             msr,
@@ -441,7 +455,12 @@ impl Node {
     /// predicted completion. A macro-step of this many quanta crosses no
     /// horizon except possibly on its final quantum boundary — the same
     /// quantum on which the exact path observes the event.
-    fn macro_quanta(&self, deadline: Nanos) -> u64 {
+    ///
+    /// Records each computing core's `t_comp`/`t_mem` in the per-core
+    /// scratch. Those values are only valid for a [`Node::macro_step`]
+    /// that runs straight after this call on unchanged state, which is
+    /// how [`Node::step_until`] uses the pair.
+    fn macro_quanta(&mut self, deadline: Nanos) -> u64 {
         let dt = self.cfg.quantum;
         let dt_s = secs(dt);
         let now = self.now;
@@ -473,8 +492,10 @@ impl Node {
                 _ => 0.0,
             })
             .sum();
+        let pipe = self.cfg.uncore.service_pipe(effective.uncore, pressure);
+        let bytes_per_miss = self.cfg.uncore.bytes_per_miss;
 
-        for work in &self.cores {
+        for (work, eval) in self.cores.iter().zip(self.scratch.iter_mut()) {
             match work {
                 CoreWork::Idle | CoreWork::Spin => {}
                 CoreWork::Sleep { until } => {
@@ -487,11 +508,9 @@ impl Node {
                     } else {
                         f64::INFINITY
                     };
-                    let service = self
-                        .cfg
-                        .uncore
-                        .service_rate(effective.uncore, pressure, ps.mlp);
-                    let t_mem = ps.misses_left * self.cfg.uncore.bytes_per_miss / service;
+                    let t_mem = ps.misses_left * bytes_per_miss / (pipe * ps.mlp);
+                    eval.t_comp = t_comp;
+                    eval.t_mem = t_mem;
                     let t_total = t_comp + t_mem;
                     // Stop one quantum short of the predicted completion so
                     // the completion decision itself is always taken by the
@@ -510,11 +529,13 @@ impl Node {
     }
 
     /// Apply `k` quanta in closed form. Caller guarantees (via
-    /// [`Node::macro_quanta`]) that no RAPL boundary, fault boundary, wake
-    /// or completion lies strictly inside the covered span — wakes may land
-    /// exactly on its final quantum. A thermal-throttle flip truncates the
-    /// step at the quantum after the flip, exactly where the exact path
-    /// would first run at the new frequency.
+    /// [`Node::macro_quanta`], called immediately before on the same state)
+    /// that no RAPL boundary, fault boundary, wake or completion lies
+    /// strictly inside the covered span — wakes may land exactly on its
+    /// final quantum — and that every computing core's times are recorded
+    /// in the scratch. A thermal-throttle flip truncates the step at the
+    /// quantum after the flip, exactly where the exact path would first run
+    /// at the new frequency.
     fn macro_step(&mut self, k: u64) {
         let dt = self.cfg.quantum;
         let dt_s = secs(dt);
@@ -544,15 +565,6 @@ impl Node {
         let dyn_full_w = self.tables.dynamic_full(effective.pstate);
         let static_at_f = self.tables.static_power(effective.pstate);
 
-        let pressure: f64 = self
-            .cores
-            .iter()
-            .map(|w| match w {
-                CoreWork::Compute(p) if p.misses_left > 0.0 => p.mem_weight,
-                _ => 0.0,
-            })
-            .sum();
-
         // Pass 1: per-quantum constants. While no horizon is crossed every
         // quantum of the macro step contributes identical increments —
         // packet state decays multiplicatively, so remaining-work ratios
@@ -570,8 +582,7 @@ impl Node {
         let mut aperf_q = 0.0;
         let mut mperf_q = 0.0;
 
-        for (i, work) in self.cores.iter().enumerate() {
-            self.scratch_rho[i] = 0.0;
+        for (work, eval) in self.cores.iter().zip(self.scratch.iter_mut()) {
             let (activity, static_scale, busy_frac) = match work {
                 CoreWork::Idle => (0.0, 1.0, 0.0),
                 CoreWork::Sleep { .. } => {
@@ -585,20 +596,14 @@ impl Node {
                     (1.0, 1.0, 1.0)
                 }
                 CoreWork::Compute(ps) => {
-                    let t_comp = if f_eff_hz > 0.0 {
-                        ps.cycles_left / f_eff_hz
-                    } else {
-                        f64::INFINITY
-                    };
-                    let service = self.cfg.uncore.service_rate(uncore_level, pressure, ps.mlp);
-                    let t_mem = ps.misses_left * self.cfg.uncore.bytes_per_miss / service;
+                    let CoreScratch { t_comp, t_mem, .. } = *eval;
                     let t_total = t_comp + t_mem;
                     debug_assert!(
                         t_total > dt_s * k as f64,
                         "macro step may not contain a completion"
                     );
                     let rho = dt_s / t_total;
-                    self.scratch_rho[i] = rho;
+                    eval.rho = rho;
                     let u_comp = t_comp / t_total;
                     let u_mem = t_mem / t_total;
                     let misses_serviced = ps.misses_left * rho;
@@ -664,7 +669,7 @@ impl Node {
         // (t_total - j·dt) / t_total, i.e. state shrinks by rho·j.
         let kf = executed as f64;
         let end = start + executed * dt;
-        for (i, work) in self.cores.iter_mut().enumerate() {
+        for (i, (work, eval)) in self.cores.iter_mut().zip(&self.scratch).enumerate() {
             match work {
                 CoreWork::Idle | CoreWork::Spin => {}
                 CoreWork::Sleep { until } => {
@@ -674,7 +679,7 @@ impl Node {
                     }
                 }
                 CoreWork::Compute(ps) => {
-                    let frac_k = self.scratch_rho[i] * kf;
+                    let frac_k = eval.rho * kf;
                     ps.cycles_left -= ps.cycles_left * frac_k;
                     ps.misses_left -= ps.misses_left * frac_k;
                     ps.inst_left -= ps.inst_left * frac_k;
@@ -750,6 +755,7 @@ impl Node {
                 _ => 0.0,
             })
             .sum();
+        let pipe = self.cfg.uncore.service_pipe(uncore_level, pressure);
 
         let mut core_w = 0.0;
         let mut bytes_moved = 0.0;
@@ -782,8 +788,7 @@ impl Node {
                     } else {
                         f64::INFINITY
                     };
-                    let service = self.cfg.uncore.service_rate(uncore_level, pressure, ps.mlp);
-                    let t_mem = ps.misses_left * self.cfg.uncore.bytes_per_miss / service;
+                    let t_mem = ps.misses_left * self.cfg.uncore.bytes_per_miss / (pipe * ps.mlp);
                     let t_total = t_comp + t_mem;
 
                     let (frac_of_packet, u_comp, u_mem) = if t_total <= dt_s {

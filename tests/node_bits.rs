@@ -1,0 +1,216 @@
+//! Bit-for-bit pins on the single-node path.
+//!
+//! The cluster path has golden CSVs; this file does the same for the
+//! node itself. Every constant below is an `f64::to_bits()` (or a raw
+//! register value) recorded before the node's hot loop was last
+//! optimised, so any change to per-core summation order, to the uncore
+//! service-rate arithmetic or to the register file shows up here as a
+//! changed bit pattern, not as drift inside a tolerance.
+//!
+//! A failure lists every mismatching quantity with the bits it produced,
+//! so a deliberate model change can re-pin all of them in one pass.
+
+use powerprog::prelude::*;
+use simnode::config::StepMode;
+use simnode::hw::{BackendKind, IA32_APERF, IA32_MPERF, MSR_PKG_ENERGY_STATUS};
+use simnode::thermal::ThermalConfig;
+
+/// Collects `(name, got, want)` triples and fails once with all of them.
+#[derive(Default)]
+struct Pins {
+    mismatches: Vec<String>,
+}
+
+impl Pins {
+    fn bits(&mut self, name: &str, got: u64, want: u64) {
+        if got != want {
+            self.mismatches
+                .push(format!("{name}: got {got:#018x}, pinned {want:#018x}"));
+        }
+    }
+
+    fn f64(&mut self, name: &str, got: f64, want: u64) {
+        self.bits(name, got.to_bits(), want);
+    }
+
+    fn finish(self) {
+        assert!(
+            self.mismatches.is_empty(),
+            "{} pinned value(s) changed:\n{}",
+            self.mismatches.len(),
+            self.mismatches.join("\n")
+        );
+    }
+}
+
+/// `[total_energy_j, steady_rate, instructions, cycles, l3_misses]`.
+fn pin_run(pins: &mut Pins, name: &str, cfg: &RunConfig, want: [u64; 5]) {
+    let run = run_app(cfg);
+    pins.f64(&format!("{name} energy"), run.total_energy_j, want[0]);
+    pins.f64(&format!("{name} steady_rate"), run.steady_rate(), want[1]);
+    pins.f64(
+        &format!("{name} instructions"),
+        run.counters.instructions,
+        want[2],
+    );
+    pins.f64(&format!("{name} cycles"), run.counters.cycles, want[3]);
+    pins.f64(
+        &format!("{name} l3_misses"),
+        run.counters.l3_misses,
+        want[4],
+    );
+}
+
+#[test]
+fn run_app_outputs_are_pinned_bit_for_bit() {
+    let mut pins = Pins::default();
+    pin_run(
+        &mut pins,
+        "lammps uncapped",
+        &RunConfig::new(AppId::Lammps, 3 * SEC),
+        [
+            0x407bbaea337eb2a7,
+            0x4090d3f707dc78ca,
+            0x42487526362ae3e0,
+            0x424b8c8efbe34eb1,
+            0x4190074e893e6ef4,
+        ],
+    );
+    pin_run(
+        &mut pins,
+        "stream 80 W",
+        &RunConfig::new(AppId::Stream, 3 * SEC).with_schedule(ScheduleSpec::Constant(80.0)),
+        [
+            0x407182981789bfc0,
+            0x4024efc28a9a77e1,
+            0x422c308227fc44aa,
+            0x4246013777880872,
+            0x41e6f51fdc920c9a,
+        ],
+    );
+    pin_run(
+        &mut pins,
+        "amg jagged",
+        &RunConfig::new(AppId::Amg, 4 * SEC).with_schedule(ScheduleSpec::Jagged {
+            high_w: 150.0,
+            low_w: 60.0,
+            decay: 2 * SEC,
+        }),
+        [
+            0x407f5b4310270412,
+            0x4004162cf63ef5a3,
+            0x42406e0ada53a2cc,
+            0x4251867cfc364cc6,
+            0x41e17f9b5126a635,
+        ],
+    );
+    pin_run(
+        &mut pins,
+        "lammps emulated 90 W",
+        &RunConfig::new(AppId::Lammps, 3 * SEC)
+            .with_schedule(ScheduleSpec::Constant(90.0))
+            .with_backend(BackendKind::emulated()),
+        [
+            0x40747ece45793055,
+            0x408ce91bdab2cb1a,
+            0x42450a201df63897,
+            0x4247afb20e7ecff1,
+            0x418b93b3cdd09ba2,
+        ],
+    );
+    pins.finish();
+}
+
+/// A packet of `ms` milliseconds at fmax with `misses` L3 misses.
+fn packet(ms: f64, misses: f64, mlp: f64) -> CoreWork {
+    let cycles = 3.3e9 * ms / 1e3;
+    CoreWork::Compute(
+        WorkPacket {
+            cycles,
+            misses,
+            instructions: cycles * 1.7,
+            mlp,
+            mem_weight: mlp,
+        }
+        .into(),
+    )
+}
+
+/// Refill core `c` the way a runtime would: compute cores get a fresh
+/// packet, sleepers go back to sleep.
+fn refill(node: &mut Node, c: usize, round: u64) {
+    let now = node.now();
+    let work = match c % 4 {
+        0 => packet(2.0 + (round % 5) as f64, 0.0, 1.0),
+        1 => packet(1.5, 4.0e4 + 1.0e3 * (round % 7) as f64, 1.0),
+        2 => packet(0.7, 2.0e4, 0.3),
+        _ => CoreWork::Sleep {
+            until: now + 3 * MS + (round % 3) * 250 * US,
+        },
+    };
+    node.assign(c, work);
+}
+
+#[test]
+fn direct_node_run_is_pinned_bit_for_bit() {
+    let cfg = NodeConfig {
+        thermal: Some(ThermalConfig::default()),
+        step_mode: StepMode::EventHorizon,
+        ..NodeConfig::default()
+    };
+    let mut node = Node::new(cfg);
+    node.set_package_cap(Some(95.0)).unwrap();
+    // Cores 0..16 cycle through compute (compute-bound, streaming,
+    // latency-bound) and sleep; 16..20 spin; the rest stay idle.
+    for c in 0..16 {
+        refill(&mut node, c, 0);
+    }
+    for c in 16..20 {
+        node.assign(c, CoreWork::Spin);
+    }
+    let mut round = 0u64;
+    let end = 400 * MS;
+    while node.now() < end {
+        if node.now() >= 200 * MS && node.package_cap() == Some(95.0) {
+            node.set_package_cap(Some(70.0)).unwrap();
+        }
+        let deadline = (node.now() + 7 * MS).min(end);
+        let out = node.step_until(deadline).clone();
+        round += 1;
+        for c in out.completed.into_iter().chain(out.woke) {
+            refill(&mut node, c, round);
+        }
+    }
+
+    let mut pins = Pins::default();
+    pins.bits("now", node.now(), 0x17d78400);
+    pins.f64("energy", node.total_energy(), 0x403fea13f1325fc7);
+    pins.f64(
+        "instructions",
+        node.counters().instructions,
+        0x421babd8b54d84dc,
+    );
+    pins.f64("cycles", node.counters().cycles, 0x4211392233df86ae);
+    pins.f64("l3_misses", node.counters().l3_misses, 0x418c859d318d21fd);
+    pins.f64(
+        "temperature",
+        node.temperature_c().unwrap(),
+        0x4044951e0e26926b,
+    );
+    pins.bits(
+        "IA32_APERF",
+        node.msr().hw_read(IA32_APERF),
+        0x0000_0004_4e48_8cf2,
+    );
+    pins.bits(
+        "IA32_MPERF",
+        node.msr().hw_read(IA32_MPERF),
+        0x0000_0004_dcb8_a300,
+    );
+    pins.bits(
+        "MSR_PKG_ENERGY_STATUS",
+        node.msr().hw_read(MSR_PKG_ENERGY_STATUS),
+        0x7_faa7,
+    );
+    pins.finish();
+}
