@@ -1,6 +1,6 @@
-//! Microbenchmarks of the hot paths: the node's per-quantum step, the
-//! RAPL control decision, the progress bus, the 1 Hz aggregator and the
-//! Eq. 7 evaluation. These are what bound full-experiment wall time, so
+//! Microbenchmarks of the hot paths: the node's per-quantum step and
+//! macro-step, the RAPL control decision, the progress bus, the 1 Hz
+//! aggregator and the Eq. 7 evaluation. These are what bound full-experiment wall time, so
 //! regressions here matter directly for `repro all`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -43,6 +43,29 @@ fn bench_node_step(c: &mut Criterion) {
                 black_box(node.step());
             }
         })
+    });
+    // `step_until` takes the macro-step path, whose per-RAPL-period cost
+    // depends on how many distinct core states the node holds: the SPMD
+    // best case (every core bit-identical) and the worst case (no two
+    // cores alike), both at an 80 W cap.
+    let capped_node = |packet: &dyn Fn(usize) -> WorkPacket| {
+        let mut node = Node::new(NodeConfig::default());
+        node.set_package_cap(Some(80.0)).unwrap();
+        for c in 0..node.cores() {
+            node.assign(c, CoreWork::Compute(packet(c).into()));
+        }
+        node
+    };
+    g.bench_function("step_until_1s_24core_identical", |b| {
+        let mut node = capped_node(&|_| WorkPacket::new(3.3e15, 1e12, 5e15));
+        b.iter(|| black_box(node.step_until(node.now() + SEC)).is_empty())
+    });
+    g.bench_function("step_until_1s_24core_distinct", |b| {
+        let mut node = capped_node(&|c| {
+            let s = 1.0 + 0.01 * c as f64;
+            WorkPacket::new(3.3e15 * s, 1e12 / s, 5e15)
+        });
+        b.iter(|| black_box(node.step_until(node.now() + SEC)).is_empty())
     });
     g.finish();
 }

@@ -5,6 +5,7 @@
 //! [`EnergyMeter`] keeps cumulative energy samples in a ring and answers
 //! that query in O(1) amortised.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::time::{secs, Nanos};
@@ -18,6 +19,13 @@ pub struct EnergyMeter {
     history: VecDeque<(Nanos, f64)>,
     /// How much history to retain.
     retain: Nanos,
+    /// Samples trimmed from the front so far: `history[i]` has absolute
+    /// index `trimmed + i`.
+    trimmed: usize,
+    /// Absolute index of the segment end the last lookup found: the RAPL
+    /// window slides forward with the samples, so the next lookup starts
+    /// its search here.
+    cursor: Cell<usize>,
 }
 
 impl EnergyMeter {
@@ -29,6 +37,8 @@ impl EnergyMeter {
             total_j: 0.0,
             history,
             retain,
+            trimmed: 0,
+            cursor: Cell::new(0),
         }
     }
 
@@ -47,6 +57,7 @@ impl EnergyMeter {
             let second = self.history[1].0;
             if now.saturating_sub(second) >= self.retain {
                 self.history.pop_front();
+                self.trimmed += 1;
             } else {
                 break;
             }
@@ -78,8 +89,49 @@ impl EnergyMeter {
         if t <= h.front().expect("never empty").0 {
             return h.front().expect("never empty").1;
         }
-        // Binary search for the segment containing t.
-        let idx = h.partition_point(|&(ht, _)| ht <= t);
+        // The first sample later than `t` (the partition point of
+        // `ht <= t`), found by galloping from the last answer and then
+        // bisecting the bracket. The RAPL controller's window slides a
+        // sample or two between queries, so it costs a few probes; a query
+        // with another window (the NRM's 1 s average, or a reprogrammed
+        // RAPL window) costs O(log distance), not a walk across the
+        // history. `h[0]` is not later than `t` and index `n` stands for
+        // "past the end", so both gallops stop.
+        let n = h.len();
+        let later = |i: usize| i == n || h[i].0 > t;
+        let from = self.cursor.get().saturating_sub(self.trimmed).clamp(1, n);
+        // Bracket the answer between `lo` (not later) and `hi` (later).
+        let (mut lo, mut hi) = if later(from) {
+            let (mut hi, mut step) = (from, 1);
+            loop {
+                let probe = hi.saturating_sub(step);
+                if !later(probe) {
+                    break (probe, hi);
+                }
+                hi = probe;
+                step *= 2;
+            }
+        } else {
+            let (mut lo, mut step) = (from, 1);
+            loop {
+                let probe = (lo + step).min(n);
+                if later(probe) {
+                    break (lo, probe);
+                }
+                lo = probe;
+                step *= 2;
+            }
+        };
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if later(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        let idx = hi;
+        self.cursor.set(self.trimmed + idx);
         if idx >= h.len() {
             return h.back().expect("never empty").1;
         }
@@ -96,7 +148,63 @@ impl EnergyMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::{MS, SEC};
+    use crate::time::{MS, SEC, US};
+    use proptest::prelude::*;
+
+    /// [`EnergyMeter::average_power`] with the segment found by scanning
+    /// the whole history from the front.
+    fn scanned_average(m: &EnergyMeter, window: Nanos) -> f64 {
+        let h: Vec<(Nanos, f64)> = m.history.iter().copied().collect();
+        let (t_end, e_end) = h[h.len() - 1];
+        let t = t_end.saturating_sub(window);
+        let e_start = if t <= h[0].0 {
+            h[0].1
+        } else {
+            match h.iter().position(|&(ht, _)| ht > t) {
+                None => e_end,
+                Some(i) => {
+                    let ((t0, e0), (t1, e1)) = (h[i - 1], h[i]);
+                    if t1 == t0 {
+                        e1
+                    } else {
+                        e0 + (t - t0) as f64 / (t1 - t0) as f64 * (e1 - e0)
+                    }
+                }
+            }
+        };
+        let dt = secs(t_end - t.min(t_end));
+        if dt <= 0.0 {
+            0.0
+        } else {
+            (e_end - e_start) / dt
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn windowed_average_matches_a_full_scan_bit_for_bit(
+            retain_ms in 1u64..30,
+            // (time step in 500 us units, 0 = a repeated timestamp; joules;
+            // two query windows), so windows grow and shrink between and
+            // within records while the front of the history is trimmed.
+            ops in prop::collection::vec(
+                (0u64..4, 0.0f64..1.0, 0u64..80 * MS, 0u64..80 * MS),
+                1..400,
+            ),
+        ) {
+            let mut m = EnergyMeter::new(retain_ms * MS);
+            let mut now = 0;
+            for (step, joules, w1, w2) in ops {
+                now += step * 500 * US;
+                m.record(now, joules);
+                for w in [w1, w2] {
+                    let got = m.average_power(w);
+                    let want = scanned_average(&m, w);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "window {} at {}", w, now);
+                }
+            }
+        }
+    }
 
     #[test]
     fn constant_power_measures_exactly() {

@@ -164,18 +164,105 @@ impl StepOutcome {
     }
 }
 
-/// One computing core's evaluation for the next macro-step: recorded by
-/// [`Node::macro_quanta`] and read back by [`Node::macro_step`], so each
-/// core's times (and the service rate behind them) are computed once per
-/// macro-step.
+/// One run's evaluation for the next macro-step, kept at the run's first
+/// core: recorded by [`Node::macro_quanta`] and read back by
+/// [`Node::macro_step`], so each run of bit-identical cores (see
+/// [`same_work`]) is evaluated once per macro-step. Entries of a run's
+/// other cores are stale and never read.
 #[derive(Debug, Clone, Copy, Default)]
 struct CoreScratch {
+    /// Number of adjacent cores, starting here, holding bit-identical work.
+    run: usize,
     /// Remaining compute time at the step's effective frequency, s.
     t_comp: f64,
     /// Remaining memory time at the step's service rate, s.
     t_mem: f64,
     /// Per-quantum packet-decay fraction, set by the macro step.
     rho: f64,
+}
+
+/// Splits `cores` into runs of bit-identical work (see [`same_work`]),
+/// recording each run's length at its first core, and returns the node's
+/// memory pressure, one [`pressure_weight`] per core in core order.
+fn find_runs(cores: &[CoreWork], scratch: &mut [CoreScratch]) -> f64 {
+    let mut pressure = 0.0;
+    let mut head = 0;
+    let mut weight = 0.0;
+    for (i, work) in cores.iter().enumerate() {
+        if i == 0 || !same_work(work, &cores[i - 1]) {
+            // Close the previous run (at i == 0, a placeholder for the first).
+            scratch[head].run = i - head;
+            head = i;
+            weight = pressure_weight(work);
+        }
+        pressure += weight;
+    }
+    scratch[head].run = cores.len() - head;
+    pressure
+}
+
+/// A core's contribution to node memory pressure: the workload-intrinsic
+/// weight of an in-flight packet still holding misses.
+fn pressure_weight(work: &CoreWork) -> f64 {
+    match work {
+        CoreWork::Compute(p) if p.misses_left > 0.0 => p.mem_weight,
+        _ => 0.0,
+    }
+}
+
+/// The closed form's state update over `kf` quanta: each computing run's
+/// packet is shrunk once at its first core and copied over the rest, and
+/// each sleeping run due by `end` wakes together, in core order.
+fn advance_runs(
+    cores: &mut [CoreWork],
+    scratch: &[CoreScratch],
+    kf: f64,
+    end: Nanos,
+    woke: &mut Vec<usize>,
+) {
+    let mut i = 0;
+    while i < cores.len() {
+        let CoreScratch { run, rho, .. } = scratch[i];
+        match &mut cores[i] {
+            CoreWork::Idle | CoreWork::Spin => {}
+            CoreWork::Sleep { until } => {
+                if *until <= end {
+                    woke.extend(i..i + run);
+                    cores[i..i + run].fill(CoreWork::Idle);
+                }
+            }
+            CoreWork::Compute(ps) => {
+                let frac_k = rho * kf;
+                ps.cycles_left -= ps.cycles_left * frac_k;
+                ps.misses_left -= ps.misses_left * frac_k;
+                ps.inst_left -= ps.inst_left * frac_k;
+                if run > 1 {
+                    let work = CoreWork::Compute(*ps);
+                    cores[i + 1..i + run].fill(work);
+                }
+            }
+        }
+        i += run;
+    }
+}
+
+/// Whether two cores hold bit-identical work, so that every quantity the
+/// step derives from them is bit-identical too. Floats are compared by
+/// bits, not by value: `0.0 == -0.0` and `NaN != NaN` would both be wrong
+/// here.
+fn same_work(a: &CoreWork, b: &CoreWork) -> bool {
+    match (a, b) {
+        (CoreWork::Idle, CoreWork::Idle) | (CoreWork::Spin, CoreWork::Spin) => true,
+        (CoreWork::Sleep { until: x }, CoreWork::Sleep { until: y }) => x == y,
+        (CoreWork::Compute(p), CoreWork::Compute(q)) => {
+            p.cycles_left.to_bits() == q.cycles_left.to_bits()
+                && p.misses_left.to_bits() == q.misses_left.to_bits()
+                && p.inst_left.to_bits() == q.inst_left.to_bits()
+                && p.mlp.to_bits() == q.mlp.to_bits()
+                && p.mem_weight.to_bits() == q.mem_weight.to_bits()
+        }
+        _ => false,
+    }
 }
 
 /// Telemetry for the quantum that just executed.
@@ -456,10 +543,11 @@ impl Node {
     /// horizon except possibly on its final quantum boundary — the same
     /// quantum on which the exact path observes the event.
     ///
-    /// Records each computing core's `t_comp`/`t_mem` in the per-core
-    /// scratch. Those values are only valid for a [`Node::macro_step`]
-    /// that runs straight after this call on unchanged state, which is
-    /// how [`Node::step_until`] uses the pair.
+    /// Finds the runs of bit-identical cores and records each run's length
+    /// and, for a computing run, its `t_comp`/`t_mem` in the scratch at
+    /// the run's first core. Those values are only valid for a
+    /// [`Node::macro_step`] that runs straight after this call on
+    /// unchanged state, which is how [`Node::step_until`] uses the pair.
     fn macro_quanta(&mut self, deadline: Nanos) -> u64 {
         let dt = self.cfg.quantum;
         let dt_s = secs(dt);
@@ -484,23 +572,20 @@ impl Node {
             }
         }
         let f_eff_hz = self.tables.mhz(effective.pstate) * 1e6 * effective.duty.fraction();
-        let pressure: f64 = self
-            .cores
-            .iter()
-            .map(|w| match w {
-                CoreWork::Compute(p) if p.misses_left > 0.0 => p.mem_weight,
-                _ => 0.0,
-            })
-            .sum();
+
+        let pressure = find_runs(&self.cores, &mut self.scratch);
         let pipe = self.cfg.uncore.service_pipe(effective.uncore, pressure);
         let bytes_per_miss = self.cfg.uncore.bytes_per_miss;
 
-        for (work, eval) in self.cores.iter().zip(self.scratch.iter_mut()) {
-            match work {
+        // Each run's horizon, evaluated once at its first core.
+        let mut i = 0;
+        while i < self.cores.len() {
+            let eval = &mut self.scratch[i];
+            match self.cores[i] {
                 CoreWork::Idle | CoreWork::Spin => {}
                 CoreWork::Sleep { until } => {
                     // Land the macro end exactly on the wake quantum.
-                    k = k.min(quanta_to(*until));
+                    k = k.min(quanta_to(until));
                 }
                 CoreWork::Compute(ps) => {
                     let t_comp = if f_eff_hz > 0.0 {
@@ -524,6 +609,7 @@ impl Node {
             if k < 2 {
                 return k;
             }
+            i += eval.run;
         }
         k
     }
@@ -532,10 +618,10 @@ impl Node {
     /// [`Node::macro_quanta`], called immediately before on the same state)
     /// that no RAPL boundary, fault boundary, wake or completion lies
     /// strictly inside the covered span — wakes may land exactly on its
-    /// final quantum — and that every computing core's times are recorded
-    /// in the scratch. A thermal-throttle flip truncates the step at the
-    /// quantum after the flip, exactly where the exact path would first run
-    /// at the new frequency.
+    /// final quantum — and that the runs, and every computing run's times,
+    /// are recorded in the scratch. A thermal-throttle flip truncates the
+    /// step at the quantum after the flip, exactly where the exact path
+    /// would first run at the new frequency.
     fn macro_step(&mut self, k: u64) {
         let dt = self.cfg.quantum;
         let dt_s = secs(dt);
@@ -565,67 +651,89 @@ impl Node {
         let dyn_full_w = self.tables.dynamic_full(effective.pstate);
         let static_at_f = self.tables.static_power(effective.pstate);
 
+        let sleep_powered = self.sleep_powered();
+
         // Pass 1: per-quantum constants. While no horizon is crossed every
         // quantum of the macro step contributes identical increments —
         // packet state decays multiplicatively, so remaining-work ratios
         // (and hence utilisations, power and counter deltas) are invariant.
-        let mut core_w0 = 0.0; // interleaved per-core sum, bit-equal to the exact path at leak0
-        let mut core_dyn_w = 0.0; // dynamic-only sum (thermal path)
-        let mut core_static_w = 0.0; // leak-scaled static sum, sans leak factor (thermal path)
-        let mut bytes_q = 0.0;
-        let mut inst_q = 0.0;
-        let mut cycles_q = 0.0;
-        let mut misses_q = 0.0;
-        let mut compute_weight = 0.0;
-        let mut busy_weight = 0.0;
-        let mut powered = 0.0;
-        let mut aperf_q = 0.0;
-        let mut mperf_q = 0.0;
-
-        for (work, eval) in self.cores.iter().zip(self.scratch.iter_mut()) {
-            let (activity, static_scale, busy_frac) = match work {
-                CoreWork::Idle => (0.0, 1.0, 0.0),
-                CoreWork::Sleep { .. } => {
-                    inst_q += self.cfg.sleep_inst_per_sec * dt_s;
-                    (0.0, self.cfg.cstate_static_frac, 0.0)
-                }
-                CoreWork::Spin => {
-                    let cyc = f_eff_hz * dt_s;
-                    cycles_q += cyc;
-                    inst_q += self.cfg.spin_ipc * cyc;
-                    (1.0, 1.0, 1.0)
-                }
-                CoreWork::Compute(ps) => {
-                    let CoreScratch { t_comp, t_mem, .. } = *eval;
-                    let t_total = t_comp + t_mem;
-                    debug_assert!(
-                        t_total > dt_s * k as f64,
-                        "macro step may not contain a completion"
-                    );
-                    let rho = dt_s / t_total;
-                    eval.rho = rho;
-                    let u_comp = t_comp / t_total;
-                    let u_mem = t_mem / t_total;
-                    let misses_serviced = ps.misses_left * rho;
-                    bytes_q += misses_serviced * self.cfg.uncore.bytes_per_miss;
-                    inst_q += ps.inst_left * rho;
-                    let busy = (u_comp + u_mem).min(1.0);
-                    cycles_q += f_eff_hz * busy * dt_s;
-                    misses_q += misses_serviced;
-                    let activity = u_comp + u_mem * self.cfg.stall_dyn_frac;
-                    (activity.min(1.0), 1.0, busy)
-                }
-            };
+        // A run's increments are computed once and added once per core, so
+        // every sum sees the per-core additions in core order; a sum a core
+        // kind leaves alone gets `+0.0`, exact because no sum starting at
+        // `+0.0` can become `-0.0`.
+        let mut sums = [0.0f64; 12];
+        let mut i = 0;
+        while i < self.cores.len() {
+            let eval = &mut self.scratch[i];
+            let (activity, static_scale, busy_frac, powered, bytes, inst, cycles, misses) =
+                match self.cores[i] {
+                    CoreWork::Idle => (0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+                    CoreWork::Sleep { .. } => (
+                        0.0,
+                        self.cfg.cstate_static_frac,
+                        0.0,
+                        sleep_powered,
+                        0.0,
+                        self.cfg.sleep_inst_per_sec * dt_s,
+                        0.0,
+                        0.0,
+                    ),
+                    CoreWork::Spin => {
+                        let cyc = f_eff_hz * dt_s;
+                        (1.0, 1.0, 1.0, 1.0, 0.0, self.cfg.spin_ipc * cyc, cyc, 0.0)
+                    }
+                    CoreWork::Compute(ps) => {
+                        let CoreScratch { t_comp, t_mem, .. } = *eval;
+                        let t_total = t_comp + t_mem;
+                        debug_assert!(
+                            t_total > dt_s * k as f64,
+                            "macro step may not contain a completion"
+                        );
+                        let rho = dt_s / t_total;
+                        eval.rho = rho;
+                        let u_comp = t_comp / t_total;
+                        let u_mem = t_mem / t_total;
+                        let misses_serviced = ps.misses_left * rho;
+                        let busy = (u_comp + u_mem).min(1.0);
+                        let activity = u_comp + u_mem * self.cfg.stall_dyn_frac;
+                        (
+                            activity.min(1.0),
+                            1.0,
+                            busy,
+                            1.0,
+                            misses_serviced * self.cfg.uncore.bytes_per_miss,
+                            ps.inst_left * rho,
+                            f_eff_hz * busy * dt_s,
+                            misses_serviced,
+                        )
+                    }
+                };
             let dyn_w = dyn_full_w * duty_frac * activity;
-            core_dyn_w += dyn_w;
-            core_static_w += static_at_f * static_scale;
-            core_w0 += dyn_w + static_at_f * (static_scale * leak0);
-            compute_weight += activity;
-            busy_weight += busy_frac;
-            powered += static_scale.min(1.0_f64).ceil();
-            aperf_q += f_eff_hz * busy_frac * dt_s;
-            mperf_q += fmax_hz * busy_frac * dt_s;
+            let inc = [
+                bytes,
+                inst,
+                cycles,
+                misses,
+                dyn_w,
+                static_at_f * static_scale,
+                // Interleaved per-core sum, bit-equal to the exact path at leak0.
+                dyn_w + static_at_f * (static_scale * leak0),
+                activity,
+                busy_frac,
+                powered,
+                f_eff_hz * busy_frac * dt_s,
+                fmax_hz * busy_frac * dt_s,
+            ];
+            for _ in 0..eval.run {
+                for (sum, inc) in sums.iter_mut().zip(&inc) {
+                    *sum += inc;
+                }
+            }
+            i += eval.run;
         }
+        // core_dyn_w and core_static_w (sans leak factor) feed the thermal path.
+        let [bytes_q, inst_q, cycles_q, misses_q, core_dyn_w, core_static_w, rest @ ..] = sums;
+        let [core_w0, compute_weight, busy_weight, powered, aperf_q, mperf_q] = rest;
 
         let achieved_bw = bytes_q / dt_s;
         let uncore_w = self.cfg.uncore.power(uncore_level, achieved_bw);
@@ -669,23 +777,13 @@ impl Node {
         // (t_total - j·dt) / t_total, i.e. state shrinks by rho·j.
         let kf = executed as f64;
         let end = start + executed * dt;
-        for (i, (work, eval)) in self.cores.iter_mut().zip(&self.scratch).enumerate() {
-            match work {
-                CoreWork::Idle | CoreWork::Spin => {}
-                CoreWork::Sleep { until } => {
-                    if *until <= end {
-                        self.outcome.woke.push(i);
-                        *work = CoreWork::Idle;
-                    }
-                }
-                CoreWork::Compute(ps) => {
-                    let frac_k = eval.rho * kf;
-                    ps.cycles_left -= ps.cycles_left * frac_k;
-                    ps.misses_left -= ps.misses_left * frac_k;
-                    ps.inst_left -= ps.inst_left * frac_k;
-                }
-            }
-        }
+        advance_runs(
+            &mut self.cores,
+            &self.scratch,
+            kf,
+            end,
+            &mut self.outcome.woke,
+        );
         self.counters.instructions += inst_q * kf;
         self.counters.cycles += cycles_q * kf;
         self.counters.l3_misses += misses_q * kf;
@@ -745,18 +843,10 @@ impl Node {
         let dyn_full_w = self.tables.dynamic_full(effective.pstate);
         let static_at_f = self.tables.static_power(effective.pstate);
 
-        // Memory pressure: workload-intrinsic weights of in-flight packets
-        // still holding misses.
-        let pressure: f64 = self
-            .cores
-            .iter()
-            .map(|w| match w {
-                CoreWork::Compute(p) if p.misses_left > 0.0 => p.mem_weight,
-                _ => 0.0,
-            })
-            .sum();
+        let pressure: f64 = self.cores.iter().map(pressure_weight).sum();
         let pipe = self.cfg.uncore.service_pipe(uncore_level, pressure);
 
+        let sleep_powered = self.sleep_powered();
         let mut core_w = 0.0;
         let mut bytes_moved = 0.0;
         let mut compute_weight = 0.0;
@@ -766,21 +856,21 @@ impl Node {
         let mut mperf = 0.0;
 
         for (i, work) in self.cores.iter_mut().enumerate() {
-            let (activity, static_scale, busy_frac) = match work {
-                CoreWork::Idle => (0.0, 1.0, 0.0),
+            let (activity, static_scale, busy_frac, powered_core) = match work {
+                CoreWork::Idle => (0.0, 1.0, 0.0, 1.0),
                 CoreWork::Sleep { until } => {
                     self.counters.instructions += self.cfg.sleep_inst_per_sec * dt_s;
                     if *until <= end {
                         self.outcome.woke.push(i);
                         *work = CoreWork::Idle;
                     }
-                    (0.0, self.cfg.cstate_static_frac, 0.0)
+                    (0.0, self.cfg.cstate_static_frac, 0.0, sleep_powered)
                 }
                 CoreWork::Spin => {
                     let cyc = f_eff_hz * dt_s;
                     self.counters.cycles += cyc;
                     self.counters.instructions += self.cfg.spin_ipc * cyc;
-                    (1.0, 1.0, 1.0)
+                    (1.0, 1.0, 1.0, 1.0)
                 }
                 CoreWork::Compute(ps) => {
                     let t_comp = if f_eff_hz > 0.0 {
@@ -816,7 +906,7 @@ impl Node {
                     }
 
                     let activity = u_comp + u_mem * self.cfg.stall_dyn_frac;
-                    (activity.min(1.0), 1.0, busy)
+                    (activity.min(1.0), 1.0, busy, 1.0)
                 }
             };
 
@@ -824,7 +914,7 @@ impl Node {
                 dyn_full_w * duty_frac * activity + static_at_f * (static_scale * leak_factor);
             compute_weight += activity;
             busy_weight += busy_frac;
-            powered += static_scale.min(1.0_f64).ceil(); // 1 if powered, else C-state counts fractionally
+            powered += powered_core;
             aperf += f_eff_hz * busy_frac * dt_s;
             mperf += fmax_hz * busy_frac * dt_s;
         }
@@ -859,6 +949,14 @@ impl Node {
         self.acc_powered += powered;
         self.acc_bytes += bytes_moved;
         self.acc_quanta += 1;
+    }
+
+    /// How many powered cores a sleeping core counts as: one whole core
+    /// whenever its C-state keeps any static power (`cstate_static_frac >
+    /// 0`), none otherwise; never a fraction. Running and idle cores count
+    /// as one.
+    fn sleep_powered(&self) -> f64 {
+        self.cfg.cstate_static_frac.min(1.0).ceil()
     }
 
     /// One RAPL control decision based on activity accumulated since the

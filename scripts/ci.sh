@@ -86,6 +86,13 @@ if [[ "$run_tests" -eq 1 ]]; then
     # The rapl feature's probe path degrades to MsrError::Unsupported on
     # machines without /dev/cpu/*/msr, so this runs anywhere.
     cargo test -p simnode --release --features rapl -q
+    echo "== powerbench tests"
+    # powerbench is a package of its own (its Cargo.toml has an empty
+    # [workspace] table), so `cargo test --workspace` never compiles it:
+    # an API change that breaks the benchmark would otherwise surface
+    # only when the benchmark runs. This also smoke-runs all four
+    # workloads through their correctness gates.
+    cargo test --offline --manifest-path powerbench/Cargo.toml
     echo "== cluster bench (test mode)"
     cargo bench -q -p powerprog-bench --bench cluster -- --test
     echo "== repro sched determinism (same seed, bit-identical CSVs)"

@@ -12,7 +12,9 @@
 
 use powerprog::prelude::*;
 use simnode::config::StepMode;
-use simnode::hw::{BackendKind, IA32_APERF, IA32_MPERF, MSR_PKG_ENERGY_STATUS};
+use simnode::hw::{
+    BackendKind, PowerLimit, IA32_APERF, IA32_MPERF, MSR_PKG_ENERGY_STATUS, MSR_PKG_POWER_LIMIT,
+};
 use simnode::thermal::ThermalConfig;
 
 /// Collects `(name, got, want)` triples and fails once with all of them.
@@ -211,6 +213,135 @@ fn direct_node_run_is_pinned_bit_for_bit() {
         "MSR_PKG_ENERGY_STATUS",
         node.msr().hw_read(MSR_PKG_ENERGY_STATUS),
         0x7_faa7,
+    );
+    pins.finish();
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv1a_fold(mut h: u64, word: u64) -> u64 {
+    for b in word.to_le_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn blocked_node_run_is_pinned_bit_for_bit() {
+    // The runtime's SPMD shape: adjacent cores hold bit-identical work.
+    // Cores 0..8 and 8..16 are two blocks on different packets, 16..20
+    // sleep to one wake time, 20..22 spin and 22..24 stay idle. Every few
+    // rounds one core of the first block is refilled mid-flight with a
+    // different packet (splitting the block), and the whole block is
+    // refilled at once when its bulk completes (rejoining it).
+    let mut node = Node::new(NodeConfig::default());
+    let block_a = |round: u64| packet(3.0 + (round % 4) as f64, 2.0e3, 1.0);
+    let block_b = |round: u64| packet(1.2, 3.0e4 + 2.0e3 * (round % 5) as f64, 0.8);
+    let odd = |round: u64| packet(0.9 + 0.1 * (round % 3) as f64, 1.0e4, 0.5);
+    let nap = |now: Nanos, round: u64| CoreWork::Sleep {
+        until: now + 2 * MS + (round % 4) * 300 * US,
+    };
+    node.set_package_cap(Some(80.0)).unwrap();
+    for c in 0..8 {
+        node.assign(c, block_a(0));
+    }
+    for c in 8..16 {
+        node.assign(c, block_b(0));
+    }
+    for c in 16..20 {
+        node.assign(c, nap(0, 0));
+    }
+    for c in 20..22 {
+        node.assign(c, CoreWork::Spin);
+    }
+
+    let units = node.msr().units();
+    // Folds the time and cores of every completion and wake, so their
+    // order is pinned as well as the totals.
+    let mut order = 0xcbf2_9ce4_8422_2325u64;
+    let mut round = 0u64;
+    let end = 300 * MS;
+    while node.now() < end {
+        let now = node.now();
+        if round % 9 == 4 {
+            node.assign(3, odd(round));
+        }
+        if now >= 100 * MS && node.package_cap() == Some(80.0) {
+            node.set_package_cap(Some(110.0)).unwrap();
+        }
+        // A longer averaging window moves the RAPL window start earlier;
+        // the shorter one later restores it.
+        if round == 30 || round == 60 {
+            let window = if round == 30 { 35 * MS } else { 10 * MS };
+            let raw = PowerLimit {
+                watts: node.package_cap(),
+                window,
+            }
+            .encode(units);
+            node.msr_mut().write(MSR_PKG_POWER_LIMIT, raw).unwrap();
+        }
+        let deadline = (now + 5 * MS).min(end);
+        let out = node.step_until(deadline).clone();
+        round += 1;
+        if !out.is_empty() {
+            order = fnv1a_fold(order, node.now());
+        }
+        for &c in &out.completed {
+            order = fnv1a_fold(order, c as u64);
+        }
+        for &c in &out.woke {
+            order = fnv1a_fold(order, 0x100 | c as u64);
+        }
+        let now = node.now();
+        if out.completed.contains(&0) {
+            for c in 0..8 {
+                node.assign(c, block_a(round));
+            }
+        } else if out.completed.contains(&3) {
+            node.assign(3, odd(round));
+        }
+        if out.completed.iter().any(|c| (8..16).contains(c)) {
+            for c in 8..16 {
+                node.assign(c, block_b(round));
+            }
+        }
+        if !out.woke.is_empty() {
+            for c in 16..20 {
+                node.assign(c, nap(now, round));
+            }
+        }
+    }
+
+    let mut pins = Pins::default();
+    pins.bits("now", node.now(), 0x11e1a300);
+    pins.bits("event order", order, 0xf7816d69e9a241a0);
+    pins.f64("energy", node.total_energy(), 0x403dd887f14c57df);
+    pins.f64(
+        "avg power 10 ms",
+        node.average_power(10 * MS),
+        0x405b576b7ad659d6,
+    );
+    pins.f64(
+        "instructions",
+        node.counters().instructions,
+        0x42179c4631366732,
+    );
+    pins.f64("cycles", node.counters().cycles, 0x420e8379edaf4aed);
+    pins.f64("l3_misses", node.counters().l3_misses, 0x418689aa136ab993);
+    pins.bits(
+        "IA32_APERF",
+        node.msr().hw_read(IA32_APERF),
+        0x0000_0003_d06f_3db8,
+    );
+    pins.bits(
+        "IA32_MPERF",
+        node.msr().hw_read(IA32_MPERF),
+        0x0000_0004_1432_889c,
+    );
+    pins.bits(
+        "MSR_PKG_ENERGY_STATUS",
+        node.msr().hw_read(MSR_PKG_ENERGY_STATUS),
+        0x7_74da,
     );
     pins.finish();
 }
