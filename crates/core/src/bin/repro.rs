@@ -33,9 +33,9 @@
 //! writes one CSV per artefact (plus raw series for the figures).
 //!
 //! Exit codes: 0 on success, 2 on an operator mistake (an unknown
-//! experiment name or flag, a bad flag value, an invalid configuration;
-//! the usage line goes to stderr), 1 when an output file or directory
-//! cannot be written.
+//! experiment name or flag, a bad flag value, a flag no selected
+//! experiment reads, an invalid configuration; the usage line goes to
+//! stderr), 1 when an output file or directory cannot be written.
 
 use std::fs;
 use std::num::NonZeroUsize;
@@ -67,6 +67,21 @@ const EXPERIMENTS: [&str; 16] = [
     "sched",
     "loadgen",
 ];
+
+/// The experiments that read each experiment-specific flag.
+const FLAG_READERS: [(&str, &[&str]); 5] = [
+    ("--budget", &["cluster"]),
+    ("--nodes", &["cluster"]),
+    ("--seed", &["sched", "loadgen"]),
+    ("--shards", &["loadgen"]),
+    ("--clients", &["loadgen"]),
+];
+
+/// Whether the experiment names in `what` select experiment `k`.
+fn selects(what: &[String], k: &str) -> bool {
+    what.iter()
+        .any(|w| w == k || (w == "all" && k != "loadgen"))
+}
 
 fn usage() -> String {
     format!(
@@ -131,6 +146,21 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     if o.what.is_empty() {
         o.what.push("all".to_string());
     }
+    let given = [
+        o.budget_w.is_some(),
+        o.nodes.is_some(),
+        o.seed.is_some(),
+        o.shards.is_some(),
+        o.clients.is_some(),
+    ];
+    for ((flag, readers), given) in FLAG_READERS.iter().zip(given) {
+        if given && !readers.iter().any(|k| selects(&o.what, k)) {
+            return Err(format!(
+                "{flag} is read only by {}, and no such experiment is selected",
+                readers.join(" and ")
+            ));
+        }
+    }
     Ok(Cli::Run(o))
 }
 
@@ -183,7 +213,7 @@ fn main() {
     if let Some(dir) = &opts.out {
         or_exit(fs::create_dir_all(dir), dir);
     }
-    let wants = |k: &str| opts.what.iter().any(|w| w == k || w == "all");
+    let wants = |k: &str| selects(&opts.what, k);
     let t0 = std::time::Instant::now();
 
     if wants("table1") {
@@ -387,8 +417,8 @@ fn main() {
         emit(&r.tenant_table(), &opts.out, "sched_tenants");
         emit(&r.job_table(), &opts.out, "sched_jobs");
     }
-    // Not a paper artefact, so not part of `all`: run only when asked.
-    if opts.what.iter().any(|w| w == "loadgen") {
+    // Not a paper artefact, so not part of `all` (see `selects`).
+    if wants("loadgen") {
         let mut cfg = if opts.quick {
             loadgen::Config::quick()
         } else {
@@ -463,5 +493,24 @@ mod tests {
             panic!("zero shards is loadgen's error to report");
         };
         assert_eq!(o.shards, Some(0));
+    }
+
+    #[test]
+    fn flags_no_selected_experiment_reads_are_errors() {
+        let err = parse(&["fig1", "--budget", "1"]).unwrap_err();
+        assert!(err.contains("--budget") && err.contains("cluster"), "{err}");
+        // `all` covers cluster and sched, but not loadgen.
+        let err = parse(&["all", "--shards", "4"]).unwrap_err();
+        assert!(err.contains("--shards") && err.contains("loadgen"), "{err}");
+        let err = parse(&["--clients", "9"]).unwrap_err();
+        assert!(err.contains("--clients"), "{err}");
+        for ok in [
+            &["cluster", "--budget", "1", "--nodes", "64"][..],
+            &["--seed", "3"],
+            &["fig1", "sched", "--seed", "3"],
+            &["loadgen", "--seed", "3", "--shards", "2", "--clients", "9"],
+        ] {
+            assert!(parse(ok).is_ok(), "{ok:?} rejected");
+        }
     }
 }

@@ -88,23 +88,72 @@ fn assert_rel_close(a: f64, b: f64, what: &str) {
     );
 }
 
-/// Drive `exact` and `fast` in lockstep for `total` sim-time, re-assigning
-/// identical fresh work on every completion/wake, changing the package cap
-/// at every segment boundary from `caps`, and asserting the equivalence
-/// contract at every event and every boundary.
+/// Independent work per core: every finished core gets its own draw.
+fn per_core_work(seed: u64) -> impl FnMut(&[usize], Nanos) -> Vec<(usize, CoreWork)> {
+    let mut rng = Mix(seed);
+    move |finished, now| {
+        finished
+            .iter()
+            .map(|&c| (c, random_work(&mut rng, now)))
+            .collect()
+    }
+}
+
+/// SPMD-shaped work on `cores` cores: the cores are split into blocks of
+/// 1–8 adjacent cores, and each block shares one draw, so runs of
+/// bit-identical cores form. A block is refilled whole as soon as any of
+/// its cores finishes (rejoining any split), or now and then left idle,
+/// unassigned. On every call, even one with no finished core, a single
+/// core may get a draw of its own mid-flight, splitting its block's run.
+fn blocked_work(seed: u64, cores: usize) -> impl FnMut(&[usize], Nanos) -> Vec<(usize, CoreWork)> {
+    let mut rng = Mix(seed);
+    let mut block_of = Vec::with_capacity(cores);
+    let mut blocks = Vec::new();
+    while block_of.len() < cores {
+        let start = block_of.len();
+        let end = (start + 1 + (rng.next() % 8) as usize).min(cores);
+        block_of.resize(end, blocks.len());
+        blocks.push(start..end);
+    }
+    move |finished, now| {
+        let mut out = Vec::new();
+        let mut seen = Vec::new();
+        for &c in finished {
+            let b = block_of[c];
+            if seen.contains(&b) {
+                continue;
+            }
+            seen.push(b);
+            if !rng.next().is_multiple_of(5) {
+                let w = random_work(&mut rng, now);
+                out.extend(blocks[b].clone().map(|o| (o, w)));
+            }
+        }
+        if rng.next().is_multiple_of(3) {
+            let c = (rng.next() % cores as u64) as usize;
+            out.push((c, random_work(&mut rng, now)));
+        }
+        out
+    }
+}
+
+/// Drive `exact` and `fast` in lockstep for `total` sim-time, assigning
+/// identical fresh work from `refill` at the start (every core), at every
+/// segment boundary (no core) and on every completion/wake (the cores that
+/// finished), changing the package cap at every segment boundary from
+/// `caps`, and asserting the equivalence contract at every event and
+/// every boundary.
 fn run_lockstep(
     mut exact: Node,
     mut fast: Node,
-    seed: u64,
+    mut refill: impl FnMut(&[usize], Nanos) -> Vec<(usize, CoreWork)>,
     total: Nanos,
     segment: Nanos,
     caps: &[Option<f64>],
     bit_exact_msrs: bool,
 ) {
-    let cores = exact.cores();
-    let mut rng = Mix(seed);
-    for c in 0..cores {
-        let w = random_work(&mut rng, 0);
+    let all: Vec<usize> = (0..exact.cores()).collect();
+    for (c, w) in refill(&all, 0) {
         exact.assign(c, w);
         fast.assign(c, w);
     }
@@ -119,19 +168,23 @@ fn run_lockstep(
             let rf = fast.set_package_cap(cap);
             assert_eq!(re.is_ok(), rf.is_ok(), "cap write outcome diverged");
         }
+        for (c, w) in refill(&[], fast.now()) {
+            exact.assign(c, w);
+            fast.assign(c, w);
+        }
         let deadline = (fast.now() + segment).min(total);
         loop {
             let oe = exact.step_until(deadline).clone();
             let of = fast.step_until(deadline).clone();
             assert_eq!(oe, of, "step outcomes diverged at t={}", exact.now());
             assert_eq!(exact.now(), fast.now(), "event times diverged");
-            for &c in oe.completed.iter().chain(oe.woke.iter()) {
-                let w = random_work(&mut rng, fast.now());
-                exact.assign(c, w);
-                fast.assign(c, w);
-            }
             if oe.is_empty() {
                 break;
+            }
+            let finished: Vec<usize> = oe.completed.iter().chain(&oe.woke).copied().collect();
+            for (c, w) in refill(&finished, fast.now()) {
+                exact.assign(c, w);
+                fast.assign(c, w);
             }
         }
         // Deadlines need not be quantum-aligned; both modes must land on
@@ -209,7 +262,23 @@ proptest! {
         let quantum = quantum_us * US;
         let rapl_period = quantum * rapl_mult + rapl_skew_us.min(quantum_us - 1) * US;
         let (exact, fast) = node_pair(base_cfg(cores, quantum, rapl_period));
-        run_lockstep(exact, fast, seed, 40 * MS, 7 * MS, &[cap], true);
+        run_lockstep(exact, fast, per_core_work(seed), 40 * MS, 7 * MS, &[cap], true);
+    }
+
+    /// The same contract on SPMD-shaped work: blocks of adjacent cores
+    /// share one draw, so the fast path evaluates runs of bit-identical
+    /// cores, splits them when a single core is refilled and rejoins them
+    /// when a block is. Segments are long, so many macro-steps run inside
+    /// one `step_until` call between events.
+    #[test]
+    fn step_until_matches_exact_on_blocked_workloads(
+        seed in any::<u64>(),
+        rapl_mult in 2u64..16,
+        cap in prop_oneof![Just(None), (45.0f64..140.0).prop_map(Some)],
+    ) {
+        let quantum = 100 * US;
+        let (exact, fast) = node_pair(base_cfg(24, quantum, quantum * rapl_mult));
+        run_lockstep(exact, fast, blocked_work(seed, 24), 80 * MS, 40 * MS, &[cap, None], true);
     }
 
     /// Same contract under active fault plans: stuck/jumping energy
@@ -234,7 +303,7 @@ proptest! {
         let mut cfg = base_cfg(4, quantum, quantum * rapl_mult);
         cfg.faults = Some(Arc::new(plan));
         let (exact, fast) = node_pair(cfg);
-        run_lockstep(exact, fast, seed, 24 * MS, 3 * MS, &[Some(90.0), Some(60.0), None], true);
+        run_lockstep(exact, fast, per_core_work(seed), 24 * MS, 3 * MS, &[Some(90.0), Some(60.0), None], true);
     }
 
     /// With the thermal model on, summation order inside a macro-step is

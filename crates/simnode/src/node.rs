@@ -26,8 +26,8 @@ use crate::counters::Counters;
 use crate::ddcm::DutyCycle;
 use crate::energy::EnergyMeter;
 use crate::msr::{
-    decode_perf_ctl, MsrDevice, MsrError, PowerLimit, IA32_APERF, IA32_CLOCK_MODULATION,
-    IA32_MPERF, IA32_PERF_CTL, MSR_PKG_POWER_LIMIT,
+    decode_perf_ctl, MsrDevice, MsrError, PowerLimit, RaplUnits, IA32_APERF, IA32_CLOCK_MODULATION,
+    IA32_MPERF, IA32_PERF_CTL, MSR_PKG_POWER_LIMIT, MSR_RAPL_POWER_UNIT,
 };
 use crate::power::PStateTables;
 use crate::rapl::{ActivitySnapshot, Actuation, RaplController};
@@ -165,10 +165,10 @@ impl StepOutcome {
 }
 
 /// One run's evaluation for the next macro-step, kept at the run's first
-/// core: recorded by [`Node::macro_quanta`] and read back by
+/// core (its *head*): recorded by [`Node::macro_quanta`] and read back by
 /// [`Node::macro_step`], so each run of bit-identical cores (see
 /// [`same_work`]) is evaluated once per macro-step. Entries of a run's
-/// other cores are stale and never read.
+/// other cores (its *followers*) are stale and never read.
 #[derive(Debug, Clone, Copy, Default)]
 struct CoreScratch {
     /// Number of adjacent cores, starting here, holding bit-identical work.
@@ -207,42 +207,6 @@ fn pressure_weight(work: &CoreWork) -> f64 {
     match work {
         CoreWork::Compute(p) if p.misses_left > 0.0 => p.mem_weight,
         _ => 0.0,
-    }
-}
-
-/// The closed form's state update over `kf` quanta: each computing run's
-/// packet is shrunk once at its first core and copied over the rest, and
-/// each sleeping run due by `end` wakes together, in core order.
-fn advance_runs(
-    cores: &mut [CoreWork],
-    scratch: &[CoreScratch],
-    kf: f64,
-    end: Nanos,
-    woke: &mut Vec<usize>,
-) {
-    let mut i = 0;
-    while i < cores.len() {
-        let CoreScratch { run, rho, .. } = scratch[i];
-        match &mut cores[i] {
-            CoreWork::Idle | CoreWork::Spin => {}
-            CoreWork::Sleep { until } => {
-                if *until <= end {
-                    woke.extend(i..i + run);
-                    cores[i..i + run].fill(CoreWork::Idle);
-                }
-            }
-            CoreWork::Compute(ps) => {
-                let frac_k = rho * kf;
-                ps.cycles_left -= ps.cycles_left * frac_k;
-                ps.misses_left -= ps.misses_left * frac_k;
-                ps.inst_left -= ps.inst_left * frac_k;
-                if run > 1 {
-                    let work = CoreWork::Compute(*ps);
-                    cores[i + 1..i + run].fill(work);
-                }
-            }
-        }
-        i += run;
     }
 }
 
@@ -319,6 +283,57 @@ pub struct Node {
     outcome: StepOutcome,
     /// Reusable per-core macro-step evaluations (see [`CoreScratch`]).
     scratch: Vec<CoreScratch>,
+    /// The runs recorded in `scratch` and `pressure` still describe
+    /// `cores` (followers possibly lagging, see `followers_stale`), so
+    /// [`Node::macro_quanta`] need not look for runs again.
+    runs_fresh: bool,
+    /// Some computing run's followers lag its head: macro-steps shrink
+    /// only the head, and [`Node::sync_followers`] catches the rest up.
+    /// False whenever control is outside [`Node::step_until`].
+    followers_stale: bool,
+    /// Node memory pressure of the runs in `scratch` (see [`find_runs`]).
+    pressure: f64,
+    /// Decoded RAPL registers (see [`RaplRegs`]).
+    regs: RaplRegs,
+}
+
+/// `MSR_PKG_POWER_LIMIT` and `MSR_RAPL_POWER_UNIT` as last read, raw and
+/// decoded. The raw bits change only when a cap write latches or the
+/// hardware rewrites a register, so they are decoded again only then.
+#[derive(Debug, Clone, Copy)]
+struct RaplRegs {
+    limit_raw: u64,
+    units_raw: u64,
+    limit: PowerLimit,
+    units: RaplUnits,
+}
+
+impl RaplRegs {
+    fn decode(limit_raw: u64, units_raw: u64) -> Self {
+        let units = RaplUnits::decode(units_raw);
+        Self {
+            limit_raw,
+            units_raw,
+            limit: PowerLimit::decode(limit_raw, units),
+            units,
+        }
+    }
+
+    fn read(msr: &MsrDevice) -> Self {
+        Self::decode(
+            msr.hw_read(MSR_PKG_POWER_LIMIT),
+            msr.hw_read(MSR_RAPL_POWER_UNIT),
+        )
+    }
+
+    /// Re-reads both registers; decodes them again only if either changed.
+    fn refresh(&mut self, msr: &MsrDevice) {
+        let limit_raw = msr.hw_read(MSR_PKG_POWER_LIMIT);
+        let units_raw = msr.hw_read(MSR_RAPL_POWER_UNIT);
+        if limit_raw != self.limit_raw || units_raw != self.units_raw {
+            *self = Self::decode(limit_raw, units_raw);
+        }
+    }
 }
 
 impl Node {
@@ -344,6 +359,10 @@ impl Node {
             energy: EnergyMeter::new(retain * 2),
             next_rapl: cfg.rapl_period,
             scratch: vec![CoreScratch::default(); cfg.cores],
+            runs_fresh: false,
+            followers_stale: false,
+            pressure: 0.0,
+            regs: RaplRegs::read(&msr),
             cfg,
             now: 0,
             msr,
@@ -454,16 +473,20 @@ impl Node {
         if let CoreWork::Sleep { until } = work {
             assert!(until >= self.now, "sleep target in the past");
         }
+        debug_assert!(!self.followers_stale, "assign between macro-steps");
         self.cores[core] = work;
+        self.runs_fresh = false;
     }
 
     /// What a core is currently doing.
     pub fn work(&self, core: usize) -> &CoreWork {
+        debug_assert!(!self.followers_stale, "stale follower observed");
         &self.cores[core]
     }
 
     /// True when the core has no assigned work.
     pub fn is_available(&self, core: usize) -> bool {
+        debug_assert!(!self.followers_stale, "stale follower observed");
         matches!(self.cores[core], CoreWork::Idle)
     }
 
@@ -493,6 +516,10 @@ impl Node {
     /// quantum-by-quantum iteration; under [`StepMode::Exact`] this is
     /// bit-identical to calling [`Node::step`] in a loop and stopping on
     /// the first non-empty outcome.
+    ///
+    /// The runs of adjacent bit-identical cores a macro-step evaluates
+    /// once are kept across the call's macro-steps, which advance only
+    /// each run's first core; the rest are caught up before it returns.
     pub fn step_until(&mut self, deadline: Nanos) -> &StepOutcome {
         self.outcome.clear();
         while self.now < deadline && self.outcome.is_empty() {
@@ -510,6 +537,7 @@ impl Node {
                 self.step_quantum();
             }
         }
+        self.sync_followers();
         &self.outcome
     }
 
@@ -523,6 +551,7 @@ impl Node {
     /// a node with no event before `deadline` can be left parked without
     /// changing what any [`Node::step_until`] call will observe.
     pub fn next_event_hint(&self, deadline: Nanos) -> Nanos {
+        debug_assert!(!self.followers_stale, "stale follower observed");
         let mut t = deadline.min(self.next_rapl);
         if let Some(b) = self.msr.next_event_hint(self.now) {
             t = t.min(b);
@@ -543,11 +572,12 @@ impl Node {
     /// horizon except possibly on its final quantum boundary — the same
     /// quantum on which the exact path observes the event.
     ///
-    /// Finds the runs of bit-identical cores and records each run's length
-    /// and, for a computing run, its `t_comp`/`t_mem` in the scratch at
-    /// the run's first core. Those values are only valid for a
-    /// [`Node::macro_step`] that runs straight after this call on
-    /// unchanged state, which is how [`Node::step_until`] uses the pair.
+    /// Finds the runs of bit-identical cores unless the runs from an
+    /// earlier call still hold (see `runs_fresh`), and records each
+    /// computing run's `t_comp`/`t_mem` in the scratch at the run's first
+    /// core. Those values are only valid for a [`Node::macro_step`] that
+    /// runs straight after this call on unchanged state, which is how
+    /// [`Node::step_until`] uses the pair.
     fn macro_quanta(&mut self, deadline: Nanos) -> u64 {
         let dt = self.cfg.quantum;
         let dt_s = secs(dt);
@@ -573,8 +603,15 @@ impl Node {
         }
         let f_eff_hz = self.tables.mhz(effective.pstate) * 1e6 * effective.duty.fraction();
 
-        let pressure = find_runs(&self.cores, &mut self.scratch);
-        let pipe = self.cfg.uncore.service_pipe(effective.uncore, pressure);
+        if !self.runs_fresh {
+            self.sync_followers();
+            self.pressure = find_runs(&self.cores, &mut self.scratch);
+            self.runs_fresh = true;
+        }
+        let pipe = self
+            .cfg
+            .uncore
+            .service_pipe(effective.uncore, self.pressure);
         let bytes_per_miss = self.cfg.uncore.bytes_per_miss;
 
         // Each run's horizon, evaluated once at its first core.
@@ -742,7 +779,9 @@ impl Node {
         // is constant over the whole span (one meter sample, one tick
         // batch); with one, leakage drifts with temperature every quantum
         // and a PROCHOT flip truncates the step.
-        let energy_unit = self.msr.units().energy_j;
+        // A privileged write may change the unit between RAPL ticks.
+        self.regs.refresh(&self.msr);
+        let energy_unit = self.regs.units.energy_j;
         let executed;
         let mut energy_ticks: u64;
         let core_w_last;
@@ -777,13 +816,7 @@ impl Node {
         // (t_total - j·dt) / t_total, i.e. state shrinks by rho·j.
         let kf = executed as f64;
         let end = start + executed * dt;
-        advance_runs(
-            &mut self.cores,
-            &self.scratch,
-            kf,
-            end,
-            &mut self.outcome.woke,
-        );
+        self.advance_runs(kf, end);
         self.counters.instructions += inst_q * kf;
         self.counters.cycles += cycles_q * kf;
         self.counters.l3_misses += misses_q * kf;
@@ -813,9 +846,72 @@ impl Node {
         self.acc_quanta += executed;
     }
 
+    /// The closed form's state update over `kf` quanta. Each computing
+    /// run's packet is shrunk once, at its first core only; the followers
+    /// are left stale until [`Node::sync_followers`]. Each sleeping run
+    /// due by `end` wakes together, in core order.
+    ///
+    /// The runs stay valid for the next macro-step unless a sleeping run
+    /// woke or a computing run's packet ran out of misses (which changes
+    /// its pressure weight). Runs that are no longer maximal are harmless:
+    /// cores with bit-identical inputs produce bit-identical per-core
+    /// additions in the same core order, so splitting a run changes no sum.
+    fn advance_runs(&mut self, kf: f64, end: Nanos) {
+        let Self {
+            cores,
+            scratch,
+            outcome,
+            ..
+        } = self;
+        let mut i = 0;
+        while i < cores.len() {
+            let CoreScratch { run, rho, .. } = scratch[i];
+            match &mut cores[i] {
+                CoreWork::Idle | CoreWork::Spin => {}
+                CoreWork::Sleep { until } => {
+                    if *until <= end {
+                        outcome.woke.extend(i..i + run);
+                        cores[i..i + run].fill(CoreWork::Idle);
+                        self.runs_fresh = false;
+                    }
+                }
+                CoreWork::Compute(ps) => {
+                    let had_misses = ps.misses_left > 0.0;
+                    let frac_k = rho * kf;
+                    ps.cycles_left -= ps.cycles_left * frac_k;
+                    ps.misses_left -= ps.misses_left * frac_k;
+                    ps.inst_left -= ps.inst_left * frac_k;
+                    if (ps.misses_left > 0.0) != had_misses {
+                        self.runs_fresh = false;
+                    }
+                    self.followers_stale |= run > 1;
+                }
+            }
+            i += run;
+        }
+    }
+
+    /// Copies each run's first core over the rest of the run, catching up
+    /// followers that [`Node::advance_runs`] left behind.
+    fn sync_followers(&mut self) {
+        if !self.followers_stale {
+            return;
+        }
+        self.followers_stale = false;
+        let mut i = 0;
+        while i < self.cores.len() {
+            let run = self.scratch[i].run;
+            let head = self.cores[i];
+            self.cores[i + 1..i + run].fill(head);
+            i += run;
+        }
+    }
+
     /// Execute exactly one quantum, appending to `self.outcome`. This is
     /// the reference path: [`StepMode::Exact`] runs nothing else.
     fn step_quantum(&mut self) {
+        self.sync_followers();
+        self.runs_fresh = false;
         let dt = self.cfg.quantum;
         let dt_s = secs(dt);
         let end = self.now + dt;
@@ -968,7 +1064,6 @@ impl Node {
             compute_weight: self.acc_compute_weight / quanta,
             busy_weight: self.acc_busy_weight / quanta,
             powered_cores: (self.acc_powered / quanta).max(1.0),
-            mem_active: self.cores.len(),
             achieved_bw: self.acc_bytes / period_s,
         };
         self.acc_compute_weight = 0.0;
@@ -977,15 +1072,16 @@ impl Node {
         self.acc_bytes = 0.0;
         self.acc_quanta = 0;
 
-        let window = PowerLimit::decode(self.msr.hw_read(MSR_PKG_POWER_LIMIT), self.msr.units())
-            .window
-            .max(self.cfg.rapl_period);
+        // A latched or faulted write can change the limit between ticks.
+        self.regs.refresh(&self.msr);
+        let limit = self.regs.limit;
+        let window = limit.window.max(self.cfg.rapl_period);
         let avg = self
             .energy
             .average_power(window.min(self.cfg.rapl_window * 4));
         let mut act = self
             .rapl
-            .control(&self.cfg, &self.msr, &self.tables, &snapshot, avg);
+            .control(&self.cfg, limit, &self.tables, &snapshot, avg);
 
         // Honour user P-state / duty requests: hardware takes the minimum of
         // the OS request and RAPL's constraint, like real `IA32_PERF_CTL`

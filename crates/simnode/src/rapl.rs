@@ -30,7 +30,7 @@ use crate::bandwidth::UncoreLevel;
 use crate::config::NodeConfig;
 use crate::ddcm::DutyCycle;
 use crate::freq::PState;
-use crate::msr::{MsrDevice, PowerLimit, MSR_PKG_POWER_LIMIT};
+use crate::msr::PowerLimit;
 use crate::power::PStateTables;
 
 /// Aggregate activity observed over the last control period, used by the
@@ -48,8 +48,6 @@ pub struct ActivitySnapshot {
     pub busy_weight: f64,
     /// Number of cores that are powered (not in a sleep C-state).
     pub powered_cores: f64,
-    /// Number of cores with outstanding memory traffic.
-    pub mem_active: usize,
     /// Achieved memory traffic over the period, bytes/s.
     pub achieved_bw: f64,
 }
@@ -61,7 +59,6 @@ impl ActivitySnapshot {
             compute_weight: 0.0,
             busy_weight: 0.0,
             powered_cores: cores as f64,
-            mem_active: 0,
             achieved_bw: 0.0,
         }
     }
@@ -102,25 +99,25 @@ impl RaplController {
         }
     }
 
-    /// The cap decoded from the MSR at the last control decision, if any.
+    /// The cap in force at the last control decision, if any.
     pub fn last_limit(&self) -> Option<f64> {
         self.last_limit
     }
 
     /// Make a control decision for the next period.
     ///
-    /// `tables` must be built from `cfg`'s ladder and power model (the node
-    /// owns one); `avg_power` is the measured rolling-average package power
-    /// over the programmed RAPL window.
+    /// `limit` is the decoded `MSR_PKG_POWER_LIMIT` in force; `tables` must
+    /// be built from `cfg`'s ladder and power model (the node owns one);
+    /// `avg_power` is the measured rolling-average package power over the
+    /// programmed RAPL window.
     pub fn control(
         &mut self,
         cfg: &NodeConfig,
-        msr: &MsrDevice,
+        limit: PowerLimit,
         tables: &PStateTables,
         activity: &ActivitySnapshot,
         avg_power: f64,
     ) -> Actuation {
-        let limit = PowerLimit::decode(msr.hw_read(MSR_PKG_POWER_LIMIT), msr.units());
         self.last_limit = limit.watts;
 
         let Some(cap) = limit.watts else {
@@ -241,19 +238,13 @@ impl Default for RaplController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msr::MSR_PKG_POWER_LIMIT;
     use crate::time::MS;
 
-    fn capped_msr(watts: f64) -> MsrDevice {
-        let mut msr = MsrDevice::default();
-        let units = msr.units();
-        let raw = PowerLimit {
-            watts: Some(watts),
+    fn power_limit(watts: Option<f64>) -> PowerLimit {
+        PowerLimit {
+            watts,
             window: 10 * MS,
         }
-        .encode(units);
-        msr.write(MSR_PKG_POWER_LIMIT, raw).unwrap();
-        msr
     }
 
     fn compute_bound(cores: usize) -> ActivitySnapshot {
@@ -261,7 +252,6 @@ mod tests {
             compute_weight: cores as f64,
             busy_weight: cores as f64,
             powered_cores: cores as f64,
-            mem_active: 0,
             achieved_bw: 3.0e9,
         }
     }
@@ -272,7 +262,6 @@ mod tests {
             compute_weight: cores as f64 * 0.72,
             busy_weight: cores as f64,
             powered_cores: cores as f64,
-            mem_active: cores,
             achieved_bw: 95.0e9,
         }
     }
@@ -281,9 +270,8 @@ mod tests {
     fn uncapped_runs_flat_out() {
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = MsrDevice::default();
         let mut r = RaplController::new();
-        let a = r.control(&cfg, &msr, &tables, &compute_bound(24), 150.0);
+        let a = r.control(&cfg, power_limit(None), &tables, &compute_bound(24), 150.0);
         assert_eq!(a.pstate, cfg.ladder.max_pstate());
         assert_eq!(a.duty, DutyCycle::FULL);
         assert_eq!(a.uncore, cfg.uncore.max_level());
@@ -295,11 +283,11 @@ mod tests {
         // a higher frequency than memory-bound ones.
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = capped_msr(90.0);
+        let limit = power_limit(Some(90.0));
         let mut r1 = RaplController::new();
         let mut r2 = RaplController::new();
-        let a_compute = r1.control(&cfg, &msr, &tables, &compute_bound(24), 90.0);
-        let a_memory = r2.control(&cfg, &msr, &tables, &memory_bound(24), 90.0);
+        let a_compute = r1.control(&cfg, limit, &tables, &compute_bound(24), 90.0);
+        let a_memory = r2.control(&cfg, limit, &tables, &memory_bound(24), 90.0);
         let f_c = cfg.ladder.mhz(a_compute.pstate);
         let f_m = cfg.ladder.mhz(a_memory.pstate);
         assert!(
@@ -314,9 +302,9 @@ mod tests {
         // (24 cores x ~1.05 W), so clock modulation must engage.
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = capped_msr(25.0);
+        let limit = power_limit(Some(25.0));
         let mut r = RaplController::new();
-        let a = r.control(&cfg, &msr, &tables, &compute_bound(24), 25.0);
+        let a = r.control(&cfg, limit, &tables, &compute_bound(24), 25.0);
         assert_eq!(a.pstate, cfg.ladder.min_pstate());
         assert!(!a.duty.is_full(), "expected duty cycling under a 25 W cap");
     }
@@ -325,9 +313,9 @@ mod tests {
     fn stringent_cap_throttles_uncore_for_streaming() {
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = capped_msr(50.0);
+        let limit = power_limit(Some(50.0));
         let mut r = RaplController::new();
-        let a = r.control(&cfg, &msr, &tables, &memory_bound(24), 50.0);
+        let a = r.control(&cfg, limit, &tables, &memory_bound(24), 50.0);
         assert!(
             a.uncore < cfg.uncore.max_level(),
             "expected uncore throttling for a streaming workload at 50 W"
@@ -341,10 +329,10 @@ mod tests {
         // constraint for its tiny traffic.
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = capped_msr(120.0);
+        let limit = power_limit(Some(120.0));
         let mut r = RaplController::new();
         let act = compute_bound(24);
-        let a = r.control(&cfg, &msr, &tables, &act, 120.0);
+        let a = r.control(&cfg, limit, &tables, &act, 120.0);
         assert!(
             cfg.uncore.total_bw(a.uncore) > 4.0 * act.achieved_bw,
             "uncore bandwidth at level {:?} would constrain a 3 GB/s code",
@@ -357,13 +345,13 @@ mod tests {
     fn feedback_bias_pulls_budget_down_when_over_cap() {
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = capped_msr(80.0);
+        let limit = power_limit(Some(80.0));
         let mut r = RaplController::new();
-        let a1 = r.control(&cfg, &msr, &tables, &compute_bound(24), 80.0);
+        let a1 = r.control(&cfg, limit, &tables, &compute_bound(24), 80.0);
         // Report sustained overshoot; chosen frequency must not increase.
         let mut last = a1.pstate;
         for _ in 0..20 {
-            let a = r.control(&cfg, &msr, &tables, &compute_bound(24), 95.0);
+            let a = r.control(&cfg, limit, &tables, &compute_bound(24), 95.0);
             assert!(a.pstate <= last);
             last = a.pstate;
         }

@@ -95,6 +95,9 @@ if [[ "$run_tests" -eq 1 ]]; then
     cargo test --offline --manifest-path powerbench/Cargo.toml
     echo "== cluster bench (test mode)"
     cargo bench -q -p powerprog-bench --bench cluster -- --test
+    echo "== micro bench (test mode)"
+    # Runs each micro bench once, the node's macro-step benches included.
+    cargo bench -q -p powerprog-bench --bench micro -- --test
     echo "== repro sched determinism (same seed, bit-identical CSVs)"
     # The scheduler's whole pipeline — trace, admission, arbiter ticks —
     # must replay bit for bit under a fixed seed; diff catches any drift.

@@ -10,6 +10,8 @@
 //! A failure lists every mismatching quantity with the bits it produced,
 //! so a deliberate model change can re-pin all of them in one pass.
 
+use std::sync::Arc;
+
 use powerprog::prelude::*;
 use simnode::config::StepMode;
 use simnode::hw::{
@@ -342,6 +344,122 @@ fn blocked_node_run_is_pinned_bit_for_bit() {
         "MSR_PKG_ENERGY_STATUS",
         node.msr().hw_read(MSR_PKG_ENERGY_STATUS),
         0x7_74da,
+    );
+    pins.finish();
+}
+
+#[test]
+fn latched_cap_node_run_is_pinned_bit_for_bit() {
+    // The node's RAPL register decode under writes that land late: the
+    // emulated backend latches every user write 2 ms after it returns,
+    // and a delayed-latch fault window holds cap writes back further.
+    // The cap and the averaging window change every few rounds, so raw
+    // PKG_POWER_LIMIT changes land in the middle of `step_until` calls,
+    // between RAPL ticks, while blocks of identical cores macro-step.
+    let plan =
+        FaultPlan::new(17).delayed_cap_latch(3_700 * US, FaultWindow::new(70 * MS, 190 * MS));
+    let mut node = Node::new(NodeConfig {
+        backend: BackendKind::emulated(),
+        faults: Some(Arc::new(plan)),
+        ..NodeConfig::default()
+    });
+    let block_a = |round: u64| packet(2.5 + (round % 3) as f64, 5.0e3, 0.9);
+    let block_b = |round: u64| packet(1.4, 2.5e4 + 1.5e3 * (round % 4) as f64, 0.6);
+    let nap = |now: Nanos, round: u64| CoreWork::Sleep {
+        until: now + 1_700 * US + (round % 3) * 400 * US,
+    };
+    for c in 0..10 {
+        node.assign(c, block_a(0));
+    }
+    for c in 10..18 {
+        node.assign(c, block_b(0));
+    }
+    for c in 18..22 {
+        node.assign(c, nap(0, 0));
+    }
+    node.assign(22, CoreWork::Spin);
+
+    let units = node.msr().units();
+    let caps = [Some(85.0), Some(60.0), None, Some(120.0), Some(70.0)];
+    let windows = [10 * MS, 35 * MS, 4 * MS, 20 * MS];
+    let mut order = 0xcbf2_9ce4_8422_2325u64;
+    let mut round = 0u64;
+    let end = 300 * MS;
+    while node.now() < end {
+        let now = node.now();
+        if round % 5 == 2 {
+            let raw = PowerLimit {
+                watts: caps[(round / 5) as usize % caps.len()],
+                window: windows[(round / 7) as usize % windows.len()],
+            }
+            .encode(units);
+            node.msr_mut().write(MSR_PKG_POWER_LIMIT, raw).unwrap();
+        }
+        let deadline = (now + 6 * MS).min(end);
+        let out = node.step_until(deadline).clone();
+        round += 1;
+        if !out.is_empty() {
+            order = fnv1a_fold(order, node.now());
+        }
+        for &c in &out.completed {
+            order = fnv1a_fold(order, c as u64);
+        }
+        for &c in &out.woke {
+            order = fnv1a_fold(order, 0x100 | c as u64);
+        }
+        let now = node.now();
+        if out.completed.iter().any(|c| (0..10).contains(c)) {
+            for c in 0..10 {
+                node.assign(c, block_a(round));
+            }
+        }
+        if out.completed.iter().any(|c| (10..18).contains(c)) {
+            for c in 10..18 {
+                node.assign(c, block_b(round));
+            }
+        }
+        if !out.woke.is_empty() {
+            for c in 18..22 {
+                node.assign(c, nap(now, round));
+            }
+        }
+    }
+
+    let mut pins = Pins::default();
+    pins.bits("now", node.now(), 0x11e1a300);
+    pins.bits("event order", order, 0xc2fe983d8d5df7d0);
+    pins.f64("energy", node.total_energy(), 0x4039396ccbdad46f);
+    pins.f64(
+        "avg power 10 ms",
+        node.average_power(10 * MS),
+        0x405aad60cf829d79,
+    );
+    pins.f64(
+        "instructions",
+        node.counters().instructions,
+        0x4215c6077af8848d,
+    );
+    pins.f64("cycles", node.counters().cycles, 0x420cbfbd4b9db7e8);
+    pins.f64("l3_misses", node.counters().l3_misses, 0x417dc11377fdcc7b);
+    pins.bits(
+        "IA32_APERF",
+        node.msr().hw_read(IA32_APERF),
+        0x0000_0003_97f7_a970,
+    );
+    pins.bits(
+        "IA32_MPERF",
+        node.msr().hw_read(IA32_MPERF),
+        0x0000_0004_506a_993e,
+    );
+    pins.bits(
+        "MSR_PKG_ENERGY_STATUS",
+        node.msr().hw_read(MSR_PKG_ENERGY_STATUS),
+        0x6_4f28,
+    );
+    pins.bits(
+        "MSR_PKG_POWER_LIMIT",
+        node.msr().hw_read(MSR_PKG_POWER_LIMIT),
+        0x5_8230,
     );
     pins.finish();
 }
