@@ -1,28 +1,37 @@
 //! The member-side grant client: timeouts, jittered backoff, and
 //! hold-last-grant degradation.
 //!
-//! [`GrantClient`] is the bridge between a cluster member and the
+//! [`GrantClient`] is the bridge between cluster members and the
 //! daemon: it pushes telemetry upstream and implements
 //! [`cluster::GrantSource`], so [`cluster::ClusterNode::pull_grant`]
 //! works identically whether grants come from an in-process arbiter
-//! slice or over a lossy wire. Degradation is the design center, per
-//! Cerf et al.'s assumption that the runtime outlives its transport:
+//! slice or over a lossy wire. One client speaks for a contiguous group
+//! of `count ≥ 1` nodes over one connection: a single node sends
+//! singleton frames, a larger group one [`Msg::Batch`] each way per
+//! tick. Degradation is the design center, per Cerf et al.'s assumption
+//! that the runtime outlives its transport:
 //!
-//! - **disconnected** → the member keeps the last grant it saw (a stale
-//!   cap is safe — the daemon froze the same value bitwise) and the
-//!   client reconnects under seeded jittered exponential backoff
+//! - **disconnected** → every member keeps the last grant it saw (a
+//!   stale cap is safe — the daemon froze the same value bitwise) and
+//!   the client reconnects under seeded jittered exponential backoff
 //!   ([`nrm::Backoff`], the same curve the resilient NRM daemon uses
 //!   for actuator re-probes);
 //! - **shed** ([`Msg::Busy`]) → the client honours the daemon's
-//!   `retry_after` hint and mutes telemetry, never retries hot;
+//!   `retry_after` hint and mutes telemetry, never retries hot; one
+//!   member's shed mutes the whole group, since the daemon is telling
+//!   the connection to slow down;
 //! - **NACKed** → the offending report is dropped, not resent: the
 //!   next epoch produces fresher telemetry anyway.
 
-use cluster::GrantSource;
+use std::net::{SocketAddr, TcpStream};
+use std::ops::Range;
+use std::time::Duration;
+
+use cluster::{GrantSource, NodeTelemetry};
 use nrm::Backoff;
 
 use crate::proto::Msg;
-use crate::wire::{Wire, WireError};
+use crate::wire::{TcpWire, Wire, WireError};
 
 /// Client-side counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,12 +40,52 @@ pub struct ClientStats {
     pub connects: u64,
     /// Link losses observed.
     pub disconnects: u64,
-    /// Reports suppressed while muted or down (hold-last-grant ticks).
+    /// Member reports suppressed while muted or down (hold-last-grant
+    /// ticks; a held group counts each member).
     pub held: u64,
     /// [`Msg::Busy`] sheds honoured.
     pub busy: u64,
     /// [`Msg::Nack`] rejections observed.
     pub nacked: u64,
+    /// [`Msg::Grant`]s received (batch members counted individually).
+    pub grants: u64,
+}
+
+impl std::ops::Add for ClientStats {
+    type Output = Self;
+
+    fn add(self, o: Self) -> Self {
+        Self {
+            connects: self.connects + o.connects,
+            disconnects: self.disconnects + o.disconnects,
+            held: self.held + o.held,
+            busy: self.busy + o.busy,
+            nacked: self.nacked + o.nacked,
+            grants: self.grants + o.grants,
+        }
+    }
+}
+
+impl std::iter::Sum for ClientStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| a + b)
+    }
+}
+
+/// Dials the daemon (or hands over a pre-connected test pipe): each
+/// call is one connection attempt, `None` while the daemon is
+/// unreachable.
+pub type Connector = Box<dyn FnMut() -> Option<Box<dyn Wire>> + Send>;
+
+/// A [`Connector`] dialing a daemon's TCP listener at `addr`, giving up
+/// on one attempt after `timeout`.
+pub fn tcp_connector(addr: SocketAddr, timeout: Duration) -> Connector {
+    Box::new(move || {
+        TcpStream::connect_timeout(&addr, timeout)
+            .ok()
+            .and_then(|s| TcpWire::new(s).ok())
+            .map(|w| Box::new(w) as Box<dyn Wire>)
+    })
 }
 
 enum Link {
@@ -48,49 +97,63 @@ enum Link {
     },
 }
 
-/// A telemetry producer / grant consumer for one node.
+/// A telemetry producer / grant consumer for the nodes
+/// `first..first + count`, sharing one connection.
 pub struct GrantClient {
-    node: u32,
+    first: u32,
     link: Link,
-    /// Produces a fresh wire to the daemon, or `None` while the daemon
-    /// is unreachable (each call is one connection attempt).
-    connector: Box<dyn FnMut() -> Option<Box<dyn Wire>> + Send>,
+    connector: Connector,
     backoff: Backoff,
-    /// Newest grant seen, W; held across outages.
-    last_grant: Option<f64>,
+    /// Newest grant seen per member, W; held across outages. Its length
+    /// is the group size.
+    grants: Vec<Option<f64>>,
     /// Daemon tick of the newest grant.
     last_tick: u64,
-    /// Telemetry sequence — advances only when a report is actually
-    /// sent, so a recovered run's seq stream aligns with an uncrashed
-    /// reference regardless of how long the outage lasted.
+    /// Telemetry sequence, shared by the members — advances only when a
+    /// report is actually sent, so a recovered run's seq stream aligns
+    /// with an uncrashed reference regardless of how long the outage
+    /// lasted.
     seq: u64,
     /// Local poll counter (the client's clock).
     polls: u64,
     /// Busy-shed mute: no telemetry until this local poll.
     muted_until: u64,
+    /// Reused member buffer for outgoing batch frames.
+    scratch: Vec<Msg>,
     stats: ClientStats,
 }
 
 impl GrantClient {
-    /// Build a client for `node`. `connector` dials the daemon (or
-    /// hands over a pre-connected test pipe); `backoff_cap` and `seed`
-    /// shape the reconnect schedule.
-    pub fn new(
-        node: u32,
-        connector: Box<dyn FnMut() -> Option<Box<dyn Wire>> + Send>,
+    /// Build a client for one node. `connector` dials the daemon;
+    /// `backoff_cap` and `seed` shape the reconnect schedule.
+    pub fn new(node: u32, connector: Connector, backoff_cap: u32, seed: u64) -> Self {
+        Self::group(node, 1, connector, backoff_cap, seed)
+    }
+
+    /// Build a client for the `count` nodes `first..first + count`,
+    /// multiplexed over one connection.
+    ///
+    /// # Panics
+    /// Panics when `count` is zero.
+    pub fn group(
+        first: u32,
+        count: u32,
+        connector: Connector,
         backoff_cap: u32,
         seed: u64,
     ) -> Self {
+        assert!(count > 0, "a client needs at least one node");
         let mut c = Self {
-            node,
+            first,
             link: Link::Down { retry_in: 0 },
             connector,
             backoff: Backoff::new(backoff_cap, seed),
-            last_grant: None,
+            grants: vec![None; count as usize],
             last_tick: 0,
             seq: 0,
             polls: 0,
             muted_until: 0,
+            scratch: Vec::new(),
             stats: ClientStats::default(),
         };
         c.try_connect();
@@ -98,12 +161,16 @@ impl GrantClient {
     }
 
     fn try_connect(&mut self) {
+        let nodes = self.nodes();
         match (self.connector)() {
             Some(mut wire) => {
                 // Introduce ourselves; the daemon answers with the
-                // current grant so the cap recovers without waiting a
-                // full telemetry round.
-                if wire.send(&Msg::Hello { node: self.node }).is_ok() {
+                // current grants so caps recover without waiting a full
+                // telemetry round.
+                let hello = send_members(&mut *wire, nodes, &mut self.scratch, |node| Msg::Hello {
+                    node,
+                });
+                if hello.is_ok() {
                     self.link = Link::Up(wire);
                     self.backoff.reset();
                     self.stats.connects += 1;
@@ -163,9 +230,14 @@ impl GrantClient {
 
     fn absorb(&mut self, msg: Msg) {
         match msg {
-            Msg::Grant { tick, watts, .. } => {
-                self.last_grant = Some(watts);
-                self.last_tick = tick;
+            Msg::Grant {
+                node, tick, watts, ..
+            } => {
+                self.stats.grants += 1;
+                if let Some(g) = self.grants.get_mut(node.wrapping_sub(self.first) as usize) {
+                    *g = Some(watts);
+                    self.last_tick = tick;
+                }
             }
             Msg::Busy { retry_after } => {
                 self.stats.busy += 1;
@@ -180,42 +252,52 @@ impl GrantClient {
         }
     }
 
-    /// Offer this epoch's telemetry. Returns the seq it was sent under,
-    /// or `None` when held back (down, muted, or send failure) — the
-    /// member then simply keeps its current cap.
-    pub fn send_report(&mut self, report: &cluster::NodeTelemetry) -> Option<u64> {
+    /// Offer this epoch's telemetry for a one-node client (a group
+    /// would send `report` for every member; see
+    /// [`GrantClient::send_reports`]). Returns the seq it was sent
+    /// under, or `None` when held back (down, muted, or send failure) —
+    /// the member then simply keeps its current cap.
+    pub fn send_report(&mut self, report: &NodeTelemetry) -> Option<u64> {
+        self.send_reports(|_, _| *report)
+    }
+
+    /// Offer this epoch's telemetry for every member in one frame, all
+    /// under the same seq: `report(j, seq)` is member `j`'s (node
+    /// `first + j`). Returns the seq, or `None` when held back (down,
+    /// muted, or send failure) — every member then keeps its current
+    /// cap, and `report` is not called.
+    pub fn send_reports(
+        &mut self,
+        mut report: impl FnMut(u32, u64) -> NodeTelemetry,
+    ) -> Option<u64> {
+        let nodes = self.nodes();
+        let count = nodes.len() as u64;
         if self.polls < self.muted_until {
-            self.stats.held += 1;
+            self.stats.held += count;
             return None;
         }
         let Link::Up(wire) = &mut self.link else {
-            self.stats.held += 1;
+            self.stats.held += count;
             return None;
         };
         let seq = self.seq + 1;
-        let msg = Msg::Telemetry {
-            node: self.node,
-            seq,
-            report: *report,
-        };
-        match wire.send(&msg) {
+        let first = nodes.start;
+        let sent = send_members(&mut **wire, nodes, &mut self.scratch, |node| {
+            Msg::Telemetry {
+                node,
+                seq,
+                report: report(node - first, seq),
+            }
+        });
+        match sent {
             Ok(()) => {
                 self.seq = seq;
                 Some(seq)
             }
             Err(_) => {
                 self.note_down();
-                self.stats.held += 1;
+                self.stats.held += count;
                 None
-            }
-        }
-    }
-
-    /// Keep the lease alive on an epoch without telemetry.
-    pub fn heartbeat(&mut self) {
-        if let Link::Up(wire) = &mut self.link {
-            if wire.send(&Msg::Heartbeat { node: self.node }).is_err() {
-                self.note_down();
             }
         }
     }
@@ -225,20 +307,25 @@ impl GrantClient {
         matches!(self.link, Link::Up(_))
     }
 
-    /// Newest grant seen, W (held across outages).
+    /// Nodes this client speaks for.
+    pub fn nodes(&self) -> Range<u32> {
+        self.first..self.first + self.grants.len() as u32
+    }
+
+    /// Newest grant seen by the first member (a one-node client's only
+    /// member), W — held across outages.
     pub fn last_grant(&self) -> Option<f64> {
-        self.last_grant
+        self.grants[0]
+    }
+
+    /// Newest grant seen per member, W, in node order.
+    pub fn grants(&self) -> &[Option<f64>] {
+        &self.grants
     }
 
     /// Daemon tick of the newest grant.
     pub fn last_grant_tick(&self) -> u64 {
         self.last_tick
-    }
-
-    /// The seq the next successful [`GrantClient::send_report`] will
-    /// consume — lets a driver generate telemetry keyed to it.
-    pub fn next_seq(&self) -> u64 {
-        self.seq + 1
     }
 
     /// Client counters.
@@ -247,10 +334,32 @@ impl GrantClient {
     }
 }
 
+/// Send `member(node)` for every node in one frame: the bare message for
+/// one node, a [`Msg::Batch`] for several. The batch is built in
+/// `scratch`, which keeps its allocation for the next frame.
+fn send_members(
+    wire: &mut dyn Wire,
+    nodes: Range<u32>,
+    scratch: &mut Vec<Msg>,
+    mut member: impl FnMut(u32) -> Msg,
+) -> Result<(), WireError> {
+    if nodes.len() == 1 {
+        return wire.send(&member(nodes.start));
+    }
+    scratch.clear();
+    scratch.extend(nodes.map(member));
+    let frame = Msg::Batch(std::mem::take(scratch));
+    let sent = wire.send(&frame);
+    if let Msg::Batch(v) = frame {
+        *scratch = v;
+    }
+    sent
+}
+
 impl GrantSource for GrantClient {
     fn poll_grant(&mut self, _node: usize) -> Option<f64> {
         self.advance();
-        self.last_grant
+        self.last_grant()
     }
 }
 
@@ -262,9 +371,7 @@ mod tests {
     use cluster::NodeTelemetry;
 
     /// A connector that hands out pre-made pipes, one per call.
-    fn pipe_connector(
-        mut pipes: Vec<Option<PipeWire>>,
-    ) -> Box<dyn FnMut() -> Option<Box<dyn Wire>> + Send> {
+    fn pipe_connector(mut pipes: Vec<Option<PipeWire>>) -> Connector {
         pipes.reverse();
         Box::new(move || pipes.pop().flatten().map(|p| Box::new(p) as Box<dyn Wire>))
     }
@@ -380,5 +487,61 @@ mod tests {
             .unwrap();
         let src: &mut dyn GrantSource = &mut c;
         assert_eq!(src.poll_grant(2), Some(64.25));
+    }
+
+    #[test]
+    fn a_group_batches_its_frames_and_is_muted_as_one() {
+        let (client_end, mut server_end) = PipeWire::pair();
+        let mut c = GrantClient::group(4, 3, pipe_connector(vec![Some(client_end)]), 32, 1);
+        assert_eq!(c.nodes(), 4..7);
+        assert_eq!(
+            server_end.poll().unwrap(),
+            Some(Msg::Batch((4..7).map(|node| Msg::Hello { node }).collect()))
+        );
+
+        let grant = |node, watts| Msg::Grant {
+            node,
+            seq: 0,
+            tick: 2,
+            watts,
+        };
+        // Grants land per member; one for a node outside the group is
+        // counted but recorded nowhere.
+        server_end
+            .send(&Msg::Batch(vec![
+                grant(4, 50.0),
+                grant(6, 70.0),
+                grant(9, 1.0),
+            ]))
+            .unwrap();
+        c.advance();
+        assert_eq!(c.grants(), &[Some(50.0), None, Some(70.0)]);
+        assert_eq!(c.stats().grants, 3);
+
+        let seq = c.send_reports(|j, seq| {
+            NodeTelemetry::compute_only(1.0 + j as f64, 1.0, 90.0 + seq as f64)
+        });
+        assert_eq!(seq, Some(1));
+        let Some(Msg::Batch(members)) = server_end.poll().unwrap() else {
+            panic!("a group sends one batch frame");
+        };
+        assert_eq!(members.len(), 3);
+        for (j, m) in members.iter().enumerate() {
+            assert_eq!(
+                m,
+                &Msg::Telemetry {
+                    node: 4 + j as u32,
+                    seq: 1,
+                    report: NodeTelemetry::compute_only(1.0 + j as f64, 1.0, 91.0),
+                }
+            );
+        }
+
+        // One member's shed mutes the whole group; every member is held.
+        server_end.send(&Msg::Busy { retry_after: 2 }).unwrap();
+        c.advance();
+        assert_eq!(c.send_reports(|_, _| report()), None);
+        assert_eq!(c.stats().held, 3);
+        assert_eq!(c.stats().busy, 1);
     }
 }

@@ -249,11 +249,8 @@ impl Daemon {
 
     /// Simulated `kill -9`: stop every thread without flushing anything
     /// beyond what the write-ahead snapshots already persisted.
-    pub fn kill(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            t.join().ok();
-        }
+    pub fn kill(self) {
+        drop(self);
     }
 }
 
@@ -411,7 +408,7 @@ fn register_hellos(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::GrantClient;
+    use crate::client::{Connector, GrantClient};
     use crate::service::ServiceConfig;
     use cluster::{ArbiterConfig, BudgetArbiter, NodeTelemetry, Policy, PowerArbiter};
 
@@ -434,13 +431,8 @@ mod tests {
         )
     }
 
-    fn tcp_connector(addr: SocketAddr) -> Box<dyn FnMut() -> Option<Box<dyn Wire>> + Send> {
-        Box::new(move || {
-            TcpStream::connect_timeout(&addr, Duration::from_millis(250))
-                .ok()
-                .and_then(|s| TcpWire::new(s).ok())
-                .map(|w| Box::new(w) as Box<dyn Wire>)
-        })
+    fn tcp_connector(addr: SocketAddr) -> Connector {
+        crate::client::tcp_connector(addr, Duration::from_millis(250))
     }
 
     #[test]

@@ -30,13 +30,15 @@
 //!   of producers and a rack-style sub-budget, under a coordinator
 //!   that reuses [`cluster::OuterSolver`] so the machine budget splits
 //!   exactly as the in-process rack tree splits it.
-//! - [`client`] — the member side: hold-last-grant degradation,
-//!   jittered exponential reconnect backoff, shed-hint compliance; it
+//! - [`client`] — the member side, one client per group of nodes
+//!   sharing a connection: hold-last-grant degradation, jittered
+//!   exponential reconnect backoff, shed-hint compliance; it
 //!   implements [`cluster::GrantSource`], so cluster members consume
 //!   daemon grants exactly like in-process ones.
 //! - [`loadgen`] — a lockstep in-process load generator driving
-//!   thousands of simulated producers, with seeded faults and a
-//!   mid-run crash/restore, reproducible bit-for-bit.
+//!   thousands of simulated producers through those clients, with
+//!   seeded faults and a mid-run crash/restore, reproducible
+//!   bit-for-bit, plus a concurrent TCP sibling.
 
 pub mod client;
 pub mod daemon;

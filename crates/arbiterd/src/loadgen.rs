@@ -17,39 +17,37 @@
 //!   `outer_period` by the rack-level solver. `shards = 1` takes the
 //!   single-service path untouched (bit-identical to the pre-sharding
 //!   generator).
-//! - **Batching** (`batch > 1`): producers multiplex in groups over one
-//!   wire each, sending one [`Msg::Batch`] of telemetry per tick
-//!   instead of one frame per producer. Grants return batched the same
-//!   way. The service treats a batch exactly as its members (tested
-//!   bitwise), so this only changes frame count, never grants.
+//! - **Batching** (`batch > 1`): each [`GrantClient`] speaks for a group
+//!   of producers over one wire, sending one [`Msg::Batch`] of telemetry
+//!   per tick instead of one frame per producer. Grants return batched
+//!   the same way. The service treats a batch exactly as its members
+//!   (tested bitwise), so this only changes frame count, never grants.
 //!
-//! The crash model mirrors `kill -9` at a tick boundary: the victim
-//! shard's endpoints hang up, its service object is dropped on the
-//! floor (no flush), and a fresh service restores from the write-ahead
-//! snapshot. `crash_shard` selects one victim; `None` crashes every
-//! shard at once (the single-daemon legacy shape). Clients notice only
-//! through their wires dying.
+//! The crash model mirrors `kill -9` at a tick boundary: shard
+//! `crash_shard`'s endpoints hang up, its service object is dropped on
+//! the floor (no flush), and a fresh service restores from the
+//! write-ahead snapshot while the other shards keep serving. Clients
+//! notice only through their wires dying.
 //!
-//! [`run_concurrent_loadgen`] is the wall-clock sibling: genuinely
-//! concurrent TCP clients from a thread pool with seeded jitter against
+//! [`run_concurrent_loadgen`] is the wall-clock sibling: the same client
+//! groups over TCP, driven from a thread pool with seeded jitter against
 //! live [`ShardedDaemon`] sockets. It measures throughput and checks
 //! Σ ≤ budget, but makes no bitwise claims — lockstep mode is the
 //! bitwise-reference path.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cluster::{ArbiterConfig, BudgetArbiter, ConfigError, NodeTelemetry, Policy, PowerArbiter};
-use nrm::Backoff;
 
-use crate::client::{ClientStats, GrantClient};
+use crate::client::{tcp_connector, ClientStats, GrantClient};
 use crate::proto::Msg;
 use crate::service::{ArbiterService, ServiceConfig, ServiceStats};
 use crate::sharded::{shard_spans, ShardedDaemon, ShardedService};
-use crate::wire::{FaultyWire, PipeWire, TcpWire, Wire, WireFaultPlan};
+use crate::wire::{FaultyWire, PipeWire, Wire, WireFaultPlan};
 
 /// Transport-fault knobs for the simulated cluster.
 #[derive(Debug, Clone)]
@@ -112,14 +110,11 @@ pub struct LoadgenConfig {
     /// Kill a daemon at the start of this tick and restore it from the
     /// snapshot.
     pub crash_at: Option<u64>,
-    /// Which shard `crash_at` kills: `Some(k)` = shard `k` only (the
-    /// others keep serving); `None` = every shard at once.
-    pub crash_shard: Option<usize>,
+    /// The shard `crash_at` kills (the others keep serving).
+    pub crash_shard: usize,
     /// Snapshot location (required for `crash_at`; `None` disables
     /// snapshotting). With `shards > 1` each shard appends `.s<i>`.
     pub snapshot_path: Option<PathBuf>,
-    /// Send telemetry every N ticks (heartbeats in between).
-    pub report_every: u64,
     /// Reconnect backoff cap, ticks.
     pub backoff_cap: u32,
     /// Use one shared jitter seed for every client's backoff so a
@@ -147,9 +142,8 @@ impl Default for LoadgenConfig {
             service: ServiceConfig::default(),
             faults: None,
             crash_at: None,
-            crash_shard: None,
+            crash_shard: 0,
             snapshot_path: None,
-            report_every: 1,
             backoff_cap: 8,
             lockstep_backoff: false,
             record_grants: true,
@@ -194,19 +188,14 @@ impl LoadgenConfig {
                 "outer period must be positive",
             ));
         }
-        if self.report_every == 0 {
+        if self.crash_shard >= self.shards {
             return Err(ConfigError::new(
-                "LoadgenConfig.report_every",
-                "report cadence must be positive",
+                "LoadgenConfig.crash_shard",
+                format!(
+                    "shard {} does not exist (shards = {})",
+                    self.crash_shard, self.shards
+                ),
             ));
-        }
-        if let Some(k) = self.crash_shard {
-            if k >= self.shards {
-                return Err(ConfigError::new(
-                    "LoadgenConfig.crash_shard",
-                    format!("shard {k} does not exist (shards = {})", self.shards),
-                ));
-            }
         }
         Ok(())
     }
@@ -302,8 +291,7 @@ pub fn synth_telemetry(seed: u64, node: u32, seq: u64) -> NodeTelemetry {
 }
 
 /// Server ends waiting to be "accepted" by the driver. The key is the
-/// connection's conn-id: the (shard-local) node for single clients, the
-/// group's first local node for multiplexed ones.
+/// connection's conn-id: its client's first shard-local node.
 type Registry = Arc<Mutex<Vec<(u32, PipeWire)>>>;
 
 fn machine_config(cfg: &LoadgenConfig) -> ArbiterConfig {
@@ -368,14 +356,23 @@ fn fault_plan(cfg: &LoadgenConfig, global: u64, attempt: u64) -> WireFaultPlan {
     }
 }
 
-fn make_client(cfg: &LoadgenConfig, local: u32, global: usize, registry: &Registry) -> GrantClient {
+/// The client for shard-local nodes `local.start..local.end`, whose
+/// first global node is `global`. Faults and backoff jitter are keyed by
+/// that node, so chaos drops or duplicates a group's batches at once.
+fn make_client(
+    cfg: &LoadgenConfig,
+    local: Range<u32>,
+    global: usize,
+    registry: &Registry,
+) -> GrantClient {
     let registry = registry.clone();
     let plan_cfg = cfg.clone();
     let mut attempt = 0u64;
+    let first = local.start;
     let connector = Box::new(move || {
         attempt += 1;
         let (client_end, server_end) = PipeWire::pair();
-        registry.lock().unwrap().push((local, server_end));
+        registry.lock().unwrap().push((first, server_end));
         let plan = fault_plan(&plan_cfg, global as u64, attempt);
         Some(Box::new(FaultyWire::new(client_end, plan)) as Box<dyn Wire>)
     });
@@ -384,189 +381,27 @@ fn make_client(cfg: &LoadgenConfig, local: u32, global: usize, registry: &Regist
     } else {
         mix(cfg.seed, 0x00C1_1E47 ^ global as u64)
     };
-    GrantClient::new(local, connector, cfg.backoff_cap, jitter_seed)
+    GrantClient::group(
+        first,
+        local.len() as u32,
+        connector,
+        cfg.backoff_cap,
+        jitter_seed,
+    )
 }
 
-/// A multiplexing producer group: `count` simulated nodes over one
-/// wire, one batched frame each way per tick. Mirrors [`GrantClient`]'s
-/// timing exactly — Hello (batched) on connect, one settle poll, then
-/// telemetry — so the server sees the same per-node message schedule
-/// whether producers arrive multiplexed or not.
-struct MuxClient {
-    local_start: u32,
-    global_start: usize,
-    count: u32,
-    link: Option<Box<dyn Wire>>,
-    connector: Box<dyn FnMut() -> Option<Box<dyn Wire>>>,
-    backoff: Backoff,
-    retry_in: u32,
-    polls: u64,
-    muted_until: u64,
-    seq: u64,
-    /// Reused member buffer for outgoing batch frames.
-    scratch: Vec<Msg>,
-    stats: ClientStats,
-}
-
-impl MuxClient {
-    fn new(
-        cfg: &LoadgenConfig,
-        local_start: u32,
-        global_start: usize,
-        count: u32,
-        registry: &Registry,
-    ) -> Self {
-        let registry = registry.clone();
-        let plan_cfg = cfg.clone();
-        let mut attempt = 0u64;
-        let connector = Box::new(move || {
-            attempt += 1;
-            let (client_end, server_end) = PipeWire::pair();
-            registry.lock().unwrap().push((local_start, server_end));
-            // The group's faults are keyed by its first global node:
-            // chaos drops or duplicates whole batches at once.
-            let plan = fault_plan(&plan_cfg, global_start as u64, attempt);
-            Some(Box::new(FaultyWire::new(client_end, plan)) as Box<dyn Wire>)
-        });
-        let jitter_seed = if cfg.lockstep_backoff {
-            cfg.seed
-        } else {
-            mix(cfg.seed, 0x00C1_1E47 ^ global_start as u64)
-        };
-        let mut c = Self {
-            local_start,
-            global_start,
-            count,
-            link: None,
-            connector,
-            backoff: Backoff::new(cfg.backoff_cap, jitter_seed),
-            retry_in: 0,
-            polls: 0,
-            muted_until: 0,
-            seq: 0,
-            scratch: Vec::with_capacity(count as usize),
-            stats: ClientStats::default(),
-        };
-        c.try_connect();
-        c
-    }
-
-    fn try_connect(&mut self) {
-        match (self.connector)() {
-            Some(mut wire) => {
-                let hello = Msg::Batch(
-                    (self.local_start..self.local_start + self.count)
-                        .map(|node| Msg::Hello { node })
-                        .collect(),
-                );
-                if wire.send(&hello).is_ok() {
-                    self.link = Some(wire);
-                    self.backoff.reset();
-                    self.stats.connects += 1;
-                    self.muted_until = self.polls + 1;
-                } else {
-                    self.note_down();
-                }
-            }
-            None => self.note_down(),
+/// Cut each shard's span into client groups of up to `batch`
+/// consecutive nodes, in global node order: `(shard, shard-local
+/// nodes, first global node)`.
+fn client_groups(spans: &[Range<usize>], batch: usize) -> Vec<(usize, Range<u32>, usize)> {
+    let mut groups = Vec::new();
+    for (shard, span) in spans.iter().enumerate() {
+        for local in (0..span.len()).step_by(batch) {
+            let end = span.len().min(local + batch);
+            groups.push((shard, local as u32..end as u32, span.start + local));
         }
     }
-
-    fn note_down(&mut self) {
-        self.stats.disconnects += u64::from(self.link.is_some());
-        self.link = None;
-        self.retry_in = self.backoff.record_failure();
-    }
-
-    fn advance(&mut self) {
-        self.polls += 1;
-        if self.link.is_none() {
-            if self.retry_in == 0 {
-                self.try_connect();
-            } else {
-                self.retry_in -= 1;
-            }
-            return;
-        }
-        while let Some(wire) = &mut self.link {
-            let polled = wire.poll();
-            match polled {
-                Ok(Some(Msg::Batch(msgs))) => {
-                    for m in msgs {
-                        self.absorb(m);
-                    }
-                }
-                Ok(Some(msg)) => self.absorb(msg),
-                Ok(None) => break,
-                Err(_) => {
-                    self.note_down();
-                    break;
-                }
-            }
-        }
-    }
-
-    fn absorb(&mut self, msg: Msg) {
-        match msg {
-            // Grants are logged server-side; the group holds no
-            // per-node cap state of its own.
-            Msg::Grant { .. } => {}
-            Msg::Busy { retry_after } => {
-                self.stats.busy += 1;
-                // Coarse: one member's shed mutes the whole wire — the
-                // daemon is telling this connection to slow down.
-                self.muted_until = self.polls + retry_after as u64;
-            }
-            Msg::Nack { .. } => self.stats.nacked += 1,
-            _ => {}
-        }
-    }
-
-    /// Send one batched telemetry frame (all members, same seq), or
-    /// hold it when muted/down. Returns members actually sent.
-    fn send_reports(&mut self, seed: u64) -> u64 {
-        if self.polls < self.muted_until || self.link.is_none() {
-            self.stats.held += self.count as u64;
-            return 0;
-        }
-        let seq = self.seq + 1;
-        let mut members = std::mem::take(&mut self.scratch);
-        members.clear();
-        members.extend((0..self.count).map(|j| Msg::Telemetry {
-            node: self.local_start + j,
-            seq,
-            report: synth_telemetry(seed, (self.global_start + j as usize) as u32, seq),
-        }));
-        let batch = Msg::Batch(members);
-        let sent = self.link.as_mut().expect("checked above").send(&batch);
-        if let Msg::Batch(v) = batch {
-            self.scratch = v;
-        }
-        match sent {
-            Ok(()) => {
-                self.seq = seq;
-                self.count as u64
-            }
-            Err(_) => {
-                self.note_down();
-                self.stats.held += self.count as u64;
-                0
-            }
-        }
-    }
-
-    fn heartbeats(&mut self) {
-        if let Some(wire) = self.link.as_mut() {
-            let beat = Msg::Batch(
-                (self.local_start..self.local_start + self.count)
-                    .map(|node| Msg::Heartbeat { node })
-                    .collect(),
-            );
-            if wire.send(&beat).is_err() {
-                self.note_down();
-            }
-        }
-    }
+    groups
 }
 
 /// Send one connection's consecutive grants as a single frame (one
@@ -637,35 +472,12 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
     // (BTreeMap: deterministic iteration order, unlike HashMap).
     let mut conns: Vec<BTreeMap<u32, PipeWire>> = vec![BTreeMap::new(); cfg.shards];
 
-    // Producers: one GrantClient per node (batch = 1, the bitwise
-    // legacy shape) or one MuxClient per group of `batch` nodes.
-    let mut singles: Vec<(usize, GrantClient)> = Vec::new(); // (shard, client)
-    let mut muxes: Vec<MuxClient> = Vec::new();
-    if cfg.batch <= 1 {
-        for (shard, span) in spans.iter().enumerate() {
-            for local in 0..span.len() {
-                singles.push((
-                    shard,
-                    make_client(cfg, local as u32, span.start + local, &registries[shard]),
-                ));
-            }
-        }
-    } else {
-        for (shard, span) in spans.iter().enumerate() {
-            let mut local = 0usize;
-            while local < span.len() {
-                let count = cfg.batch.min(span.len() - local);
-                muxes.push(MuxClient::new(
-                    cfg,
-                    local as u32,
-                    span.start + local,
-                    count as u32,
-                    &registries[shard],
-                ));
-                local += count;
-            }
-        }
-    }
+    // Producers: one client per group of `batch` nodes (batch = 1: one
+    // per node, singleton frames), in global node order.
+    let mut clients: Vec<GrantClient> = client_groups(&spans, cfg.batch)
+        .into_iter()
+        .map(|(shard, local, global)| make_client(cfg, local, global, &registries[shard]))
+        .collect();
 
     let budget_w = machine.budget_w;
     let mut grant_log: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); cfg.clients];
@@ -686,40 +498,30 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
         // its state lands on the floor, a fresh service adopts the
         // write-ahead snapshot. Other shards keep serving.
         if cfg.crash_at == Some(t) {
-            let victims: Vec<usize> = match cfg.crash_shard {
-                Some(k) => vec![k],
-                None => (0..cfg.shards).collect(),
-            };
-            if awaiting_recovery.is_empty() {
-                awaiting_recovery = vec![false; cfg.clients];
+            let k = cfg.crash_shard;
+            for (_, wire) in conns[k].iter() {
+                wire.hang_up();
             }
-            for &k in &victims {
-                for (_, wire) in conns[k].iter() {
-                    wire.hang_up();
-                }
-                for (_, wire) in registries[k].lock().unwrap().drain(..) {
-                    wire.hang_up();
-                }
-                conns[k].clear();
-                pre_crash_stats = add_stats(pre_crash_stats, sharded.shard(k).stats());
-                let sub_budget = sharded.sub_budgets()[k];
-                let fresh = make_shard_service(
-                    cfg,
-                    k,
-                    ArbiterConfig {
-                        budget_w: sub_budget,
-                        ..machine
-                    },
-                    spans[k].len(),
-                );
-                assert!(
-                    sharded.replace_shard(k, fresh),
-                    "the write-ahead snapshot must be adoptable after a crash"
-                );
-                for g in spans[k].clone() {
-                    awaiting_recovery[g] = true;
-                }
+            for (_, wire) in registries[k].lock().unwrap().drain(..) {
+                wire.hang_up();
             }
+            conns[k].clear();
+            pre_crash_stats = sharded.shard(k).stats();
+            let fresh = make_shard_service(
+                cfg,
+                k,
+                ArbiterConfig {
+                    budget_w: sharded.sub_budgets()[k],
+                    ..machine
+                },
+                spans[k].len(),
+            );
+            assert!(
+                sharded.replace_shard(k, fresh),
+                "the write-ahead snapshot must be adoptable after a crash"
+            );
+            awaiting_recovery = vec![false; cfg.clients];
+            awaiting_recovery[spans[k].clone()].fill(true);
         }
 
         // Accept pending connections (latest Hello wins the route).
@@ -731,29 +533,23 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
 
         // Clients: drain inbound, run reconnect state machines, then
         // produce this tick's traffic.
-        for (global, (_, c)) in singles.iter_mut().enumerate() {
-            let was_connected = c.connected();
-            let held_before = c.last_grant();
+        let mut global = 0usize;
+        for c in clients.iter_mut() {
+            // Down before and after its poll, a client touched no wire:
+            // every member must still hold its grant.
+            let held = (!c.connected()).then(|| c.grants().to_vec());
             c.advance();
-            if !was_connected && !c.connected() && held_before != c.last_grant() {
+            if held.is_some_and(|h| !c.connected() && h != c.grants()) {
                 hold_violations += 1;
             }
-            if t.is_multiple_of(cfg.report_every) {
-                let rep = synth_telemetry(cfg.seed, global as u32, c.next_seq());
-                if c.send_report(&rep).is_some() {
-                    telemetry_sent += 1;
-                }
-            } else {
-                c.heartbeat();
+            let sent = c.send_reports(|j, seq| {
+                synth_telemetry(cfg.seed, (global + j as usize) as u32, seq)
+            });
+            let count = c.nodes().len();
+            if sent.is_some() {
+                telemetry_sent += count as u64;
             }
-        }
-        for m in muxes.iter_mut() {
-            m.advance();
-            if t.is_multiple_of(cfg.report_every) {
-                telemetry_sent += m.send_reports(cfg.seed);
-            } else {
-                m.heartbeats();
-            }
+            global += count;
         }
 
         // Server: ingest everything that arrived, reply in place.
@@ -832,15 +628,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
         }
     }
 
-    let stats = add_stats(pre_crash_stats, sharded.stats());
-    let single_stats = singles
-        .iter()
-        .map(|(_, c)| c.stats())
-        .fold(ClientStats::default(), add_client_stats);
-    let client_stats = muxes
-        .iter()
-        .map(|m| m.stats)
-        .fold(single_stats, add_client_stats);
+    let client_stats: ClientStats = clients.iter().map(GrantClient::stats).sum();
 
     LoadgenReport {
         clients: cfg.clients,
@@ -851,37 +639,13 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
         max_sum_grants_w: max_sum,
         sum_fingerprint,
         telemetry_sent,
-        service: stats,
-        reconnects: client_stats
-            .connects
-            .saturating_sub(singles.len() as u64 + muxes.len() as u64),
+        service: pre_crash_stats + sharded.stats(),
+        reconnects: client_stats.connects.saturating_sub(clients.len() as u64),
         held_reports: client_stats.held,
         busy_seen: client_stats.busy,
         recovery_ticks,
         hold_violations,
         grant_log,
-    }
-}
-
-fn add_stats(a: ServiceStats, b: ServiceStats) -> ServiceStats {
-    ServiceStats {
-        shed: a.shed + b.shed,
-        rate_limited: a.rate_limited + b.rate_limited,
-        nacked: a.nacked + b.nacked,
-        duplicates: a.duplicates + b.duplicates,
-        leases_expired: a.leases_expired + b.leases_expired,
-        rounds: a.rounds + b.rounds,
-        snapshots: a.snapshots + b.snapshots,
-    }
-}
-
-fn add_client_stats(a: ClientStats, b: ClientStats) -> ClientStats {
-    ClientStats {
-        connects: a.connects + b.connects,
-        disconnects: a.disconnects + b.disconnects,
-        held: a.held + b.held,
-        busy: a.busy + b.busy,
-        nacked: a.nacked + b.nacked,
     }
 }
 
@@ -1004,112 +768,75 @@ pub fn run_concurrent_loadgen(cfg: &ConcurrentConfig) -> ConcurrentReport {
     )
     .expect("sharded daemon must spawn");
 
-    // Groups: (shard, local_start, global_start, count), dealt
-    // round-robin to the workers.
-    let spans = shard_spans(cfg.producers, cfg.shards);
-    let mut groups: Vec<(usize, u32, usize, u32)> = Vec::new();
-    for (shard, span) in spans.iter().enumerate() {
-        let mut local = 0usize;
-        while local < span.len() {
-            let count = cfg.batch.min(span.len() - local);
-            groups.push((shard, local as u32, span.start + local, count as u32));
-            local += count;
-        }
-    }
-
-    let telemetry_sent = Arc::new(AtomicU64::new(0));
-    let grants_seen = Arc::new(AtomicU64::new(0));
-    let connect_ok = Arc::new(AtomicBool::new(true));
+    // Client groups, dealt round-robin to the workers.
+    let groups = client_groups(&shard_spans(cfg.producers, cfg.shards), cfg.batch);
     let addrs = daemon.addrs().to_vec();
     let started = Instant::now();
     let mut workers = Vec::new();
     for w in 0..cfg.threads {
-        let my_groups: Vec<(usize, u32, usize, u32)> = groups
+        let my_groups: Vec<(usize, Range<u32>, usize)> = groups
             .iter()
-            .copied()
             .skip(w)
             .step_by(cfg.threads)
+            .cloned()
             .collect();
         let addrs = addrs.clone();
-        let telemetry_sent = telemetry_sent.clone();
-        let grants_seen = grants_seen.clone();
-        let connect_ok = connect_ok.clone();
         let rounds = cfg.rounds;
         let mut jitter = mix(cfg.seed, 0x7778_0000 ^ w as u64);
         workers.push(std::thread::spawn(move || {
-            // (wire, first local node, group size) per owned connection.
-            let mut wires: Vec<(TcpWire, u32, u32)> = Vec::new();
-            for &(shard, local_start, _global, count) in &my_groups {
-                let Ok(stream) =
-                    std::net::TcpStream::connect_timeout(&addrs[shard], Duration::from_secs(2))
-                else {
-                    connect_ok.store(false, Ordering::SeqCst);
-                    continue;
-                };
-                let Ok(mut wire) = TcpWire::new(stream) else {
-                    connect_ok.store(false, Ordering::SeqCst);
-                    continue;
-                };
-                let hello = Msg::Batch(
-                    (local_start..local_start + count)
-                        .map(|node| Msg::Hello { node })
-                        .collect(),
-                );
-                if wire.send(&hello).is_err() {
-                    connect_ok.store(false, Ordering::SeqCst);
-                    continue;
-                }
-                wires.push((wire, local_start, count));
-            }
-            for seq in 1..=rounds {
-                for (wire, local_start, count) in wires.iter_mut() {
-                    let batch = Msg::Batch(
-                        (0..*count)
-                            .map(|j| Msg::Telemetry {
-                                node: *local_start + j,
-                                seq,
-                                report: synth_telemetry(7, *local_start + j, seq),
-                            })
-                            .collect(),
-                    );
-                    if wire.send(&batch).is_ok() {
-                        telemetry_sent.fetch_add(*count as u64, Ordering::Relaxed);
-                    }
-                    while let Ok(Some(msg)) = wire.poll() {
-                        grants_seen.fetch_add(count_grants(&msg), Ordering::Relaxed);
+            let mut clients: Vec<GrantClient> = my_groups
+                .into_iter()
+                .map(|(shard, local, global)| {
+                    let connector = tcp_connector(addrs[shard], Duration::from_secs(2));
+                    let seed = mix(jitter, global as u64);
+                    GrantClient::group(local.start, local.len() as u32, connector, 8, seed)
+                })
+                .collect();
+            let connected = clients.iter().all(GrantClient::connected);
+            let mut sent = 0u64;
+            for round in 1..=rounds {
+                for c in clients.iter_mut() {
+                    c.advance();
+                    let first = c.nodes().start;
+                    if c.send_reports(|j, seq| synth_telemetry(7, first + j, seq))
+                        .is_some()
+                    {
+                        sent += c.nodes().len() as u64;
                     }
                 }
                 // Seeded jitter: workers drift apart instead of hammering
                 // the daemons in lockstep.
-                jitter = mix(jitter, seq);
+                jitter = mix(jitter, round);
                 std::thread::sleep(Duration::from_micros(100 + jitter % 400));
             }
             // Drain the tail so late grants still count.
             let deadline = Instant::now() + Duration::from_millis(50);
             while Instant::now() < deadline {
-                for (wire, _, _) in wires.iter_mut() {
-                    while let Ok(Some(msg)) = wire.poll() {
-                        grants_seen.fetch_add(count_grants(&msg), Ordering::Relaxed);
-                    }
+                for c in clients.iter_mut() {
+                    c.advance();
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
+            let stats: ClientStats = clients.iter().map(GrantClient::stats).sum();
+            (stats, sent, connected)
         }));
     }
+    let (mut client_stats, mut sent, mut connect_ok) = (ClientStats::default(), 0, true);
     for wkr in workers {
-        wkr.join().ok();
+        if let Ok((stats, n, ok)) = wkr.join() {
+            client_stats = client_stats + stats;
+            sent += n;
+            connect_ok &= ok;
+        }
     }
     let elapsed = started.elapsed();
 
     let final_sum = daemon.sum_grants();
     let max_sum = daemon.max_sum_grants_w().max(final_sum);
-    let invariant_ok = daemon.invariant_ok()
-        && final_sum <= machine.budget_w + 1e-6
-        && connect_ok.load(Ordering::SeqCst);
-    let sent = telemetry_sent.load(Ordering::Relaxed);
+    let invariant_ok = daemon.invariant_ok() && final_sum <= machine.budget_w + 1e-6 && connect_ok;
     let report = ConcurrentReport {
         telemetry_sent: sent,
-        grants_seen: grants_seen.load(Ordering::Relaxed),
+        grants_seen: client_stats.grants,
         elapsed,
         msgs_per_sec: sent as f64 / elapsed.as_secs_f64().max(1e-9),
         invariant_ok,
@@ -1118,14 +845,6 @@ pub fn run_concurrent_loadgen(cfg: &ConcurrentConfig) -> ConcurrentReport {
     };
     daemon.kill();
     report
-}
-
-fn count_grants(msg: &Msg) -> u64 {
-    match msg {
-        Msg::Grant { .. } => 1,
-        Msg::Batch(ms) => ms.iter().filter(|m| matches!(m, Msg::Grant { .. })).count() as u64,
-        _ => 0,
-    }
 }
 
 #[cfg(test)]
@@ -1208,7 +927,7 @@ mod tests {
                 ..LoadgenConfig::default()
             },
             LoadgenConfig {
-                crash_shard: Some(1),
+                crash_shard: 1,
                 ..LoadgenConfig::default()
             },
         ] {

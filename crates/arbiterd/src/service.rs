@@ -80,6 +80,28 @@ pub struct ServiceStats {
     pub snapshots: u64,
 }
 
+impl std::ops::Add for ServiceStats {
+    type Output = Self;
+
+    fn add(self, o: Self) -> Self {
+        Self {
+            shed: self.shed + o.shed,
+            rate_limited: self.rate_limited + o.rate_limited,
+            nacked: self.nacked + o.nacked,
+            duplicates: self.duplicates + o.duplicates,
+            leases_expired: self.leases_expired + o.leases_expired,
+            rounds: self.rounds + o.rounds,
+            snapshots: self.snapshots + o.snapshots,
+        }
+    }
+}
+
+impl std::iter::Sum for ServiceStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| a + b)
+    }
+}
+
 /// The daemon core: one wrapped arbiter plus all the service state.
 pub struct ArbiterService {
     arbiter: Box<dyn BudgetArbiter>,

@@ -27,6 +27,7 @@
 //! `s` numbers its nodes `0..span.len()`); [`ShardedService::locate`]
 //! maps a global node id to its `(shard, local)` pair.
 
+use std::borrow::BorrowMut;
 use std::net::{SocketAddr, TcpListener};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -98,20 +99,8 @@ impl ShardedService {
     ) -> Self {
         assert!(outer_period > 0, "outer period must be positive");
         let spans = shard_spans(nodes, shards);
-        let (min, max): (Vec<f64>, Vec<f64>) = spans
-            .iter()
-            .map(|s| {
-                (
-                    s.len() as f64 * cfg.min_cap_w,
-                    s.len() as f64 * cfg.max_cap_w,
-                )
-            })
-            .unzip();
-        let shares: Vec<f64> = spans
-            .iter()
-            .map(|s| cfg.budget_w * (s.len() as f64 / nodes as f64))
-            .collect();
-        let solver = OuterSolver::new(cfg.policy, min, max, &shares, cfg.budget_w);
+        let sizes: Vec<usize> = spans.iter().map(Range::len).collect();
+        let solver = OuterSolver::new(cfg.policy, &sizes, None, cfg);
         let services: Vec<ArbiterService> = spans
             .iter()
             .zip(solver.sub_budgets())
@@ -136,11 +125,6 @@ impl ShardedService {
             tick: 0,
             max_sum_w: 0.0,
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Global-node span of each shard, in shard order.
@@ -196,14 +180,7 @@ impl ShardedService {
         // skipping the solve keeps the path bitwise-identical to an
         // unsharded service.
         if self.shards.len() > 1 && self.tick.is_multiple_of(self.outer_period) {
-            let reports: Vec<Option<NodeTelemetry>> = self
-                .shards
-                .iter_mut()
-                .map(ArbiterService::take_window)
-                .collect();
-            self.solver.resolve(self.machine_budget_w, &reports);
-            let subs: Vec<f64> = self.solver.sub_budgets().to_vec();
-            apply_sub_budgets(&subs, &mut self.shards, |s| s);
+            outer_epoch(&mut self.solver, self.machine_budget_w, &mut self.shards);
         }
         let replies: Vec<Vec<Msg>> = self
             .shards
@@ -243,18 +220,7 @@ impl ShardedService {
 
     /// Summed service counters across the shards.
     pub fn stats(&self) -> ServiceStats {
-        self.shards
-            .iter()
-            .map(ArbiterService::stats)
-            .fold(ServiceStats::default(), |a, b| ServiceStats {
-                shed: a.shed + b.shed,
-                rate_limited: a.rate_limited + b.rate_limited,
-                nacked: a.nacked + b.nacked,
-                duplicates: a.duplicates + b.duplicates,
-                leases_expired: a.leases_expired + b.leases_expired,
-                rounds: a.rounds + b.rounds,
-                snapshots: a.snapshots + b.snapshots,
-            })
+        self.shards.iter().map(ArbiterService::stats).sum()
     }
 
     /// Crash-replace shard `i`: swap in a freshly built service (same
@@ -270,22 +236,29 @@ impl ShardedService {
     }
 }
 
-/// Push new sub-budgets down: all decreases first, then the rest, so
-/// Σ budgets stays ≤ the machine budget at every intermediate state
-/// (a same-bits budget is a no-op inside the arbiter).
-fn apply_sub_budgets<T>(
-    subs: &[f64],
-    shards: &mut [T],
-    mut as_service: impl FnMut(&mut T) -> &mut ArbiterService,
+/// One outer epoch: drain every shard's window, re-split `budget_w`
+/// across the shards, and push the sub-budgets down — all decreases
+/// first, then the rest, so Σ budgets stays ≤ the machine budget at
+/// every intermediate state (a same-bits budget is a no-op inside the
+/// arbiter).
+fn outer_epoch<S: BorrowMut<ArbiterService>>(
+    solver: &mut OuterSolver,
+    budget_w: f64,
+    shards: &mut [S],
 ) {
-    for (t, &b) in shards.iter_mut().zip(subs) {
-        let svc = as_service(t);
+    let reports: Vec<Option<NodeTelemetry>> = shards
+        .iter_mut()
+        .map(|s| s.borrow_mut().take_window())
+        .collect();
+    let subs = solver.resolve(budget_w, &reports);
+    for (s, &b) in shards.iter_mut().zip(subs) {
+        let svc = s.borrow_mut();
         if b < svc.budget() {
             svc.set_budget(b);
         }
     }
-    for (t, &b) in shards.iter_mut().zip(subs) {
-        let svc = as_service(t);
+    for (s, &b) in shards.iter_mut().zip(subs) {
+        let svc = s.borrow_mut();
         if b > svc.budget() {
             svc.set_budget(b);
         }
@@ -295,13 +268,13 @@ fn apply_sub_budgets<T>(
 /// `N` live TCP daemons over shared service handles, plus a coordinator
 /// thread re-splitting the machine budget on a wall-clock outer period.
 pub struct ShardedDaemon {
-    daemons: Vec<Option<Daemon>>,
+    /// Held for their `Drop`: after [`ShardedDaemon`]'s own `drop` joins
+    /// the coordinator, the shard daemons stop as this field drops.
+    _daemons: Vec<Daemon>,
     services: Vec<Arc<Mutex<ArbiterService>>>,
     addrs: Vec<SocketAddr>,
-    dcfg: DaemonConfig,
     stop: Arc<AtomicBool>,
     coordinator: Option<JoinHandle<()>>,
-    machine_budget_w: f64,
     /// High-water Σ grants across epochs, as f64 bits.
     max_sum_bits: Arc<AtomicU64>,
     /// Cleared by the coordinator if Σ grants ever exceeds the budget.
@@ -321,37 +294,14 @@ impl ShardedDaemon {
         dcfg: DaemonConfig,
         make: &mut MakeShard,
     ) -> std::io::Result<ShardedDaemon> {
-        assert!(outer_period > 0, "outer period must be positive");
-        let spans = shard_spans(nodes, shards);
-        let (min, max): (Vec<f64>, Vec<f64>) = spans
-            .iter()
-            .map(|s| {
-                (
-                    s.len() as f64 * cfg.min_cap_w,
-                    s.len() as f64 * cfg.max_cap_w,
-                )
-            })
-            .unzip();
-        let shares: Vec<f64> = spans
-            .iter()
-            .map(|s| cfg.budget_w * (s.len() as f64 / nodes as f64))
-            .collect();
-        let mut solver = OuterSolver::new(cfg.policy, min, max, &shares, cfg.budget_w);
-
-        let services: Vec<Arc<Mutex<ArbiterService>>> = spans
-            .iter()
-            .zip(solver.sub_budgets())
-            .enumerate()
-            .map(|(i, (span, &b))| {
-                Arc::new(Mutex::new(make(
-                    i,
-                    ArbiterConfig {
-                        budget_w: b,
-                        ..*cfg
-                    },
-                    span.len(),
-                )))
-            })
+        let ShardedService {
+            shards: services,
+            mut solver,
+            ..
+        } = ShardedService::new(cfg, nodes, shards, outer_period, make);
+        let services: Vec<Arc<Mutex<ArbiterService>>> = services
+            .into_iter()
+            .map(|s| Arc::new(Mutex::new(s)))
             .collect();
 
         let mut daemons = Vec::with_capacity(shards);
@@ -360,7 +310,7 @@ impl ShardedDaemon {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             let d = Daemon::spawn_shared(listener, svc.clone(), dcfg.clone())?;
             addrs.push(d.addr());
-            daemons.push(Some(d));
+            daemons.push(d);
         }
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -381,12 +331,10 @@ impl ShardedDaemon {
                     // respect to the shard tickers (which each take a
                     // single lock — no ordering cycle, no deadlock).
                     let mut guards: Vec<_> = services.iter().map(|s| s.lock().unwrap()).collect();
-                    let reports: Vec<Option<NodeTelemetry>> =
-                        guards.iter_mut().map(|g| g.take_window()).collect();
-                    solver.resolve(budget_w, &reports);
-                    let subs: Vec<f64> = solver.sub_budgets().to_vec();
-                    apply_sub_budgets(&subs, &mut guards, |g| &mut **g);
-                    let sum: f64 = guards.iter().map(|g| g.sum_grants()).sum();
+                    let mut shards: Vec<&mut ArbiterService> =
+                        guards.iter_mut().map(|g| &mut **g).collect();
+                    outer_epoch(&mut solver, budget_w, &mut shards);
+                    let sum: f64 = shards.iter().map(|s| s.sum_grants()).sum();
                     drop(guards);
                     if sum > budget_w + 1e-6 {
                         invariant_ok.store(false, Ordering::SeqCst);
@@ -401,13 +349,11 @@ impl ShardedDaemon {
         };
 
         Ok(ShardedDaemon {
-            daemons,
+            _daemons: daemons,
             services,
             addrs,
-            dcfg,
             stop,
             coordinator,
-            machine_budget_w: cfg.budget_w,
             max_sum_bits,
             invariant_ok,
         })
@@ -436,61 +382,17 @@ impl ShardedDaemon {
         self.invariant_ok.load(Ordering::SeqCst)
     }
 
-    /// The machine budget, W.
-    pub fn machine_budget_w(&self) -> f64 {
-        self.machine_budget_w
-    }
-
-    /// Summed service counters across live shards.
+    /// Summed service counters across the shards.
     pub fn stats(&self) -> ServiceStats {
         self.services
             .iter()
             .map(|s| s.lock().unwrap().stats())
-            .fold(ServiceStats::default(), |a, b| ServiceStats {
-                shed: a.shed + b.shed,
-                rate_limited: a.rate_limited + b.rate_limited,
-                nacked: a.nacked + b.nacked,
-                duplicates: a.duplicates + b.duplicates,
-                leases_expired: a.leases_expired + b.leases_expired,
-                rounds: a.rounds + b.rounds,
-                snapshots: a.snapshots + b.snapshots,
-            })
+            .sum()
     }
 
-    /// `kill -9` one shard: its daemon threads stop, its connections
-    /// die, nothing is flushed. The coordinator keeps running (the dead
-    /// shard's window drains `None` → its sub-budget freezes, the
-    /// silent-rack rule).
-    pub fn kill_shard(&mut self, i: usize) {
-        if let Some(d) = self.daemons[i].take() {
-            d.kill();
-        }
-    }
-
-    /// Restart a killed shard on its old address: `fresh` (same shape
-    /// as construction, typically with the shard's snapshot path)
-    /// adopts its write-ahead snapshot, replaces the in-memory service
-    /// — a real `kill -9` lost that memory — and a new daemon serves
-    /// it. Returns whether a snapshot was adopted.
-    pub fn restart_shard(&mut self, i: usize, mut fresh: ArbiterService) -> std::io::Result<bool> {
-        let adopted = fresh.restore();
-        *self.services[i].lock().unwrap() = fresh;
-        let listener = TcpListener::bind(self.addrs[i])?;
-        let d = Daemon::spawn_shared(listener, self.services[i].clone(), self.dcfg.clone())?;
-        self.addrs[i] = d.addr();
-        self.daemons[i] = Some(d);
-        Ok(adopted)
-    }
-
-    /// Stop the coordinator and every live shard.
-    pub fn kill(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(c) = self.coordinator.take() {
-            c.join().ok();
-        }
-        for d in self.daemons.iter_mut().filter_map(Option::take) {
-            d.kill();
-        }
+    /// Stop the coordinator and every shard.
+    pub fn kill(self) {
+        drop(self);
     }
 }
 
@@ -499,9 +401,6 @@ impl Drop for ShardedDaemon {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(c) = self.coordinator.take() {
             c.join().ok();
-        }
-        for d in self.daemons.iter_mut().filter_map(Option::take) {
-            d.kill();
         }
     }
 }
@@ -725,9 +624,7 @@ mod tests {
 
     #[test]
     fn sharded_daemons_grant_over_sockets_and_hold_the_invariant() {
-        use crate::client::GrantClient;
-        use crate::wire::{TcpWire, Wire};
-        use std::net::TcpStream;
+        use crate::client::{tcp_connector, GrantClient};
 
         let n = 4;
         let cfg = machine_cfg(n);
@@ -744,14 +641,7 @@ mod tests {
         )
         .unwrap();
 
-        let connector = |addr: SocketAddr| -> Box<dyn FnMut() -> Option<Box<dyn Wire>> + Send> {
-            Box::new(move || {
-                TcpStream::connect_timeout(&addr, Duration::from_millis(250))
-                    .ok()
-                    .and_then(|s| TcpWire::new(s).ok())
-                    .map(|w| Box::new(w) as Box<dyn Wire>)
-            })
-        };
+        let connector = |addr: SocketAddr| tcp_connector(addr, Duration::from_millis(250));
         // Two producers per shard, shard-local ids 0 and 1.
         let mut clients: Vec<GrantClient> = (0..n)
             .map(|g| {

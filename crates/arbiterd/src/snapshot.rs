@@ -150,7 +150,10 @@ impl Snapshot {
     /// `path`. On any error the previous snapshot (if one exists) is
     /// left untouched.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
+        // Appended, not `with_extension`: that would map every shard's
+        // `x.snap.s<i>` onto one shared `x.snap.tmp`.
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&self.to_bytes())?;
@@ -220,6 +223,31 @@ mod tests {
         let s2 = Snapshot { tick: 43, ..s };
         s2.save(&path).unwrap();
         assert_eq!(Snapshot::load(&path), Some(s2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sibling_shard_files_stage_through_their_own_temp_files() {
+        let dir = std::env::temp_dir().join(format!("arbiterd-snap-sib-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let writers: Vec<_> = (0..2u64)
+            .map(|i| {
+                let path = dir.join(format!("x.snap.s{i}"));
+                std::thread::spawn(move || {
+                    let s = Snapshot {
+                        tick: i,
+                        ..sample()
+                    };
+                    let failed = (0..200).filter(|_| s.save(&path).is_err()).count();
+                    (failed, Snapshot::load(&path) == Some(s))
+                })
+            })
+            .collect();
+        for (i, w) in writers.into_iter().enumerate() {
+            let (failed, own) = w.join().unwrap();
+            assert_eq!(failed, 0, "shard {i}: every save must succeed");
+            assert!(own, "shard {i}'s file must hold its own snapshot");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

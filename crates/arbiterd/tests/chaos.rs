@@ -262,7 +262,7 @@ fn single_shard_crash_recovers_while_peers_keep_serving() {
     });
     let crash_cfg = LoadgenConfig {
         crash_at: Some(crash_at),
-        crash_shard: Some(1),
+        crash_shard: 1,
         snapshot_path: Some(scratch("shard-crash")),
         ..base
     };

@@ -157,14 +157,23 @@ impl HierarchyConfig {
 
     /// The effective per-rack `[min, max]` clamp vectors.
     pub fn resolved_clamps(&self, arbiter: &ArbiterConfig) -> (Vec<f64>, Vec<f64>) {
-        match &self.rack_clamps {
-            Some(clamps) => clamps.iter().map(|&(lo, hi)| (lo, hi)).unzip(),
-            None => self
-                .racks
-                .iter()
-                .map(|&k| (k as f64 * arbiter.min_cap_w, k as f64 * arbiter.max_cap_w))
-                .unzip(),
-        }
+        child_clamps(&self.racks, self.rack_clamps.as_deref(), arbiter)
+    }
+}
+
+/// Per-child `[min, max]` clamp vectors: `clamps` when given, else
+/// `[size·min_cap_w, size·max_cap_w]` from the node clamps.
+fn child_clamps(
+    sizes: &[usize],
+    clamps: Option<&[(f64, f64)]>,
+    cfg: &ArbiterConfig,
+) -> (Vec<f64>, Vec<f64>) {
+    match clamps {
+        Some(clamps) => clamps.iter().copied().unzip(),
+        None => sizes
+            .iter()
+            .map(|&k| (k as f64 * cfg.min_cap_w, k as f64 * cfg.max_cap_w))
+            .unzip(),
     }
 }
 
@@ -280,18 +289,32 @@ pub struct OuterSolver {
 }
 
 impl OuterSolver {
-    /// Build the solver from initial per-child shares: the shares are
-    /// waterfilled into `pool_w` under the `[min, max]` clamps, exactly
-    /// as [`RackArbiter::new`] seeds its rack sub-budgets.
+    /// Build the solver over children of `sizes[i]` leaves each (racks,
+    /// or shard spans), dividing the `cfg.budget_w` pool under `policy`.
+    /// The pool is first shared in proportion to size, then waterfilled
+    /// under the per-child `[min, max]` clamps: `clamps` when given, else
+    /// `[size·min_cap_w, size·max_cap_w]` from `cfg`'s node clamps.
     ///
     /// # Panics
-    /// Panics when the vectors disagree in length or are empty.
-    pub fn new(policy: Policy, min: Vec<f64>, max: Vec<f64>, shares: &[f64], pool_w: f64) -> Self {
+    /// Panics when `sizes` is empty or `clamps` disagrees with it in
+    /// length.
+    pub fn new(
+        policy: Policy,
+        sizes: &[usize],
+        clamps: Option<&[(f64, f64)]>,
+        cfg: &ArbiterConfig,
+    ) -> Self {
+        let (min, max) = child_clamps(sizes, clamps, cfg);
         assert!(
-            !min.is_empty() && min.len() == max.len() && min.len() == shares.len(),
-            "OuterSolver needs matching, non-empty clamp/share vectors"
+            !sizes.is_empty() && min.len() == sizes.len(),
+            "OuterSolver needs matching, non-empty size/clamp vectors"
         );
-        let sub_budgets = policy::waterfill(shares, pool_w, &min, &max);
+        let n: usize = sizes.iter().sum();
+        let shares: Vec<f64> = sizes
+            .iter()
+            .map(|&k| cfg.budget_w * (k as f64 / n as f64))
+            .collect();
+        let sub_budgets = policy::waterfill(&shares, cfg.budget_w, &min, &max);
         let n = min.len();
         Self {
             alloc: policy.allocator(),
@@ -435,18 +458,11 @@ impl RackArbiter {
         hierarchy
             .validate(&cfg, n)
             .unwrap_or_else(|e| panic!("{e}"));
-        let (rack_min, rack_max) = hierarchy.resolved_clamps(&cfg);
-        let shares: Vec<f64> = hierarchy
-            .racks
-            .iter()
-            .map(|&k| cfg.budget_w * (k as f64 / n as f64))
-            .collect();
         let outer = OuterSolver::new(
             hierarchy.rack_policy,
-            rack_min,
-            rack_max,
-            &shares,
-            cfg.budget_w,
+            &hierarchy.racks,
+            hierarchy.rack_clamps.as_deref(),
+            &cfg,
         );
 
         let mut spans = Vec::with_capacity(hierarchy.racks.len());

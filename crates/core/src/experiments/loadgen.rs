@@ -17,6 +17,9 @@
 //! hold-last-grant violations — the table's `invariant` column is a
 //! hard pass/fail, not a statistic.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use arbiterd::loadgen::{run_loadgen, FaultKnobs, LoadgenConfig, LoadgenReport};
 use arbiterd::ServiceConfig;
 use cluster::ConfigError;
@@ -110,98 +113,99 @@ fn hostile_faults(cfg: &Config) -> FaultKnobs {
     }
 }
 
+/// A snapshot directory private to one [`run`] call, removed with its
+/// contents on drop. The pid alone is not enough: tests call `run`
+/// concurrently in one process, and each run deletes its snapshots.
+struct SnapshotDir(PathBuf);
+
+impl SnapshotDir {
+    fn new() -> Self {
+        static NTH: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "arbiterd-loadgen-{}-{}",
+            std::process::id(),
+            NTH.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir)
+            .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+        Self(dir)
+    }
+}
+
+impl Drop for SnapshotDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
 /// Run the five scenarios.
 pub fn run(cfg: &Config) -> Result<Loadgen, ConfigError> {
     cfg.validate()?;
-    let mut cells = Vec::new();
-
-    cells.push(Cell {
-        scenario: "clean",
-        report: run_loadgen(&LoadgenConfig {
-            service: ServiceConfig {
-                snapshot_every: 0,
-                ..ServiceConfig::default()
+    let snapshots = SnapshotDir::new();
+    let cell = |scenario, lg: LoadgenConfig| Cell {
+        scenario,
+        report: run_loadgen(&lg),
+    };
+    let no_snapshots = ServiceConfig {
+        snapshot_every: 0,
+        ..ServiceConfig::default()
+    };
+    let cells = vec![
+        cell(
+            "clean",
+            LoadgenConfig {
+                service: no_snapshots.clone(),
+                ..base(cfg)
             },
-            ..base(cfg)
-        }),
-    });
-
-    cells.push(Cell {
-        scenario: "overload",
-        report: run_loadgen(&LoadgenConfig {
-            service: ServiceConfig {
-                queue_depth: (cfg.clients / 4).max(1),
-                rate_capacity: 2.0,
-                rate_refill: 0.5,
-                snapshot_every: 0,
-                ..ServiceConfig::default()
+        ),
+        cell(
+            "overload",
+            LoadgenConfig {
+                service: ServiceConfig {
+                    queue_depth: (cfg.clients / 4).max(1),
+                    rate_capacity: 2.0,
+                    rate_refill: 0.5,
+                    ..no_snapshots.clone()
+                },
+                ..base(cfg)
             },
-            ..base(cfg)
-        }),
-    });
-
-    cells.push(Cell {
-        scenario: "hostile",
-        report: run_loadgen(&LoadgenConfig {
-            faults: Some(hostile_faults(cfg)),
-            service: ServiceConfig {
-                snapshot_every: 0,
-                ..ServiceConfig::default()
+        ),
+        cell(
+            "hostile",
+            LoadgenConfig {
+                faults: Some(hostile_faults(cfg)),
+                service: no_snapshots,
+                ..base(cfg)
             },
-            ..base(cfg)
-        }),
-    });
-
-    let snap = std::env::temp_dir().join(format!(
-        "arbiterd-loadgen-{}-{}.snap",
-        std::process::id(),
-        cfg.seed
-    ));
-    cells.push(Cell {
-        scenario: "crash",
-        report: run_loadgen(&LoadgenConfig {
-            faults: Some(hostile_faults(cfg)),
-            crash_at: Some((cfg.ticks / 2).max(1)),
-            snapshot_path: Some(snap.clone()),
-            ..base(cfg)
-        }),
-    });
-    std::fs::remove_file(&snap).ok();
-
-    // The horizontal topology: the cohort spread over `cfg.shards`
-    // arbiter shards under the outer budget coordinator, telemetry
-    // multiplexed 8 producers per wire, hostile faults dropping and
-    // duplicating whole batches, and one shard kill -9'd mid-run while
-    // its peers keep serving. Σ ≤ machine budget still holds machine-
-    // wide at every tick.
-    let shard_snap = std::env::temp_dir().join(format!(
-        "arbiterd-loadgen-sharded-{}-{}.snap",
-        std::process::id(),
-        cfg.seed
-    ));
-    cells.push(Cell {
-        scenario: "sharded",
-        report: run_loadgen(&LoadgenConfig {
-            shards: cfg.shards,
-            batch: 8.min(cfg.clients / cfg.shards.max(1)).max(1),
-            faults: Some(hostile_faults(cfg)),
-            crash_at: Some((cfg.ticks / 2).max(1)),
-            crash_shard: Some(cfg.shards - 1),
-            snapshot_path: Some(shard_snap.clone()),
-            ..base(cfg)
-        }),
-    });
-    for i in 0..cfg.shards {
-        let p = if cfg.shards == 1 {
-            shard_snap.clone()
-        } else {
-            let mut s = shard_snap.clone().into_os_string();
-            s.push(format!(".s{i}"));
-            s.into()
-        };
-        std::fs::remove_file(p).ok();
-    }
-
+        ),
+        cell(
+            "crash",
+            LoadgenConfig {
+                faults: Some(hostile_faults(cfg)),
+                crash_at: Some((cfg.ticks / 2).max(1)),
+                snapshot_path: Some(snapshots.0.join("crash.snap")),
+                ..base(cfg)
+            },
+        ),
+        // The horizontal topology: the cohort spread over `cfg.shards`
+        // arbiter shards under the outer budget coordinator, telemetry
+        // multiplexed 8 producers per wire, hostile faults dropping and
+        // duplicating whole batches, and one shard kill -9'd mid-run
+        // while its peers keep serving. Σ ≤ machine budget still holds
+        // machine-wide at every tick.
+        cell(
+            "sharded",
+            LoadgenConfig {
+                shards: cfg.shards,
+                batch: 8.min(cfg.clients / cfg.shards.max(1)).max(1),
+                faults: Some(hostile_faults(cfg)),
+                crash_at: Some((cfg.ticks / 2).max(1)),
+                crash_shard: cfg.shards - 1,
+                snapshot_path: Some(snapshots.0.join("sharded.snap")),
+                ..base(cfg)
+            },
+        ),
+    ];
     Ok(Loadgen { cells })
 }
 
