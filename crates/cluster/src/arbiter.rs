@@ -87,12 +87,20 @@ pub struct ArbiterConfig {
 }
 
 impl ArbiterConfig {
-    /// Validate internal consistency: positive budget, a non-empty
-    /// `0 < min ≤ max` clamp range, and a non-negative feedback gain.
+    /// Validate internal consistency: a positive, finite budget, a
+    /// non-empty `0 < min ≤ max` clamp range with a finite `max`, and a
+    /// non-negative, finite feedback gain.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        ensure(self.budget_w > 0.0, "ArbiterConfig.budget_w", || {
-            format!("budget {} W must be positive", self.budget_w)
-        })?;
+        ensure(
+            self.budget_w.is_finite() && self.budget_w > 0.0,
+            "ArbiterConfig.budget_w",
+            || format!("budget {} W must be positive and finite", self.budget_w),
+        )?;
+        ensure(
+            self.max_cap_w.is_finite(),
+            "ArbiterConfig.max_cap_w",
+            || format!("max cap {} W must be finite", self.max_cap_w),
+        )?;
         ensure(
             self.min_cap_w > 0.0 && self.min_cap_w <= self.max_cap_w,
             "ArbiterConfig.min_cap_w",
@@ -104,9 +112,11 @@ impl ArbiterConfig {
             },
         )?;
         if let Policy::ProgressFeedback { gain } = self.policy {
-            ensure(gain >= 0.0, "Policy::ProgressFeedback.gain", || {
-                format!("gain {gain} must be non-negative")
-            })?;
+            ensure(
+                gain.is_finite() && gain >= 0.0,
+                "Policy::ProgressFeedback.gain",
+                || format!("gain {gain} must be non-negative and finite"),
+            )?;
         }
         Ok(())
     }
@@ -954,6 +964,46 @@ mod tests {
             bad.validate().unwrap_err().what,
             "Policy::ProgressFeedback.gain"
         );
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_values() {
+        for (bad, field) in [
+            (
+                ArbiterConfig {
+                    budget_w: f64::INFINITY,
+                    ..cfg(Policy::UniformStatic)
+                },
+                "ArbiterConfig.budget_w",
+            ),
+            (
+                ArbiterConfig {
+                    budget_w: f64::NAN,
+                    ..cfg(Policy::UniformStatic)
+                },
+                "ArbiterConfig.budget_w",
+            ),
+            (
+                ArbiterConfig {
+                    max_cap_w: f64::INFINITY,
+                    ..cfg(Policy::UniformStatic)
+                },
+                "ArbiterConfig.max_cap_w",
+            ),
+            (
+                cfg(Policy::ProgressFeedback {
+                    gain: f64::INFINITY,
+                }),
+                "Policy::ProgressFeedback.gain",
+            ),
+            (
+                cfg(Policy::ProgressFeedback { gain: f64::NAN }),
+                "Policy::ProgressFeedback.gain",
+            ),
+        ] {
+            let e = bad.validate().expect_err(field);
+            assert_eq!(e.what, field);
+        }
     }
 
     #[test]

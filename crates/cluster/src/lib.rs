@@ -63,9 +63,6 @@ pub use hierarchy::{HierarchyConfig, OuterSolver, RackArbiter, RackWindow};
 pub use member::{ClusterNode, DEFAULT_DAEMON_PERIOD};
 pub use partition::MachinePartition;
 pub use policy::{progress_weight, registry_progress_weights, Allocator};
-pub use sim::{
-    run_cluster, run_cluster_reference, ClusterConfig, ClusterOutcome, IterationRecord, NodeSpec,
-    Preset,
-};
+pub use sim::{run_cluster, ClusterConfig, ClusterOutcome, IterationRecord, NodeSpec, Preset};
 pub use topology::{LinkId, Topology};
 pub use workload::{ramp_weights, WorkloadShape};

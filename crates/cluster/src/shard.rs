@@ -19,7 +19,7 @@
 //! Sharding is therefore a scheduling choice only: results are gathered
 //! in rank order and outcomes are bitwise identical for any shard count.
 //! The differential suite in [`crate::sim`] pins the sharded driver to
-//! the bulk-synchronous reference ([`crate::sim::run_cluster_reference`]).
+//! the test-only bulk-synchronous reference there.
 
 use std::ops::Range;
 

@@ -23,9 +23,9 @@
 //! first. The simulation is embarrassingly parallel within an epoch and
 //! bitwise deterministic regardless of thread or shard count; the
 //! exchange pricing is single-threaded pure arithmetic. The
-//! pre-sharding bulk-synchronous loop survives as
-//! [`run_cluster_reference`], and the differential suite pins the two
-//! drivers bit-for-bit against each other.
+//! pre-sharding bulk-synchronous loop survives as a test-only reference,
+//! and the differential suite pins the two drivers bit-for-bit against
+//! each other.
 
 use rayon::prelude::*;
 
@@ -33,7 +33,7 @@ use progress::imbalance::{self, ImbalanceReport};
 use simnode::config::NodeConfig;
 use simnode::faults::FaultPlan;
 use simnode::hw::BackendKind;
-use simnode::time::{from_secs, secs, Nanos};
+use simnode::time::{secs, Nanos};
 use std::sync::Arc;
 
 use crate::arbiter::{ArbiterConfig, BudgetArbiter, GrantTrace, NodeTelemetry, PowerArbiter};
@@ -486,99 +486,12 @@ fn run_cluster_sharded(cfg: &ClusterConfig, want: usize) -> Result<ClusterOutcom
     })
 }
 
-/// The pre-sharding bulk-synchronous driver, kept as the executable
-/// specification for [`run_cluster`]: every member moves through its own
-/// parallel work item and telemetry is re-collected into fresh vectors
-/// each barrier. The differential suite pins the sharded engine to this
-/// path bit for bit; prefer [`run_cluster`] everywhere else — it runs
-/// the same simulation, just scheduled to scale.
-pub fn run_cluster_reference(cfg: &ClusterConfig) -> Result<ClusterOutcome, ClusterError> {
-    cfg.validate()?;
-    let (mut arbiter, mut members) = setup(cfg);
-    let weights: Vec<f64> = cfg.nodes.iter().map(|s| s.weight).collect();
-    let mut iterations = Vec::with_capacity(cfg.iters);
-    for round in 0..cfg.iters {
-        // Compute phase: members advance independently in parallel.
-        members = members
-            .into_par_iter()
-            .map(|mut m| {
-                m.compute_iteration();
-                m
-            })
-            .collect();
-
-        // Exchange phase: priced from the global view. The NIC drain
-        // factors reflect each node's power state at the end of its
-        // compute phase — a capped node feeds its injection queue slower.
-        let ready_ns: Vec<Nanos> = members.iter().map(ClusterNode::now).collect();
-        let ready_s: Vec<f64> = ready_ns.iter().map(|&t| secs(t)).collect();
-        let drain: Vec<f64> = members
-            .iter()
-            .map(|m| m.link_drain_factor(cfg.comm.power_coupling))
-            .collect();
-        let exchange = comm::exchange(&cfg.comm, &ready_s, &weights, &drain);
-
-        // Barrier: the last flow's landing gates everyone. With no flows
-        // every `done_s` equals `ready_s` exactly, so this reduces to the
-        // ideal barrier (max member clock) bit for bit. Folding from 0
-        // needs no nonempty-witness: clocks are non-negative, and
-        // `validate()` pinned the cluster to at least one member anyway.
-        let barrier_at = members
-            .iter()
-            .zip(&exchange.phases)
-            .map(|(m, p)| m.now() + from_secs(p.done_s - p.ready_s))
-            .fold(0, Nanos::max);
-        members = members
-            .into_par_iter()
-            .map(|mut m| {
-                m.spin_until(barrier_at);
-                m
-            })
-            .collect();
-
-        // Telemetry + redistribution.
-        for (m, p) in members.iter_mut().zip(&exchange.phases) {
-            m.set_phase(p.comm_s, p.slack_s);
-        }
-        let reports: Vec<Option<NodeTelemetry>> =
-            members.iter_mut().map(ClusterNode::take_report).collect();
-        let compute_s: Vec<f64> = members.iter().map(ClusterNode::last_compute_s).collect();
-        let imbalance = imbalance::analyze(&compute_s)
-            .map_err(|e| ClusterError::Analysis(format!("iteration {round}: {e}")))?;
-        let grants = arbiter.redistribute(&reports)?.to_vec();
-        for (m, &g) in members.iter_mut().zip(&grants) {
-            m.set_grant(g);
-        }
-
-        iterations.push(IterationRecord {
-            round,
-            barrier_at_s: secs(barrier_at),
-            compute_s,
-            comm_s: exchange.phases.iter().map(|p| p.comm_s).collect(),
-            slack_s: exchange.phases.iter().map(|p| p.slack_s).collect(),
-            bytes: exchange.total_bytes,
-            imbalance,
-            reporting: reports.iter().map(Option::is_some).collect(),
-        });
-    }
-
-    let makespan_s = iterations.last().map(|i| i.barrier_at_s).unwrap_or(0.0);
-    let energy_j = members.iter().map(ClusterNode::total_energy).sum();
-    Ok(ClusterOutcome {
-        makespan_s,
-        energy_j,
-        iterations,
-        final_grants_w: arbiter.grants().to_vec(),
-        rack_trace: arbiter.rack_trace().cloned(),
-        grant_trace: arbiter.trace().clone(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arbiter::Policy;
     use crate::member::DEFAULT_DAEMON_PERIOD;
+    use simnode::time::from_secs;
 
     fn small_cfg(policy: Policy) -> ClusterConfig {
         ClusterConfig {
@@ -778,6 +691,93 @@ mod tests {
             }
             _ => panic!("one outcome traced racks, the other did not"),
         }
+    }
+
+    /// The pre-sharding bulk-synchronous driver, kept as the executable
+    /// specification for [`run_cluster`]: every member moves through its own
+    /// parallel work item and telemetry is re-collected into fresh vectors
+    /// each barrier. The two `sharded_*` tests below pin the sharded engine
+    /// to this path bit for bit.
+    fn run_cluster_reference(cfg: &ClusterConfig) -> Result<ClusterOutcome, ClusterError> {
+        cfg.validate()?;
+        let (mut arbiter, mut members) = setup(cfg);
+        let weights: Vec<f64> = cfg.nodes.iter().map(|s| s.weight).collect();
+        let mut iterations = Vec::with_capacity(cfg.iters);
+        for round in 0..cfg.iters {
+            // Compute phase: members advance independently in parallel.
+            members = members
+                .into_par_iter()
+                .map(|mut m| {
+                    m.compute_iteration();
+                    m
+                })
+                .collect();
+
+            // Exchange phase: priced from the global view. The NIC drain
+            // factors reflect each node's power state at the end of its
+            // compute phase — a capped node feeds its injection queue slower.
+            let ready_ns: Vec<Nanos> = members.iter().map(ClusterNode::now).collect();
+            let ready_s: Vec<f64> = ready_ns.iter().map(|&t| secs(t)).collect();
+            let drain: Vec<f64> = members
+                .iter()
+                .map(|m| m.link_drain_factor(cfg.comm.power_coupling))
+                .collect();
+            let exchange = comm::exchange(&cfg.comm, &ready_s, &weights, &drain);
+
+            // Barrier: the last flow's landing gates everyone. With no flows
+            // every `done_s` equals `ready_s` exactly, so this reduces to the
+            // ideal barrier (max member clock) bit for bit. Folding from 0
+            // needs no nonempty-witness: clocks are non-negative, and
+            // `validate()` pinned the cluster to at least one member anyway.
+            let barrier_at = members
+                .iter()
+                .zip(&exchange.phases)
+                .map(|(m, p)| m.now() + from_secs(p.done_s - p.ready_s))
+                .fold(0, Nanos::max);
+            members = members
+                .into_par_iter()
+                .map(|mut m| {
+                    m.spin_until(barrier_at);
+                    m
+                })
+                .collect();
+
+            // Telemetry + redistribution.
+            for (m, p) in members.iter_mut().zip(&exchange.phases) {
+                m.set_phase(p.comm_s, p.slack_s);
+            }
+            let reports: Vec<Option<NodeTelemetry>> =
+                members.iter_mut().map(ClusterNode::take_report).collect();
+            let compute_s: Vec<f64> = members.iter().map(ClusterNode::last_compute_s).collect();
+            let imbalance = imbalance::analyze(&compute_s)
+                .map_err(|e| ClusterError::Analysis(format!("iteration {round}: {e}")))?;
+            let grants = arbiter.redistribute(&reports)?.to_vec();
+            for (m, &g) in members.iter_mut().zip(&grants) {
+                m.set_grant(g);
+            }
+
+            iterations.push(IterationRecord {
+                round,
+                barrier_at_s: secs(barrier_at),
+                compute_s,
+                comm_s: exchange.phases.iter().map(|p| p.comm_s).collect(),
+                slack_s: exchange.phases.iter().map(|p| p.slack_s).collect(),
+                bytes: exchange.total_bytes,
+                imbalance,
+                reporting: reports.iter().map(Option::is_some).collect(),
+            });
+        }
+
+        let makespan_s = iterations.last().map(|i| i.barrier_at_s).unwrap_or(0.0);
+        let energy_j = members.iter().map(ClusterNode::total_energy).sum();
+        Ok(ClusterOutcome {
+            makespan_s,
+            energy_j,
+            iterations,
+            final_grants_w: arbiter.grants().to_vec(),
+            rack_trace: arbiter.rack_trace().cloned(),
+            grant_trace: arbiter.trace().clone(),
+        })
     }
 
     #[test]

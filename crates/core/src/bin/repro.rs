@@ -1,9 +1,12 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [all|table1|tables2to5|table6|fig1|fig2|fig3|fig4|fig5|candle|ablations|faults|backends|cluster|sched|loadgen]
-//!       [--quick] [--out DIR] [--budget W] [--seed N] [--nodes N]
-//!       [--shards N] [--clients M]
+//! repro [all|EXPERIMENT]... [--quick] [--out DIR] [--budget W] [--seed N]
+//!       [--nodes N] [--shards N] [--clients M]
+//! ```
+//!
+//! The `EXPERIMENTS` table lists every experiment. Selected ones run once
+//! each, in table order, whatever order the command line names them in.
 //!
 //! `sched` schedules a seeded multi-tenant batch queue under a machine
 //! power envelope and compares the eco-mode-aware admission policies;
@@ -17,7 +20,6 @@
 //! iteration. `--shards N` sets the sharded scenario's daemon count and
 //! `--clients M` rescales the cohort; a zero for either is rejected as
 //! a configuration error (exit 2), not a panic.
-//! ```
 //!
 //! `--budget W` overrides the machine-level power budget of the cluster
 //! artefacts; an infeasible value is reported as a configuration error
@@ -47,46 +49,65 @@ use powerprog_core::experiments::{
 };
 use powerprog_core::report::TextTable;
 
-/// Experiment names `repro` accepts; `all` selects every one but
-/// `loadgen`.
-const EXPERIMENTS: [&str; 16] = [
-    "all",
-    "table1",
-    "tables2to5",
-    "table6",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "candle",
-    "ablations",
-    "faults",
-    "backends",
-    "cluster",
-    "sched",
-    "loadgen",
+/// One experiment `repro` can run.
+struct Experiment {
+    name: &'static str,
+    /// Whether `all` selects it.
+    in_all: bool,
+    /// The experiment-specific flags it reads.
+    flags: &'static [&'static str],
+    /// Runs it; an `Err` is an operator mistake, reported with exit 2.
+    run: fn(&Opts) -> Result<(), String>,
+}
+
+impl Experiment {
+    const fn new(
+        name: &'static str,
+        flags: &'static [&'static str],
+        run: fn(&Opts) -> Result<(), String>,
+    ) -> Self {
+        Self {
+            name,
+            in_all: true,
+            flags,
+            run,
+        }
+    }
+}
+
+/// Every experiment, in run order.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment::new("table1", &[], run_table1),
+    Experiment::new("tables2to5", &[], run_tables2to5),
+    Experiment::new("table6", &[], run_table6),
+    Experiment::new("fig1", &[], run_fig1),
+    Experiment::new("fig2", &[], run_fig2),
+    Experiment::new("fig3", &[], run_fig3),
+    Experiment::new("fig4", &[], run_fig4),
+    Experiment::new("fig5", &[], run_fig5),
+    Experiment::new("candle", &[], run_candle),
+    Experiment::new("faults", &[], run_faults),
+    Experiment::new("backends", &[], run_backends),
+    Experiment::new("cluster", &["--budget", "--nodes"], run_cluster),
+    Experiment::new("sched", &["--seed"], run_sched),
+    // Not a paper artefact, so not part of `all`.
+    Experiment {
+        in_all: false,
+        ..Experiment::new("loadgen", &["--seed", "--shards", "--clients"], run_loadgen)
+    },
+    Experiment::new("ablations", &[], run_ablations),
 ];
 
-/// The experiments that read each experiment-specific flag.
-const FLAG_READERS: [(&str, &[&str]); 5] = [
-    ("--budget", &["cluster"]),
-    ("--nodes", &["cluster"]),
-    ("--seed", &["sched", "loadgen"]),
-    ("--shards", &["loadgen"]),
-    ("--clients", &["loadgen"]),
-];
-
-/// Whether the experiment names in `what` select experiment `k`.
-fn selects(what: &[String], k: &str) -> bool {
-    what.iter()
-        .any(|w| w == k || (w == "all" && k != "loadgen"))
+/// Whether the experiment names in `what` select `e`.
+fn selects(what: &[String], e: &Experiment) -> bool {
+    what.iter().any(|w| w == e.name || (w == "all" && e.in_all))
 }
 
 fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     format!(
-        "usage: repro [{}]... [--quick] [--out DIR] [--budget W] [--seed N] [--nodes N] [--shards N] [--clients M]",
-        EXPERIMENTS.join("|")
+        "usage: repro [all|{}]... [--quick] [--out DIR] [--budget W] [--seed N] [--nodes N] [--shards N] [--clients M]",
+        names.join("|")
     )
 }
 
@@ -121,6 +142,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             .ok_or_else(|| what.to_string())
     }
     let mut o = Opts::default();
+    let mut flags = Vec::new();
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -139,38 +161,40 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 o.clients = Some(value(&mut args, "--clients requires a producer count")?)
             }
             "--help" | "-h" => return Ok(Cli::Help),
-            name if EXPERIMENTS.contains(&name) => o.what.push(a),
+            name if name == "all" || EXPERIMENTS.iter().any(|e| e.name == name) => {
+                o.what.push(a);
+                continue;
+            }
             other => return Err(format!("unknown experiment or option '{other}'")),
         }
+        flags.push(a);
     }
     if o.what.is_empty() {
         o.what.push("all".to_string());
     }
-    let given = [
-        o.budget_w.is_some(),
-        o.nodes.is_some(),
-        o.seed.is_some(),
-        o.shards.is_some(),
-        o.clients.is_some(),
-    ];
-    for ((flag, readers), given) in FLAG_READERS.iter().zip(given) {
-        if given && !readers.iter().any(|k| selects(&o.what, k)) {
+    // A flag no experiment lists (`--quick`, `--out`) is read by all.
+    for flag in &flags {
+        let readers: Vec<&Experiment> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.flags.contains(&flag.as_str()))
+            .collect();
+        if !readers.is_empty() && !readers.iter().any(|e| selects(&o.what, e)) {
+            let names: Vec<&str> = readers.iter().map(|e| e.name).collect();
             return Err(format!(
                 "{flag} is read only by {}, and no such experiment is selected",
-                readers.join(" and ")
+                names.join(" and ")
             ));
         }
     }
     Ok(Cli::Run(o))
 }
 
-/// Reject an invalid cluster configuration with context (which field,
-/// which constraint) instead of a panic backtrace from deep inside the
-/// run. Exit code 2 marks an operator error, not a simulator bug.
-fn check_config(what: &str, cfg: &::cluster::ClusterConfig) {
-    if let Err(e) = cfg.validate() {
-        eprintln!("repro {what}: {e}");
-        std::process::exit(2);
+/// The quick or the full configuration, as `--quick` asks.
+fn pick<C: Default>(o: &Opts, quick: fn() -> C) -> C {
+    if o.quick {
+        quick()
+    } else {
+        C::default()
     }
 }
 
@@ -183,19 +207,202 @@ fn or_exit<T>(r: std::io::Result<T>, path: &Path) -> T {
     })
 }
 
-fn emit(t: &TextTable, out: &Option<PathBuf>, name: &str) {
+fn emit(t: &TextTable, o: &Opts, name: &str) {
     println!("{}", t.render());
-    if let Some(dir) = out {
+    if let Some(dir) = &o.out {
         let path = dir.join(format!("{name}.csv"));
         or_exit(fs::write(&path, t.to_csv()), &path);
     }
 }
 
-fn write_series(out: &Option<PathBuf>, name: &str, s: &progress::series::TimeSeries, v: &str) {
-    if let Some(dir) = out {
+fn write_series(o: &Opts, name: &str, s: &progress::series::TimeSeries, v: &str) {
+    if let Some(dir) = &o.out {
         let path = dir.join(format!("{name}.csv"));
         or_exit(fs::write(&path, s.to_csv("t_s", v)), &path);
     }
+}
+
+fn run_table1(o: &Opts) -> Result<(), String> {
+    let cfg = table1::Config::default();
+    emit(&table1::run(&cfg).table(), o, "table1");
+    Ok(())
+}
+
+fn run_tables2to5(o: &Opts) -> Result<(), String> {
+    for (i, t) in tables2to5::tables().iter().enumerate() {
+        emit(t, o, &format!("table{}", i + 2));
+    }
+    Ok(())
+}
+
+fn run_table6(o: &Opts) -> Result<(), String> {
+    let cfg = pick(o, table6::Config::quick);
+    emit(&table6::run(&cfg).table(), o, "table6");
+    Ok(())
+}
+
+fn run_fig1(o: &Opts) -> Result<(), String> {
+    let r = fig1::run(&pick(o, fig1::Config::quick));
+    emit(&r.table(), o, "fig1_summary");
+    for p in [&r.lammps, &r.amg, &r.qmcpack] {
+        println!("Fig. 1 sketch — {} progress rate:", p.app);
+        println!("{}", powerprog_core::report::ascii_chart(&p.series, 72, 10));
+    }
+    write_series(o, "fig1_lammps", &r.lammps.series, "katom_steps_per_s");
+    write_series(o, "fig1_amg", &r.amg.series, "iters_per_s");
+    write_series(o, "fig1_qmcpack", &r.qmcpack.series, "blocks_per_s");
+    Ok(())
+}
+
+fn run_fig2(o: &Opts) -> Result<(), String> {
+    let cfg = pick(o, fig2::Config::quick);
+    emit(&fig2::run(&cfg).table(), o, "fig2");
+    Ok(())
+}
+
+fn run_fig3(o: &Opts) -> Result<(), String> {
+    let r = fig3::run(&pick(o, fig3::Config::quick));
+    emit(&r.table(), o, "fig3_summary");
+    if let Some(c) = r.cell("jagged-edge", "LAMMPS") {
+        println!("Fig. 3 sketch — jagged-edge cap vs LAMMPS progress:");
+        println!("{}", powerprog_core::report::ascii_chart(&c.cap, 72, 8));
+        println!(
+            "{}",
+            powerprog_core::report::ascii_chart(&c.progress, 72, 8)
+        );
+    }
+    if o.out.is_some() {
+        for c in &r.cells {
+            let tag = format!(
+                "fig3_{}_{}",
+                c.scheme.replace('-', "_"),
+                c.app.to_lowercase().replace([' ', '(', ')'], "")
+            );
+            write_series(o, &format!("{tag}_progress"), &c.progress, "rate");
+            write_series(o, &format!("{tag}_cap"), &c.cap, "cap_w");
+        }
+    }
+    Ok(())
+}
+
+fn run_fig4(o: &Opts) -> Result<(), String> {
+    let cfg = pick(o, fig4::Config::quick);
+    emit(&fig4::run(&cfg).table(), o, "fig4");
+    Ok(())
+}
+
+fn run_fig5(o: &Opts) -> Result<(), String> {
+    let cfg = pick(o, fig5::Config::quick);
+    emit(&fig5::run(&cfg).table(), o, "fig5");
+    Ok(())
+}
+
+fn run_candle(o: &Opts) -> Result<(), String> {
+    let cfg = pick(o, candle_ext::Config::quick);
+    emit(&candle_ext::run(&cfg).table(), o, "candle_ext");
+    Ok(())
+}
+
+fn run_faults(o: &Opts) -> Result<(), String> {
+    let cfg = pick(o, faults::Config::quick);
+    emit(&faults::run(&cfg).table(), o, "faults");
+    let (plain, empty) = faults::purity_check(&cfg);
+    println!(
+        "fault-free purity: {} (plain {plain:.3} J, empty plan {empty:.3} J)\n",
+        if plain.to_bits() == empty.to_bits() {
+            "bit-identical"
+        } else {
+            "MISMATCH"
+        }
+    );
+    Ok(())
+}
+
+fn run_backends(o: &Opts) -> Result<(), String> {
+    let cfg = pick(o, backends::Config::quick);
+    emit(&backends::run(&cfg).table(), o, "backends");
+    Ok(())
+}
+
+/// The flat-policy and the hierarchy artefacts. Each configuration is
+/// validated before it runs, so an infeasible `--budget` or `--nodes`
+/// names the field and the constraint instead of panicking deep inside
+/// the run.
+fn run_cluster(o: &Opts) -> Result<(), String> {
+    let mut cfg = pick(o, cluster::Config::quick);
+    if let Some(n) = o.nodes {
+        cfg = cfg.with_nodes(n);
+    }
+    if let Some(w) = o.budget_w {
+        cfg.budget_w = w;
+    }
+    cfg.cluster_config(cfg.policies()[0])
+        .validate()
+        .map_err(|e| e.to_string())?;
+    let r = cluster::run(&cfg).map_err(|e| e.to_string())?;
+    emit(&r.table(), o, "cluster_policies");
+    emit(&r.budget_trace_table(), o, "cluster_budget_trace");
+
+    let mut hcfg = pick(o, hierarchy::Config::quick);
+    if let Some(n) = o.nodes {
+        if !n.is_multiple_of(hcfg.nodes_per_rack) {
+            return Err(format!(
+                "--nodes {n} is not a multiple of the {}-node rack width",
+                hcfg.nodes_per_rack
+            ));
+        }
+        hcfg = hcfg.with_nodes(n);
+    }
+    if let Some(w) = o.budget_w {
+        hcfg.budget_w = w;
+    }
+    for v in hcfg.variants() {
+        hcfg.cluster_config(v.policy, v.hierarchy)
+            .validate()
+            .map_err(|e| e.to_string())?;
+    }
+    let h = hierarchy::run(&hcfg).map_err(|e| e.to_string())?;
+    emit(&h.table(), o, "cluster_hierarchy");
+    emit(&h.rack_trace_table(), o, "cluster_hierarchy_rack_trace");
+    emit(&h.node_trace_table(), o, "cluster_hierarchy_node_trace");
+    Ok(())
+}
+
+fn run_sched(o: &Opts) -> Result<(), String> {
+    let mut cfg = pick(o, sched::Config::quick);
+    if let Some(s) = o.seed {
+        cfg = cfg.with_seed(s);
+    }
+    cfg.sched.validate().map_err(|e| e.to_string())?;
+    let r = sched::run(&cfg).map_err(|e| e.to_string())?;
+    emit(&r.table(), o, "sched_policies");
+    emit(&r.tenant_table(), o, "sched_tenants");
+    emit(&r.job_table(), o, "sched_jobs");
+    Ok(())
+}
+
+fn run_loadgen(o: &Opts) -> Result<(), String> {
+    let mut cfg = pick(o, loadgen::Config::quick);
+    if let Some(s) = o.seed {
+        cfg.seed = s;
+    }
+    if let Some(n) = o.shards {
+        cfg.shards = n;
+    }
+    if let Some(m) = o.clients {
+        cfg.clients = m;
+    }
+    let r = loadgen::run(&cfg).map_err(|e| e.to_string())?;
+    emit(&r.table(), o, "loadgen");
+    Ok(())
+}
+
+fn run_ablations(o: &Opts) -> Result<(), String> {
+    let cfg = pick(o, fig4::Config::quick);
+    for (i, t) in ablations::tables(&cfg).iter().enumerate() {
+        emit(t, o, &format!("ablation{}", i + 1));
+    }
+    Ok(())
 }
 
 fn main() {
@@ -213,243 +420,13 @@ fn main() {
     if let Some(dir) = &opts.out {
         or_exit(fs::create_dir_all(dir), dir);
     }
-    let wants = |k: &str| selects(&opts.what, k);
     let t0 = std::time::Instant::now();
-
-    if wants("table1") {
-        let cfg = table1::Config::default();
-        emit(&table1::run(&cfg).table(), &opts.out, "table1");
-    }
-    if wants("tables2to5") {
-        for (i, t) in tables2to5::tables().iter().enumerate() {
-            emit(t, &opts.out, &format!("table{}", i + 2));
-        }
-    }
-    if wants("table6") {
-        let cfg = if opts.quick {
-            table6::Config::quick()
-        } else {
-            table6::Config::default()
-        };
-        emit(&table6::run(&cfg).table(), &opts.out, "table6");
-    }
-    if wants("fig1") {
-        let cfg = if opts.quick {
-            fig1::Config::quick()
-        } else {
-            fig1::Config::default()
-        };
-        let r = fig1::run(&cfg);
-        emit(&r.table(), &opts.out, "fig1_summary");
-        for p in [&r.lammps, &r.amg, &r.qmcpack] {
-            println!("Fig. 1 sketch — {} progress rate:", p.app);
-            println!("{}", powerprog_core::report::ascii_chart(&p.series, 72, 10));
-        }
-        write_series(
-            &opts.out,
-            "fig1_lammps",
-            &r.lammps.series,
-            "katom_steps_per_s",
-        );
-        write_series(&opts.out, "fig1_amg", &r.amg.series, "iters_per_s");
-        write_series(&opts.out, "fig1_qmcpack", &r.qmcpack.series, "blocks_per_s");
-    }
-    if wants("fig2") {
-        let cfg = if opts.quick {
-            fig2::Config::quick()
-        } else {
-            fig2::Config::default()
-        };
-        emit(&fig2::run(&cfg).table(), &opts.out, "fig2");
-    }
-    if wants("fig3") {
-        let cfg = if opts.quick {
-            fig3::Config::quick()
-        } else {
-            fig3::Config::default()
-        };
-        let r = fig3::run(&cfg);
-        emit(&r.table(), &opts.out, "fig3_summary");
-        if let Some(c) = r.cell("jagged-edge", "LAMMPS") {
-            println!("Fig. 3 sketch — jagged-edge cap vs LAMMPS progress:");
-            println!("{}", powerprog_core::report::ascii_chart(&c.cap, 72, 8));
-            println!(
-                "{}",
-                powerprog_core::report::ascii_chart(&c.progress, 72, 8)
-            );
-        }
-        if opts.out.is_some() {
-            for c in &r.cells {
-                let tag = format!(
-                    "fig3_{}_{}",
-                    c.scheme.replace('-', "_"),
-                    c.app.to_lowercase().replace([' ', '(', ')'], "")
-                );
-                write_series(&opts.out, &format!("{tag}_progress"), &c.progress, "rate");
-                write_series(&opts.out, &format!("{tag}_cap"), &c.cap, "cap_w");
-            }
-        }
-    }
-    if wants("fig4") {
-        let cfg = if opts.quick {
-            fig4::Config::quick()
-        } else {
-            fig4::Config::default()
-        };
-        emit(&fig4::run(&cfg).table(), &opts.out, "fig4");
-    }
-    if wants("fig5") {
-        let cfg = if opts.quick {
-            fig5::Config::quick()
-        } else {
-            fig5::Config::default()
-        };
-        emit(&fig5::run(&cfg).table(), &opts.out, "fig5");
-    }
-    if wants("candle") {
-        let cfg = if opts.quick {
-            candle_ext::Config::quick()
-        } else {
-            candle_ext::Config::default()
-        };
-        emit(&candle_ext::run(&cfg).table(), &opts.out, "candle_ext");
-    }
-    if wants("faults") {
-        let cfg = if opts.quick {
-            faults::Config::quick()
-        } else {
-            faults::Config::default()
-        };
-        emit(&faults::run(&cfg).table(), &opts.out, "faults");
-        let (plain, empty) = faults::purity_check(&cfg);
-        println!(
-            "fault-free purity: {} (plain {plain:.3} J, empty plan {empty:.3} J)\n",
-            if plain.to_bits() == empty.to_bits() {
-                "bit-identical"
-            } else {
-                "MISMATCH"
-            }
-        );
-    }
-    if wants("backends") {
-        let cfg = if opts.quick {
-            backends::Config::quick()
-        } else {
-            backends::Config::default()
-        };
-        emit(&backends::run(&cfg).table(), &opts.out, "backends");
-    }
-    if wants("cluster") {
-        let mut cfg = if opts.quick {
-            cluster::Config::quick()
-        } else {
-            cluster::Config::default()
-        };
-        if let Some(n) = opts.nodes {
-            cfg = cfg.with_nodes(n);
-        }
-        if let Some(w) = opts.budget_w {
-            cfg.budget_w = w;
-        }
-        check_config("cluster", &cfg.cluster_config(cfg.policies()[0]));
-        let r = cluster::run(&cfg).unwrap_or_else(|e| {
-            eprintln!("repro cluster: {e}");
-            std::process::exit(2);
-        });
-        emit(&r.table(), &opts.out, "cluster_policies");
-        emit(&r.budget_trace_table(), &opts.out, "cluster_budget_trace");
-
-        let mut hcfg = if opts.quick {
-            hierarchy::Config::quick()
-        } else {
-            hierarchy::Config::default()
-        };
-        if let Some(n) = opts.nodes {
-            if !n.is_multiple_of(hcfg.nodes_per_rack) {
-                eprintln!(
-                    "repro cluster: --nodes {n} is not a multiple of the {}-node rack width",
-                    hcfg.nodes_per_rack
-                );
-                std::process::exit(2);
-            }
-            hcfg = hcfg.with_nodes(n);
-        }
-        if let Some(w) = opts.budget_w {
-            hcfg.budget_w = w;
-        }
-        for v in hcfg.variants() {
-            check_config("cluster", &hcfg.cluster_config(v.policy, v.hierarchy));
-        }
-        let h = hierarchy::run(&hcfg).unwrap_or_else(|e| {
-            eprintln!("repro cluster: {e}");
-            std::process::exit(2);
-        });
-        emit(&h.table(), &opts.out, "cluster_hierarchy");
-        emit(
-            &h.rack_trace_table(),
-            &opts.out,
-            "cluster_hierarchy_rack_trace",
-        );
-        emit(
-            &h.node_trace_table(),
-            &opts.out,
-            "cluster_hierarchy_node_trace",
-        );
-    }
-    if wants("sched") {
-        let mut cfg = if opts.quick {
-            sched::Config::quick()
-        } else {
-            sched::Config::default()
-        };
-        if let Some(s) = opts.seed {
-            cfg = cfg.with_seed(s);
-        }
-        if let Err(e) = cfg.sched.validate() {
-            eprintln!("repro sched: {e}");
+    for e in EXPERIMENTS.iter().filter(|e| selects(&opts.what, e)) {
+        if let Err(msg) = (e.run)(&opts) {
+            eprintln!("repro {}: {msg}", e.name);
             std::process::exit(2);
         }
-        let r = sched::run(&cfg).unwrap_or_else(|e| {
-            eprintln!("repro sched: {e}");
-            std::process::exit(2);
-        });
-        emit(&r.table(), &opts.out, "sched_policies");
-        emit(&r.tenant_table(), &opts.out, "sched_tenants");
-        emit(&r.job_table(), &opts.out, "sched_jobs");
     }
-    // Not a paper artefact, so not part of `all` (see `selects`).
-    if wants("loadgen") {
-        let mut cfg = if opts.quick {
-            loadgen::Config::quick()
-        } else {
-            loadgen::Config::default()
-        };
-        if let Some(s) = opts.seed {
-            cfg.seed = s;
-        }
-        if let Some(n) = opts.shards {
-            cfg.shards = n;
-        }
-        if let Some(m) = opts.clients {
-            cfg.clients = m;
-        }
-        let r = loadgen::run(&cfg).unwrap_or_else(|e| {
-            eprintln!("repro loadgen: {e}");
-            std::process::exit(2);
-        });
-        emit(&r.table(), &opts.out, "loadgen");
-    }
-    if wants("ablations") {
-        let cfg = if opts.quick {
-            fig4::Config::quick()
-        } else {
-            fig4::Config::default()
-        };
-        for (i, t) in ablations::tables(&cfg).iter().enumerate() {
-            emit(t, &opts.out, &format!("ablation{}", i + 1));
-        }
-    }
-
     eprintln!("done in {:.1} s", t0.elapsed().as_secs_f64());
 }
 
@@ -511,6 +488,40 @@ mod tests {
             &["loadgen", "--seed", "3", "--shards", "2", "--clients", "9"],
         ] {
             assert!(parse(ok).is_ok(), "{ok:?} rejected");
+        }
+    }
+
+    /// A valid value for each experiment-specific flag.
+    fn sample_value(flag: &str) -> &'static str {
+        match flag {
+            "--budget" => "100",
+            "--nodes" => "64",
+            "--seed" | "--shards" | "--clients" => "3",
+            other => panic!("no sample value for {other}; add one here"),
+        }
+    }
+
+    #[test]
+    fn every_experiment_is_wired_into_the_parser() {
+        let all = ["all".to_string()];
+        let mut seen = Vec::new();
+        for e in EXPERIMENTS {
+            assert!(!seen.contains(&e.name), "{} is listed twice", e.name);
+            seen.push(e.name);
+            let Ok(Cli::Run(o)) = parse(&[e.name]) else {
+                panic!("{} does not parse", e.name);
+            };
+            assert_eq!(o.what, [e.name]);
+            assert_eq!(selects(&all, e), e.name != "loadgen", "{}", e.name);
+            for &flag in e.flags {
+                let v = sample_value(flag);
+                let ok = parse(&[e.name, flag, v]);
+                assert!(ok.is_ok(), "{} rejects {flag}: {ok:?}", e.name);
+                for other in EXPERIMENTS.iter().filter(|x| !x.flags.contains(&flag)) {
+                    let err = parse(&[other.name, flag, v]).unwrap_err();
+                    assert!(err.contains(flag) && err.contains(e.name), "{err}");
+                }
+            }
         }
     }
 }

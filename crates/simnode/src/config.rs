@@ -19,27 +19,6 @@ use crate::power::CorePowerConfig;
 use crate::thermal::ThermalConfig;
 use crate::time::{Nanos, MS, US};
 
-/// How [`Node::step_until`](crate::node::Node::step_until) advances time.
-///
-/// Between events the node's state evolves piecewise-analytically: while no
-/// core completes a packet, wakes from sleep, crosses a thermal band, latches
-/// a fault, and no RAPL period boundary passes, every per-quantum update is
-/// identical, so k quanta can be applied in closed form in one shot. The
-/// *event horizon* is the earliest of those boundaries; the fast path
-/// macro-steps up to one quantum short of it and falls back to the exact
-/// single-quantum path near any horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum StepMode {
-    /// Fixed single-quantum stepping — the bit-exact reference mode.
-    Exact,
-    /// Macro-quantum fast path (the default). Agrees with [`StepMode::Exact`]
-    /// to within 1e-9 relative on counters, energy and progress (the only
-    /// differences are floating-point summation order), and is bit-identical
-    /// whenever no macro-step fires.
-    #[default]
-    EventHorizon,
-}
-
 /// Complete physical + control configuration of a simulated node.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NodeConfig {
@@ -87,11 +66,6 @@ pub struct NodeConfig {
     /// the framework. `Arc`-shared so cluster specs and multi-node sweeps
     /// reuse one allocation instead of deep-cloning the plan per member.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Time-advance strategy for
-    /// [`Node::step_until`](crate::node::Node::step_until); see
-    /// [`StepMode`]. [`Node::step`](crate::node::Node::step) always
-    /// advances exactly one quantum regardless of this setting.
-    pub step_mode: StepMode,
     /// Which register-file backend sits behind the node's MSR boundary
     /// (see [`crate::backend`]). [`BackendKind::Sim`] (the default) is
     /// the seed's closed-form register file, bit-identical to the
@@ -156,7 +130,6 @@ impl Default for NodeConfig {
             cstate_static_frac: 0.30,
             thermal: None,
             faults: None,
-            step_mode: StepMode::default(),
             backend: BackendKind::default(),
         }
     }

@@ -1,11 +1,10 @@
 //! Differential tests: the event-horizon macro-step fast path versus the
 //! exact fixed-quantum reference.
 //!
-//! Every test here drives two nodes built from the *same* configuration —
-//! one in [`StepMode::Exact`], one in [`StepMode::EventHorizon`] — through
-//! identical `step_until` segments, assigning identical fresh work whenever
-//! a core completes or wakes. The contract under test is the one stated on
-//! [`StepMode`]:
+//! Every test here drives two nodes built from the *same* configuration
+//! through identical segments — the fast one by [`Node::step_until`], the
+//! exact one by `step_exact`, a [`Node::step`] loop — assigning identical
+//! fresh work whenever a core completes or wakes. The contract under test:
 //!
 //! - event times (`now` at every non-empty outcome) and the outcomes
 //!   themselves are **equal**;
@@ -21,10 +20,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use crate::config::{NodeConfig, StepMode};
+use crate::config::NodeConfig;
 use crate::faults::{FaultPlan, FaultWindow};
 use crate::msr::{IA32_APERF, IA32_MPERF, MSR_PKG_ENERGY_STATUS};
-use crate::node::{CoreWork, Node, WorkPacket};
+use crate::node::{CoreWork, Node, StepOutcome, WorkPacket};
 use crate::thermal::ThermalConfig;
 use crate::time::{Nanos, MS, US};
 
@@ -78,6 +77,18 @@ fn random_work(rng: &mut Mix, now: Nanos) -> CoreWork {
             )
         }
     }
+}
+
+/// The exact reference for [`Node::step_until`]: single quanta through
+/// [`Node::step`] until `deadline` or the first non-empty outcome.
+fn step_exact(node: &mut Node, deadline: Nanos) -> StepOutcome {
+    while node.now() < deadline {
+        let o = node.step();
+        if !o.is_empty() {
+            return o.clone();
+        }
+    }
+    StepOutcome::default()
 }
 
 fn assert_rel_close(a: f64, b: f64, what: &str) {
@@ -163,7 +174,7 @@ fn run_lockstep(
             let cap = caps[cap_idx % caps.len()];
             cap_idx += 1;
             // Under write-fault plans the set may fail; it must fail (or
-            // succeed) identically in both modes.
+            // succeed) identically on both nodes.
             let re = exact.set_package_cap(cap);
             let rf = fast.set_package_cap(cap);
             assert_eq!(re.is_ok(), rf.is_ok(), "cap write outcome diverged");
@@ -174,7 +185,7 @@ fn run_lockstep(
         }
         let deadline = (fast.now() + segment).min(total);
         loop {
-            let oe = exact.step_until(deadline).clone();
+            let oe = step_exact(&mut exact, deadline);
             let of = fast.step_until(deadline).clone();
             assert_eq!(oe, of, "step outcomes diverged at t={}", exact.now());
             assert_eq!(exact.now(), fast.now(), "event times diverged");
@@ -187,7 +198,7 @@ fn run_lockstep(
                 fast.assign(c, w);
             }
         }
-        // Deadlines need not be quantum-aligned; both modes must land on
+        // Deadlines need not be quantum-aligned; both nodes must land on
         // the same first quantum boundary at or past the deadline.
         assert!(exact.now() >= deadline);
         assert_eq!(exact.now(), fast.now());
@@ -225,13 +236,9 @@ fn compare_nodes(exact: &Node, fast: &Node, bit_exact_msrs: bool) {
     }
 }
 
-/// Build the Exact/EventHorizon node pair from one base configuration.
-fn node_pair(mut cfg: NodeConfig) -> (Node, Node) {
-    cfg.step_mode = StepMode::Exact;
-    let exact = Node::new(cfg.clone());
-    cfg.step_mode = StepMode::EventHorizon;
-    let fast = Node::new(cfg);
-    (exact, fast)
+/// Build the exact/fast node pair from one base configuration.
+fn node_pair(cfg: NodeConfig) -> (Node, Node) {
+    (Node::new(cfg.clone()), Node::new(cfg))
 }
 
 fn base_cfg(cores: usize, quantum: Nanos, rapl_period: Nanos) -> NodeConfig {
@@ -346,7 +353,7 @@ fn run_lockstep_thermal_check(exact: &mut Node, fast: &mut Node, seed: u64) {
     while fast.now() < total {
         let deadline = (fast.now() + 5 * MS).min(total);
         loop {
-            let oe = exact.step_until(deadline).clone();
+            let oe = step_exact(exact, deadline);
             let of = fast.step_until(deadline).clone();
             assert_eq!(oe, of, "thermal outcomes diverged at t={}", exact.now());
             assert_eq!(exact.now(), fast.now());
@@ -375,8 +382,8 @@ fn run_lockstep_thermal_check(exact: &mut Node, fast: &mut Node, seed: u64) {
 }
 
 /// When `rapl_period == quantum`, the RAPL horizon caps every macro-step at
-/// a single quantum, so the fast path never fires and `EventHorizon` must
-/// be **bit-identical** to `Exact` — registers, counters, energy, work
+/// a single quantum, so the fast path never fires and `step_until` must
+/// be **bit-identical** to `step_exact` — registers, counters, energy, work
 /// state, everything.
 #[test]
 fn bit_identical_when_no_macro_step_fires() {
@@ -393,7 +400,7 @@ fn bit_identical_when_no_macro_step_fires() {
     fast.set_package_cap(Some(70.0)).unwrap();
     let total = 20 * MS;
     while fast.now() < total {
-        let oe = exact.step_until(total).clone();
+        let oe = step_exact(&mut exact, total);
         let of = fast.step_until(total).clone();
         assert_eq!(oe, of);
         assert_eq!(exact.now(), fast.now());
@@ -417,52 +424,6 @@ fn bit_identical_when_no_macro_step_fires() {
     }
     for c in 0..6 {
         assert_eq!(exact.work(c), fast.work(c));
-    }
-}
-
-/// `StepMode::Exact` via `step_until` is the same machine as a manual
-/// `step()` loop — bit-for-bit, event-for-event.
-#[test]
-fn exact_mode_step_until_equals_manual_step_loop() {
-    let mut cfg = base_cfg(4, 100 * US, MS);
-    cfg.step_mode = StepMode::Exact;
-    let mut a = Node::new(cfg.clone());
-    let mut b = Node::new(cfg);
-    let mut rng = Mix(42);
-    for c in 0..4 {
-        let w = random_work(&mut rng, 0);
-        a.assign(c, w);
-        b.assign(c, w);
-    }
-    let total = 10 * MS;
-    // Drive `a` by step_until and `b` by single steps; `b`'s first
-    // non-empty outcome must land exactly where `a` stopped, with the same
-    // events (or nowhere, if `a` ran uneventfully to the deadline).
-    while a.now() < total {
-        let oa = a.step_until(total).clone();
-        let mut ob = crate::node::StepOutcome::default();
-        while b.now() < a.now() {
-            let o = b.step().clone();
-            if !o.is_empty() {
-                assert_eq!(b.now(), a.now(), "b saw an event a skipped");
-                ob = o;
-            }
-        }
-        assert_eq!(oa, ob, "event mismatch at t={}", a.now());
-        assert_eq!(a.now(), b.now());
-        for &c in oa.completed.iter().chain(oa.woke.iter()) {
-            let w = random_work(&mut rng, a.now());
-            a.assign(c, w);
-            b.assign(c, w);
-        }
-    }
-    assert_eq!(
-        a.counters().instructions.to_bits(),
-        b.counters().instructions.to_bits()
-    );
-    assert_eq!(a.total_energy().to_bits(), b.total_energy().to_bits());
-    for addr in [IA32_APERF, IA32_MPERF, MSR_PKG_ENERGY_STATUS] {
-        assert_eq!(a.msr().hw_read(addr), b.msr().hw_read(addr));
     }
 }
 

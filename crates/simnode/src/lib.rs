@@ -28,8 +28,8 @@
 //! crate): each core is assigned [`CoreWork`] and the node is advanced in
 //! fixed quanta via [`Node::step`], or — the fast path — to a deadline or
 //! the next completion/wake via [`Node::step_until`], which macro-steps
-//! over event-free stretches in closed form (see
-//! [`StepMode`]).
+//! over event-free stretches in closed form and agrees with a
+//! [`Node::step`] loop (see [`node`]).
 
 pub mod agent;
 pub mod backend;
@@ -51,7 +51,7 @@ pub mod time;
 
 pub use agent::SimAgent;
 pub use backend::{BackendKind, Capabilities, MsrBackend, MsrDeviceBuilder};
-pub use config::{NodeConfig, StepMode};
+pub use config::NodeConfig;
 pub use counters::{CounterSnapshot, Counters};
 pub use ddcm::DutyCycle;
 pub use faults::{FaultKind, FaultPlan, FaultSpec, FaultWindow};

@@ -110,16 +110,15 @@ if [[ "$run_tests" -eq 1 ]]; then
         exit 1
     }
     rm -rf "$sched_a" "$sched_b"
-    echo "== repro cluster golden diff (backend refactor bit-identity)"
-    # tests/golden/cluster_quick holds the CSVs the seeded quick cluster
-    # run produced *before* the MsrBackend boundary existed. The default
-    # SimBackend must keep reproducing them bit for bit: any drift means
-    # the trait refactor (or a later backend change) perturbed the
-    # closed-form register file.
+    echo "== repro all golden diff (every artefact, bit for bit)"
+    # tests/golden/all_quick holds every CSV `repro all --quick --out`
+    # writes: the paper's tables and figures, the cluster, scheduler and
+    # ablation artefacts. Any drift in any layer (node, NRM, monitoring,
+    # arbiters, scheduler) shows up as a diff here.
     golden_out="$(mktemp -d)"
-    target/release/repro cluster --quick --out "$golden_out" >/dev/null
-    diff -r tests/golden/cluster_quick "$golden_out" || {
-        echo "ci.sh: repro cluster --quick drifted from the pre-refactor golden CSVs" >&2
+    target/release/repro all --quick --out "$golden_out" >/dev/null
+    diff -r tests/golden/all_quick "$golden_out" || {
+        echo "ci.sh: repro all --quick drifted from the golden CSVs" >&2
         exit 1
     }
     rm -rf "$golden_out"

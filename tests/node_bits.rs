@@ -13,7 +13,6 @@
 use std::sync::Arc;
 
 use powerprog::prelude::*;
-use simnode::config::StepMode;
 use simnode::hw::{
     BackendKind, PowerLimit, IA32_APERF, IA32_MPERF, MSR_PKG_ENERGY_STATUS, MSR_PKG_POWER_LIMIT,
 };
@@ -159,7 +158,6 @@ fn refill(node: &mut Node, c: usize, round: u64) {
 fn direct_node_run_is_pinned_bit_for_bit() {
     let cfg = NodeConfig {
         thermal: Some(ThermalConfig::default()),
-        step_mode: StepMode::EventHorizon,
         ..NodeConfig::default()
     };
     let mut node = Node::new(cfg);
