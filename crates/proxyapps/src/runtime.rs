@@ -11,7 +11,7 @@
 
 use progress::bus::{ProgressBus, Publisher};
 use simnode::agent::SimAgent;
-use simnode::node::{CoreWork, Node, WorkPacket};
+use simnode::node::{CoreWork, Node, WorkCounts, WorkPacket};
 use simnode::time::Nanos;
 
 /// What a rank does next.
@@ -70,6 +70,8 @@ pub struct RunRecord {
     pub all_done: bool,
     /// Barriers released over the run.
     pub barriers: u64,
+    /// The node's stage counts at the end of the run.
+    pub node_work: WorkCounts,
 }
 
 /// Co-schedules rank programs on a node.
@@ -255,6 +257,7 @@ impl Driver {
             phases: self.phases.clone(),
             all_done,
             barriers: self.barriers,
+            node_work: self.node.work_counts(),
         }
     }
 }

@@ -57,7 +57,7 @@ pub use ddcm::DutyCycle;
 pub use faults::{FaultKind, FaultPlan, FaultSpec, FaultWindow};
 pub use freq::{FrequencyLadder, PState};
 pub use msr::{MsrDevice, MsrError};
-pub use node::{CoreWork, Node, StepOutcome, WorkPacket};
+pub use node::{CoreWork, Node, StepOutcome, WorkCounts, WorkPacket};
 pub use power::PStateTables;
 pub use rapl::RaplController;
 pub use thermal::{ThermalConfig, ThermalState};

@@ -247,6 +247,30 @@ pub struct QuantumTelemetry {
     pub achieved_bw: f64,
 }
 
+/// Deterministic counts of the work the node's stepping engine has done
+/// since it was built: how often each stage of a step ran. They depend
+/// only on the inputs, never on the host, so they pin a hot-loop change's
+/// effect on work done the way `tests/node_bits.rs` pins its outputs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// RAPL control decisions taken.
+    pub rapl_ticks: u64,
+    /// Of those, decisions taken under a package cap.
+    pub capped_ticks: u64,
+    /// Closed-form macro-steps applied by [`Node::step_until`].
+    pub macro_steps: u64,
+    /// Single quanta executed on the exact path.
+    pub quanta: u64,
+    /// Searches for runs of adjacent cores holding bit-identical work.
+    pub run_searches: u64,
+    /// Runs evaluated by macro-steps: one per run per macro-step.
+    pub run_evals: u64,
+    /// Fit predicates the RAPL controller evaluated while choosing its
+    /// P-state, duty cycle and uncore level (see
+    /// [`RaplController::fit_probes`]).
+    pub fit_probes: u64,
+}
+
 /// The simulated node.
 ///
 /// ```
@@ -298,6 +322,8 @@ pub struct Node {
     pressure: f64,
     /// Decoded RAPL registers (see [`RaplRegs`]).
     regs: RaplRegs,
+    /// Stage counts; `fit_probes` is read from the controller instead.
+    work: WorkCounts,
 }
 
 /// `MSR_PKG_POWER_LIMIT` and `MSR_RAPL_POWER_UNIT` as last read, raw and
@@ -366,6 +392,7 @@ impl Node {
             followers_stale: false,
             pressure: 0.0,
             regs: RaplRegs::read(&msr),
+            work: WorkCounts::default(),
             cfg,
             now: 0,
             msr,
@@ -414,6 +441,14 @@ impl Node {
     /// Cumulative hardware counters.
     pub fn counters(&self) -> &Counters {
         &self.counters
+    }
+
+    /// How often each stage of stepping has run (see [`WorkCounts`]).
+    pub fn work_counts(&self) -> WorkCounts {
+        WorkCounts {
+            fit_probes: self.rapl.fit_probes(),
+            ..self.work
+        }
     }
 
     /// Telemetry for the most recent quantum.
@@ -606,6 +641,7 @@ impl Node {
             self.sync_followers();
             self.pressure = find_runs(&self.cores, &mut self.scratch);
             self.runs_fresh = true;
+            self.work.run_searches += 1;
         }
         let pipe = self
             .cfg
@@ -662,6 +698,7 @@ impl Node {
         let dt = self.cfg.quantum;
         let dt_s = secs(dt);
         let start = self.now;
+        self.work.macro_steps += 1;
 
         let mut effective = self.actuation;
         let throttled0 = self
@@ -766,6 +803,7 @@ impl Node {
                 }
             }
             i += eval.run;
+            self.work.run_evals += 1;
         }
         // core_dyn_w and core_static_w (sans leak factor) feed the thermal path.
         let [bytes_q, inst_q, cycles_q, misses_q, core_dyn_w, core_static_w, rest @ ..] = sums;
@@ -911,6 +949,7 @@ impl Node {
     fn step_quantum(&mut self) {
         self.sync_followers();
         self.runs_fresh = false;
+        self.work.quanta += 1;
         let dt = self.cfg.quantum;
         let dt_s = secs(dt);
         let end = self.now + dt;
@@ -1074,6 +1113,8 @@ impl Node {
         // A latched or faulted write can change the limit between ticks.
         self.regs.refresh(&self.msr);
         let limit = self.regs.limit;
+        self.work.rapl_ticks += 1;
+        self.work.capped_ticks += u64::from(limit.watts.is_some());
         let window = limit.window.max(self.cfg.rapl_period);
         let avg = self
             .energy

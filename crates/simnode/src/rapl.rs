@@ -87,6 +87,8 @@ pub struct RaplController {
     /// under-reports demand, which would otherwise starve the uncore
     /// through positive feedback).
     last_uncore: Option<UncoreLevel>,
+    /// Fit predicates evaluated by the rung searches so far.
+    fit_probes: u64,
 }
 
 impl RaplController {
@@ -96,12 +98,19 @@ impl RaplController {
             bias_w: 0.0,
             last_limit: None,
             last_uncore: None,
+            fit_probes: 0,
         }
     }
 
     /// The cap in force at the last control decision, if any.
     pub fn last_limit(&self) -> Option<f64> {
         self.last_limit
+    }
+
+    /// Fit predicates the rung searches have evaluated: one per P-state,
+    /// duty cycle or uncore level tested against its budget.
+    pub fn fit_probes(&self) -> u64 {
+        self.fit_probes
     }
 
     /// Make a control decision for the next period.
@@ -170,6 +179,7 @@ impl RaplController {
         let mut pstate = cfg.ladder.min_pstate();
         let mut fits = false;
         for p in cfg.ladder.iter().rev() {
+            self.fit_probes += 1;
             if est_core_power(tables, p, DutyCycle::FULL, activity) <= core_budget {
                 pstate = p;
                 fits = true;
@@ -184,6 +194,7 @@ impl RaplController {
             DutyCycle::all()
                 .rev()
                 .find(|&d| {
+                    self.fit_probes += 1;
                     est_core_power(tables, cfg.ladder.min_pstate(), d, activity) <= core_budget
                 })
                 .unwrap_or(DutyCycle::MIN)
@@ -200,6 +211,7 @@ impl RaplController {
             .iter_levels()
             .rev()
             .find(|&l| {
+                self.fit_probes += 1;
                 let bw = demand_bw.min(cfg.uncore.total_bw(l));
                 cfg.uncore.power(l, bw) <= uncore_budget + 1e-9
             })

@@ -7,6 +7,10 @@
 //! service-rate arithmetic or to the register file shows up here as a
 //! changed bit pattern, not as drift inside a tolerance.
 //!
+//! Beside the outputs, each case pins the node's [`WorkCounts`]: how often
+//! each stage of stepping ran. Those counts are deterministic too, so a
+//! change to how much work the node does shows up here as a count.
+//!
 //! A failure lists every mismatching quantity with the bits it produced,
 //! so a deliberate model change can re-pin all of them in one pass.
 
@@ -17,6 +21,7 @@ use simnode::hw::{
     BackendKind, PowerLimit, IA32_APERF, IA32_MPERF, MSR_PKG_ENERGY_STATUS, MSR_PKG_POWER_LIMIT,
 };
 use simnode::thermal::ThermalConfig;
+use simnode::WorkCounts;
 
 /// Collects `(name, got, want)` triples and fails once with all of them.
 #[derive(Default)]
@@ -36,6 +41,24 @@ impl Pins {
         self.bits(name, got.to_bits(), want);
     }
 
+    /// Pins `[rapl_ticks, capped_ticks, macro_steps, quanta, run_searches,
+    /// run_evals, fit_probes]`.
+    fn counts(&mut self, name: &str, got: WorkCounts, want: [u64; 7]) {
+        let got = [
+            got.rapl_ticks,
+            got.capped_ticks,
+            got.macro_steps,
+            got.quanta,
+            got.run_searches,
+            got.run_evals,
+            got.fit_probes,
+        ];
+        if got != want {
+            self.mismatches
+                .push(format!("{name} work counts: got {got:?}, pinned {want:?}"));
+        }
+    }
+
     fn finish(self) {
         assert!(
             self.mismatches.is_empty(),
@@ -46,9 +69,11 @@ impl Pins {
     }
 }
 
-/// `[total_energy_j, steady_rate, instructions, cycles, l3_misses]`.
-fn pin_run(pins: &mut Pins, name: &str, cfg: &RunConfig, want: [u64; 5]) {
+/// `[total_energy_j, steady_rate, instructions, cycles, l3_misses]`, then
+/// the node's work counts (see [`Pins::counts`]).
+fn pin_run(pins: &mut Pins, name: &str, cfg: &RunConfig, want: [u64; 5], counts: [u64; 7]) {
     let run = run_app(cfg);
+    pins.counts(name, run.record.node_work, counts);
     pins.f64(&format!("{name} energy"), run.total_energy_j, want[0]);
     pins.f64(&format!("{name} steady_rate"), run.steady_rate(), want[1]);
     pins.f64(
@@ -78,6 +103,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x424b8c8efbe34eb1,
             0x4190074e893e6ef4,
         ],
+        [2999, 0, 3030, 259, 164, 3030, 0],
     );
     pin_run(
         &mut pins,
@@ -90,6 +116,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4246013777880872,
             0x41e6f51fdc920c9a,
         ],
+        [2999, 2000, 3059, 307, 247, 3059, 37949],
     );
     pin_run(
         &mut pins,
@@ -106,6 +133,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4251867cfc364cc6,
             0x41e17f9b5126a635,
         ],
+        [3999, 3000, 4003, 27, 18, 4003, 18517],
     );
     pin_run(
         &mut pins,
@@ -120,6 +148,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4247afb20e7ecff1,
             0x418b93b3cdd09ba2,
         ],
+        [2999, 1998, 3034, 226, 146, 3034, 24997],
     );
     pins.finish();
 }
@@ -213,6 +242,11 @@ fn direct_node_run_is_pinned_bit_for_bit() {
         "MSR_PKG_ENERGY_STATUS",
         node.msr().hw_read(MSR_PKG_ENERGY_STATUS),
         0x7_faa7,
+    );
+    pins.counts(
+        "direct",
+        node.work_counts(),
+        [399, 399, 612, 1303, 1247, 11016, 3834],
     );
     pins.finish();
 }
@@ -343,6 +377,11 @@ fn blocked_node_run_is_pinned_bit_for_bit() {
         node.msr().hw_read(MSR_PKG_ENERGY_STATUS),
         0x7_74da,
     );
+    pins.counts(
+        "blocked",
+        node.work_counts(),
+        [299, 299, 455, 662, 669, 2643, 1748],
+    );
     pins.finish();
 }
 
@@ -458,6 +497,11 @@ fn latched_cap_node_run_is_pinned_bit_for_bit() {
         "MSR_PKG_POWER_LIMIT",
         node.msr().hw_read(MSR_PKG_POWER_LIMIT),
         0x5_8230,
+    );
+    pins.counts(
+        "latched",
+        node.work_counts(),
+        [299, 225, 456, 489, 504, 2280, 3374],
     );
     pins.finish();
 }
