@@ -8,8 +8,11 @@ use powermodel::predict::ProgressModel;
 use progress::aggregator::ProgressAggregator;
 use progress::bus::{BusConfig, ProgressBus};
 use simnode::config::NodeConfig;
+use simnode::hw::PowerLimit;
 use simnode::node::{CoreWork, Node, WorkPacket};
-use simnode::time::SEC;
+use simnode::rapl::{ActivitySnapshot, RaplController};
+use simnode::time::{MS, SEC};
+use simnode::NodeTables;
 use std::hint::black_box;
 
 fn busy_node() -> Node {
@@ -66,6 +69,47 @@ fn bench_node_step(c: &mut Criterion) {
             WorkPacket::new(3.3e15 * s, 1e12 / s, 5e15)
         });
         b.iter(|| black_box(node.step_until(node.now() + SEC)).is_empty())
+    });
+    g.finish();
+}
+
+/// The RAPL control decision on its own, which the node benches only
+/// time inside a whole step.
+fn bench_rapl(c: &mut Criterion) {
+    let mut g = c.benchmark_group("micro/rapl");
+    let cfg = NodeConfig::default();
+    let tables = NodeTables::new(&cfg);
+    let limit = PowerLimit {
+        watts: Some(80.0),
+        window: 10 * MS,
+    };
+    let cores = cfg.cores as f64;
+    let compute_bound = ActivitySnapshot {
+        compute_weight: cores,
+        busy_weight: cores,
+        powered_cores: cores,
+        achieved_bw: 3.0e9,
+    };
+    let streaming = ActivitySnapshot {
+        compute_weight: 0.72 * cores,
+        busy_weight: cores,
+        powered_cores: cores,
+        achieved_bw: 95.0e9,
+    };
+    // 1 000 decisions: 500 periods of each snapshot, with the measured
+    // average sweeping 75..85 W around the cap so the feedback bias, and
+    // with it the decision, keeps moving.
+    g.throughput(Throughput::Elements(1_000));
+    g.bench_function("control_80w", |b| {
+        let mut compute = RaplController::new();
+        let mut stream = RaplController::new();
+        b.iter(|| {
+            for i in 0..500 {
+                let avg = 75.0 + (i % 21) as f64 * 0.5;
+                black_box(compute.control(&cfg, limit, &tables, &compute_bound, avg));
+                black_box(stream.control(&cfg, limit, &tables, &streaming, avg));
+            }
+        })
     });
     g.finish();
 }
@@ -135,6 +179,7 @@ fn bench_model(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_node_step,
+    bench_rapl,
     bench_bus,
     bench_aggregator,
     bench_model

@@ -70,6 +70,20 @@ impl Policy {
             Policy::ProgressFeedback { .. } => "progress-feedback",
         }
     }
+
+    /// Validate the policy's parameters: a feedback gain must be
+    /// non-negative and finite. Every level of the tree that takes a
+    /// policy checks it here.
+    pub fn validate(self) -> Result<(), ConfigError> {
+        if let Policy::ProgressFeedback { gain } = self {
+            ensure(
+                gain.is_finite() && gain >= 0.0,
+                "Policy::ProgressFeedback.gain",
+                || format!("gain {gain} must be non-negative and finite"),
+            )?;
+        }
+        Ok(())
+    }
 }
 
 /// Arbiter tuning.
@@ -111,14 +125,7 @@ impl ArbiterConfig {
                 )
             },
         )?;
-        if let Policy::ProgressFeedback { gain } = self.policy {
-            ensure(
-                gain.is_finite() && gain >= 0.0,
-                "Policy::ProgressFeedback.gain",
-                || format!("gain {gain} must be non-negative and finite"),
-            )?;
-        }
-        Ok(())
+        self.policy.validate()
     }
 }
 

@@ -79,8 +79,12 @@ impl HierarchyConfig {
     }
 
     /// Validate against the node-level arbiter configuration and the
-    /// cluster size `n`.
+    /// cluster size `n`. A bad rack policy is reported as
+    /// `HierarchyConfig.rack_policy`.
     pub fn validate(&self, arbiter: &ArbiterConfig, n: usize) -> Result<(), ConfigError> {
+        self.rack_policy
+            .validate()
+            .map_err(|e| ConfigError::new("HierarchyConfig.rack_policy", e.why))?;
         ensure(!self.racks.is_empty(), "HierarchyConfig.racks", || {
             "need at least one rack".into()
         })?;
@@ -1030,5 +1034,17 @@ mod tests {
             h.validate(&c, 4).is_err(),
             "rack floor below node floors is infeasible"
         );
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_rack_gain() {
+        let c = cfg(Policy::UniformStatic);
+        for gain in [-0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let h = HierarchyConfig::uniform(2, 2, Policy::ProgressFeedback { gain });
+            let e = h.validate(&c, 4).expect_err("bad rack gain accepted");
+            assert_eq!(e.what, "HierarchyConfig.rack_policy", "gain {gain}");
+        }
+        let h = HierarchyConfig::uniform(2, 2, Policy::ProgressFeedback { gain: 0.0 });
+        assert!(h.validate(&c, 4).is_ok());
     }
 }

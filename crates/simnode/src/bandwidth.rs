@@ -80,6 +80,13 @@ impl UncoreConfig {
         self.peak_bw * self.scale(level)
     }
 
+    /// Per-core concurrency ceiling on the service rate at `level`,
+    /// bytes/s: the part of [`service_pipe`](Self::service_pipe) that does
+    /// not depend on pressure.
+    pub fn service_cap(&self, level: UncoreLevel) -> f64 {
+        self.percore_peak_bw * self.latency_scale(level)
+    }
+
     /// Latency-driven per-core service scale at `level` (see `lat_flat`).
     pub fn latency_scale(&self, level: UncoreLevel) -> f64 {
         self.lat_flat + (1.0 - self.lat_flat) * self.scale(level)
@@ -107,7 +114,7 @@ impl UncoreConfig {
     /// computes it once per step and multiplies by each core's `mlp`.
     pub fn service_pipe(&self, level: UncoreLevel, pressure: f64) -> f64 {
         let share = self.total_bw(level) / pressure.max(1.0);
-        share.min(self.percore_peak_bw * self.latency_scale(level))
+        share.min(self.service_cap(level))
     }
 
     /// Back-compat shim used by tests: fair share among `n` always-pulling
@@ -124,8 +131,13 @@ impl UncoreConfig {
 
     /// Uncore power given achieved traffic (bytes/s) and frequency level.
     pub fn power(&self, level: UncoreLevel, achieved_bw: f64) -> f64 {
+        self.p_base + self.p_per_gbs * achieved_bw * 1e-9 + self.freq_power(level)
+    }
+
+    /// The frequency term of [`power`](Self::power), `p_uf2·uf²`, W.
+    pub fn freq_power(&self, level: UncoreLevel) -> f64 {
         let uf = self.ghz(level);
-        self.p_base + self.p_per_gbs * achieved_bw * 1e-9 + self.p_uf2 * uf * uf
+        self.p_uf2 * uf * uf
     }
 
     /// Validate physical plausibility.

@@ -8,6 +8,7 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 
+use crate::search::partition_from;
 use crate::time::{secs, Nanos};
 
 /// Cumulative package energy with a bounded history for windowed averages.
@@ -90,47 +91,13 @@ impl EnergyMeter {
             return h.front().expect("never empty").1;
         }
         // The first sample later than `t` (the partition point of
-        // `ht <= t`), found by galloping from the last answer and then
-        // bisecting the bracket. The RAPL controller's window slides a
-        // sample or two between queries, so it costs a few probes; a query
-        // with another window (the NRM's 1 s average, or a reprogrammed
-        // RAPL window) costs O(log distance), not a walk across the
-        // history. `h[0]` is not later than `t` and index `n` stands for
-        // "past the end", so both gallops stop.
-        let n = h.len();
-        let later = |i: usize| i == n || h[i].0 > t;
-        let from = self.cursor.get().saturating_sub(self.trimmed).clamp(1, n);
-        // Bracket the answer between `lo` (not later) and `hi` (later).
-        let (mut lo, mut hi) = if later(from) {
-            let (mut hi, mut step) = (from, 1);
-            loop {
-                let probe = hi.saturating_sub(step);
-                if !later(probe) {
-                    break (probe, hi);
-                }
-                hi = probe;
-                step *= 2;
-            }
-        } else {
-            let (mut lo, mut step) = (from, 1);
-            loop {
-                let probe = (lo + step).min(n);
-                if later(probe) {
-                    break (lo, probe);
-                }
-                lo = probe;
-                step *= 2;
-            }
-        };
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if later(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        let idx = hi;
+        // `ht <= t`), searched outward from the last answer. The RAPL
+        // controller's window slides a sample or two between queries, so it
+        // costs a few probes; a query with another window (the NRM's 1 s
+        // average, or a reprogrammed RAPL window) costs O(log distance),
+        // not a walk across the history.
+        let hint = self.cursor.get().saturating_sub(self.trimmed);
+        let idx = partition_from(h.len(), hint, |i| h[i].0 <= t);
         self.cursor.set(self.trimmed + idx);
         if idx >= h.len() {
             return h.back().expect("never empty").1;

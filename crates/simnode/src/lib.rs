@@ -46,6 +46,7 @@ pub mod node;
 pub mod power;
 pub mod presets;
 pub mod rapl;
+mod search;
 pub mod thermal;
 pub mod time;
 
@@ -58,7 +59,7 @@ pub use faults::{FaultKind, FaultPlan, FaultSpec, FaultWindow};
 pub use freq::{FrequencyLadder, PState};
 pub use msr::{MsrDevice, MsrError};
 pub use node::{CoreWork, Node, StepOutcome, WorkCounts, WorkPacket};
-pub use power::PStateTables;
+pub use power::NodeTables;
 pub use rapl::RaplController;
 pub use thermal::{ThermalConfig, ThermalState};
 pub use time::{Nanos, MS, NS_PER_SEC, SEC, US};

@@ -32,7 +32,7 @@ use crate::msr::{
     decode_perf_ctl, MsrDevice, MsrError, PowerLimit, RaplUnits, IA32_APERF, IA32_CLOCK_MODULATION,
     IA32_MPERF, IA32_PERF_CTL, MSR_PKG_POWER_LIMIT, MSR_RAPL_POWER_UNIT,
 };
-use crate::power::PStateTables;
+use crate::power::NodeTables;
 use crate::rapl::{ActivitySnapshot, Actuation, RaplController};
 use crate::thermal::ThermalState;
 use crate::time::{secs, Nanos};
@@ -304,8 +304,8 @@ pub struct Node {
     acc_quanta: u64,
     thermal: Option<ThermalState>,
     next_rapl: Nanos,
-    /// Per-P-state power/frequency lookups (see [`PStateTables`]).
-    tables: PStateTables,
+    /// Per-P-state and per-uncore-level lookups (see [`NodeTables`]).
+    tables: NodeTables,
     /// Reusable step result; cleared at the start of every step.
     outcome: StepOutcome,
     /// Reusable per-core macro-step evaluations (see [`CoreScratch`]).
@@ -383,7 +383,7 @@ impl Node {
             .maybe_faults(cfg.faults.clone())
             .build()
             .unwrap_or_else(|e| panic!("cannot initialise MSR backend {:?}: {e}", cfg.backend));
-        let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
+        let tables = NodeTables::new(&cfg);
         Self {
             energy: EnergyMeter::new(retain * 2),
             next_rapl: cfg.rapl_period,
@@ -643,10 +643,7 @@ impl Node {
             self.runs_fresh = true;
             self.work.run_searches += 1;
         }
-        let pipe = self
-            .cfg
-            .uncore
-            .service_pipe(effective.uncore, self.pressure);
+        let pipe = self.tables.service_pipe(effective.uncore, self.pressure);
         let bytes_per_miss = self.cfg.uncore.bytes_per_miss;
 
         // Each run's horizon, evaluated once at its first core.
@@ -810,7 +807,7 @@ impl Node {
         let [core_w0, compute_weight, busy_weight, powered, aperf_q, mperf_q] = rest;
 
         let achieved_bw = bytes_q / dt_s;
-        let uncore_w = self.cfg.uncore.power(uncore_level, achieved_bw);
+        let uncore_w = self.tables.uncore_power(uncore_level, achieved_bw);
 
         // Pass 2: energy and thermal. Without a thermal model package power
         // is constant over the whole span (one meter sample, one tick
@@ -978,7 +975,7 @@ impl Node {
         let static_at_f = self.tables.static_power(effective.pstate);
 
         let pressure: f64 = self.cores.iter().map(pressure_weight).sum();
-        let pipe = self.cfg.uncore.service_pipe(uncore_level, pressure);
+        let pipe = self.tables.service_pipe(uncore_level, pressure);
 
         let sleep_powered = self.sleep_powered();
         let mut core_w = 0.0;
@@ -1054,7 +1051,7 @@ impl Node {
         }
 
         let achieved_bw = bytes_moved / dt_s;
-        let uncore_w = self.cfg.uncore.power(uncore_level, achieved_bw);
+        let uncore_w = self.tables.uncore_power(uncore_level, achieved_bw);
         let pkg_w = core_w + uncore_w;
 
         if let Some(t) = &mut self.thermal {
@@ -1096,32 +1093,35 @@ impl Node {
     /// One RAPL control decision based on activity accumulated since the
     /// last one, combined with any user DVFS/DDCM requests from the MSRs.
     fn rapl_tick(&mut self) {
-        let quanta = self.acc_quanta.max(1) as f64;
-        let period_s = secs(self.cfg.quantum) * quanta;
-        let snapshot = ActivitySnapshot {
-            compute_weight: self.acc_compute_weight / quanta,
-            busy_weight: self.acc_busy_weight / quanta,
-            powered_cores: (self.acc_powered / quanta).max(1.0),
-            achieved_bw: self.acc_bytes / period_s,
+        // A latched or faulted write can change the limit between ticks.
+        self.regs.refresh(&self.msr);
+        let limit = self.regs.limit;
+        self.work.rapl_ticks += 1;
+        let mut act = if limit.watts.is_some() {
+            self.work.capped_ticks += 1;
+            let quanta = self.acc_quanta.max(1) as f64;
+            let period_s = secs(self.cfg.quantum) * quanta;
+            let snapshot = ActivitySnapshot {
+                compute_weight: self.acc_compute_weight / quanta,
+                busy_weight: self.acc_busy_weight / quanta,
+                powered_cores: (self.acc_powered / quanta).max(1.0),
+                achieved_bw: self.acc_bytes / period_s,
+            };
+            let window = limit.window.max(self.cfg.rapl_period);
+            let avg = self
+                .energy
+                .average_power(window.min(self.cfg.rapl_window * 4));
+            self.rapl
+                .control(&self.cfg, limit, &self.tables, &snapshot, avg)
+        } else {
+            // Uncapped, the decision reads neither activity nor power.
+            self.rapl.uncapped(&self.cfg)
         };
         self.acc_compute_weight = 0.0;
         self.acc_busy_weight = 0.0;
         self.acc_powered = 0.0;
         self.acc_bytes = 0.0;
         self.acc_quanta = 0;
-
-        // A latched or faulted write can change the limit between ticks.
-        self.regs.refresh(&self.msr);
-        let limit = self.regs.limit;
-        self.work.rapl_ticks += 1;
-        self.work.capped_ticks += u64::from(limit.watts.is_some());
-        let window = limit.window.max(self.cfg.rapl_period);
-        let avg = self
-            .energy
-            .average_power(window.min(self.cfg.rapl_window * 4));
-        let mut act = self
-            .rapl
-            .control(&self.cfg, limit, &self.tables, &snapshot, avg);
 
         // Honour user P-state / duty requests: hardware takes the minimum of
         // the OS request and RAPL's constraint, like real `IA32_PERF_CTL`

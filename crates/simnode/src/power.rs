@@ -16,8 +16,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::bandwidth::UncoreLevel;
+use crate::config::NodeConfig;
 use crate::ddcm::DutyCycle;
-use crate::freq::{FrequencyLadder, PState};
+use crate::freq::PState;
 
 /// Parameters for the per-core power model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -114,34 +116,75 @@ impl CorePowerConfig {
     }
 }
 
-/// Per-P-state lookup tables for the quantities the step hot path and the
-/// RAPL controller's actuator search recompute constantly: frequency as a
-/// float, full-duty/full-activity dynamic power, and static (leakage) power.
+/// The node's lookup tables: everything the step hot path and the RAPL
+/// controller's rung searches would otherwise recompute from the
+/// configuration every quantum or period.
 ///
-/// The voltage curve behind [`CorePowerConfig::dynamic_full`] and
-/// [`CorePowerConfig::static_power`] costs a `powf` per evaluation; the
-/// ladder is tiny and immutable, so evaluating each rung once at node
-/// construction removes transcendental math from the per-quantum loop
-/// entirely. Table entries are the exact `f64`s the direct computation
-/// produces, so switching to the tables is bit-neutral.
+/// - Per P-state: frequency as a float, full-duty/full-activity dynamic
+///   power and static (leakage) power. The voltage curve behind
+///   [`CorePowerConfig::dynamic_full`] and
+///   [`CorePowerConfig::static_power`] costs a `powf` per evaluation.
+/// - Per uncore level: the [`UncoreConfig`](crate::bandwidth::UncoreConfig) bandwidth scale, total
+///   bandwidth, `p_uf2·uf²` power term and per-core service ceiling, each
+///   of which costs a division in [`UncoreConfig::ghz`](crate::bandwidth::UncoreConfig::ghz).
+///
+/// The ladders are tiny and immutable, so each entry is evaluated once at
+/// node construction, with the configuration's own methods. Entries are
+/// the exact `f64`s the direct computation produces, so reading the tables
+/// is bit-neutral.
+///
+/// Every column is non-decreasing in its index, which the constructor
+/// asserts: the controller's fit predicates are then monotone in the rung,
+/// which is what lets it search the rungs instead of scanning them.
 #[derive(Debug, Clone)]
-pub struct PStateTables {
+pub struct NodeTables {
     mhz: Vec<f64>,
     dynamic_full: Vec<f64>,
     static_w: Vec<f64>,
+    uncore_scale: Vec<f64>,
+    total_bw: Vec<f64>,
+    uncore_freq_w: Vec<f64>,
+    service_cap: Vec<f64>,
+    uncore_base_w: f64,
+    uncore_w_per_gbs: f64,
 }
 
-impl PStateTables {
-    /// Evaluate the power model at every rung of `ladder`.
-    pub fn new(ladder: &FrequencyLadder, power: &CorePowerConfig) -> Self {
+impl NodeTables {
+    /// Evaluate the power and uncore models at every rung of `cfg`.
+    ///
+    /// # Panics
+    /// Panics if a column decreases from one rung to the next (or holds a
+    /// NaN).
+    pub fn new(cfg: &NodeConfig) -> Self {
+        let (ladder, power, uncore) = (&cfg.ladder, &cfg.core_power, &cfg.uncore);
         let mhz: Vec<f64> = ladder.iter().map(|p| ladder.mhz(p) as f64).collect();
-        let dynamic_full = mhz.iter().map(|&f| power.dynamic_full(f)).collect();
-        let static_w = mhz.iter().map(|&f| power.static_power(f)).collect();
-        Self {
+        let levels = || uncore.iter_levels();
+        let tables = Self {
+            dynamic_full: mhz.iter().map(|&f| power.dynamic_full(f)).collect(),
+            static_w: mhz.iter().map(|&f| power.static_power(f)).collect(),
             mhz,
-            dynamic_full,
-            static_w,
+            uncore_scale: levels().map(|l| uncore.scale(l)).collect(),
+            total_bw: levels().map(|l| uncore.total_bw(l)).collect(),
+            uncore_freq_w: levels().map(|l| uncore.freq_power(l)).collect(),
+            service_cap: levels().map(|l| uncore.service_cap(l)).collect(),
+            uncore_base_w: uncore.p_base,
+            uncore_w_per_gbs: uncore.p_per_gbs,
+        };
+        for (name, column) in [
+            ("mhz", &tables.mhz),
+            ("dynamic_full", &tables.dynamic_full),
+            ("static_w", &tables.static_w),
+            ("uncore_scale", &tables.uncore_scale),
+            ("total_bw", &tables.total_bw),
+            ("uncore_freq_w", &tables.uncore_freq_w),
+            ("service_cap", &tables.service_cap),
+        ] {
+            assert!(
+                column.windows(2).all(|w| w[0] <= w[1]) && column.iter().all(|x| !x.is_nan()),
+                "node table column {name} must be non-decreasing: {column:?}"
+            );
         }
+        tables
     }
 
     /// Frequency of `p` in MHz, as `f64` (same value as
@@ -158,6 +201,30 @@ impl PStateTables {
     /// [`CorePowerConfig::static_power`] at `p`.
     pub fn static_power(&self, p: PState) -> f64 {
         self.static_w[p.0]
+    }
+
+    /// [`UncoreConfig::scale`](crate::bandwidth::UncoreConfig::scale) at `level`.
+    pub fn uncore_scale(&self, level: UncoreLevel) -> f64 {
+        self.uncore_scale[level.0]
+    }
+
+    /// [`UncoreConfig::total_bw`](crate::bandwidth::UncoreConfig::total_bw) at `level`.
+    pub fn total_bw(&self, level: UncoreLevel) -> f64 {
+        self.total_bw[level.0]
+    }
+
+    /// [`UncoreConfig::power`](crate::bandwidth::UncoreConfig::power) at `level` and `achieved_bw`, bit for bit.
+    pub fn uncore_power(&self, level: UncoreLevel, achieved_bw: f64) -> f64 {
+        self.uncore_base_w
+            + self.uncore_w_per_gbs * achieved_bw * 1e-9
+            + self.uncore_freq_w[level.0]
+    }
+
+    /// [`UncoreConfig::service_pipe`](crate::bandwidth::UncoreConfig::service_pipe) at `level` and `pressure`, bit for
+    /// bit.
+    pub fn service_pipe(&self, level: UncoreLevel, pressure: f64) -> f64 {
+        let share = self.total_bw[level.0] / pressure.max(1.0);
+        share.min(self.service_cap[level.0])
     }
 }
 
@@ -234,6 +301,47 @@ mod tests {
             (120.0..150.0).contains(&pkg_cores),
             "24-core power at fmax = {pkg_cores:.1} W outside calibration band"
         );
+    }
+
+    #[test]
+    fn tables_match_the_models_bit_for_bit() {
+        let cfg = NodeConfig::default();
+        let t = NodeTables::new(&cfg);
+        for p in cfg.ladder.iter() {
+            let f = cfg.ladder.mhz(p) as f64;
+            assert_eq!(t.mhz(p).to_bits(), f.to_bits());
+            assert_eq!(
+                t.dynamic_full(p).to_bits(),
+                cfg.core_power.dynamic_full(f).to_bits()
+            );
+            assert_eq!(
+                t.static_power(p).to_bits(),
+                cfg.core_power.static_power(f).to_bits()
+            );
+        }
+        let u = &cfg.uncore;
+        for l in u.iter_levels() {
+            assert_eq!(t.uncore_scale(l).to_bits(), u.scale(l).to_bits());
+            assert_eq!(t.total_bw(l).to_bits(), u.total_bw(l).to_bits());
+            for bw in [0.0, 1.0, 3.3e9, 95.0e9, 1e12] {
+                assert_eq!(t.uncore_power(l, bw).to_bits(), u.power(l, bw).to_bits());
+            }
+            for pressure in [0.0, 0.5, 1.0, 7.3, 24.0] {
+                let want = u.service_pipe(l, pressure);
+                assert_eq!(t.service_pipe(l, pressure).to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be non-decreasing")]
+    fn tables_reject_a_decreasing_column() {
+        let mut cfg = NodeConfig::default();
+        // A voltage that falls with frequency makes leakage fall too.
+        cfg.core_power.v_curve_exp = 1.0;
+        cfg.core_power.v_max = 0.5;
+        cfg.core_power.v_min = 0.67;
+        NodeTables::new(&cfg);
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4246013777880872,
             0x41e6f51fdc920c9a,
         ],
-        [2999, 2000, 3059, 307, 247, 3059, 37949],
+        [2999, 2000, 3059, 307, 247, 3059, 8117],
     );
     pin_run(
         &mut pins,
@@ -133,7 +133,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4251867cfc364cc6,
             0x41e17f9b5126a635,
         ],
-        [3999, 3000, 4003, 27, 18, 4003, 18517],
+        [3999, 3000, 4003, 27, 18, 4003, 9047],
     );
     pin_run(
         &mut pins,
@@ -148,7 +148,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4247afb20e7ecff1,
             0x418b93b3cdd09ba2,
         ],
-        [2999, 1998, 3034, 226, 146, 3034, 24997],
+        [2999, 1998, 3034, 226, 146, 3034, 8531],
     );
     pins.finish();
 }
@@ -246,7 +246,7 @@ fn direct_node_run_is_pinned_bit_for_bit() {
     pins.counts(
         "direct",
         node.work_counts(),
-        [399, 399, 612, 1303, 1247, 11016, 3834],
+        [399, 399, 612, 1303, 1247, 11016, 1558],
     );
     pins.finish();
 }
@@ -380,7 +380,7 @@ fn blocked_node_run_is_pinned_bit_for_bit() {
     pins.counts(
         "blocked",
         node.work_counts(),
-        [299, 299, 455, 662, 669, 2643, 1748],
+        [299, 299, 455, 662, 669, 2643, 1082],
     );
     pins.finish();
 }
@@ -501,7 +501,7 @@ fn latched_cap_node_run_is_pinned_bit_for_bit() {
     pins.counts(
         "latched",
         node.work_counts(),
-        [299, 225, 456, 489, 504, 2280, 3374],
+        [299, 225, 456, 489, 504, 2280, 946],
     );
     pins.finish();
 }
