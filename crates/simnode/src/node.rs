@@ -369,11 +369,7 @@ impl Node {
     /// Build a node from a validated configuration.
     pub fn new(cfg: NodeConfig) -> Self {
         cfg.validate();
-        let actuation = Actuation {
-            pstate: cfg.ladder.max_pstate(),
-            duty: DutyCycle::FULL,
-            uncore: cfg.uncore.max_level(),
-        };
+        let actuation = Actuation::flat_out(&cfg);
         let cores = vec![CoreWork::Idle; cfg.cores];
         let thermal = cfg.thermal.clone().map(ThermalState::new);
         let retain = cfg.rapl_window.max(crate::time::SEC);

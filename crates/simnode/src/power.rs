@@ -16,6 +16,8 @@
 
 use serde::{Deserialize, Serialize};
 
+#[cfg(doc)]
+use crate::bandwidth::UncoreConfig;
 use crate::bandwidth::UncoreLevel;
 use crate::config::NodeConfig;
 use crate::ddcm::DutyCycle;
@@ -124,9 +126,9 @@ impl CorePowerConfig {
 ///   power and static (leakage) power. The voltage curve behind
 ///   [`CorePowerConfig::dynamic_full`] and
 ///   [`CorePowerConfig::static_power`] costs a `powf` per evaluation.
-/// - Per uncore level: the [`UncoreConfig`](crate::bandwidth::UncoreConfig) bandwidth scale, total
+/// - Per uncore level: the [`UncoreConfig`] bandwidth scale, total
 ///   bandwidth, `p_uf2·uf²` power term and per-core service ceiling, each
-///   of which costs a division in [`UncoreConfig::ghz`](crate::bandwidth::UncoreConfig::ghz).
+///   of which costs a division in [`UncoreConfig::ghz`].
 ///
 /// The ladders are tiny and immutable, so each entry is evaluated once at
 /// node construction, with the configuration's own methods. Entries are
@@ -153,8 +155,7 @@ impl NodeTables {
     /// Evaluate the power and uncore models at every rung of `cfg`.
     ///
     /// # Panics
-    /// Panics if a column decreases from one rung to the next (or holds a
-    /// NaN).
+    /// Panics if a column decreases from one rung to the next.
     pub fn new(cfg: &NodeConfig) -> Self {
         let (ladder, power, uncore) = (&cfg.ladder, &cfg.core_power, &cfg.uncore);
         let mhz: Vec<f64> = ladder.iter().map(|p| ladder.mhz(p) as f64).collect();
@@ -180,7 +181,7 @@ impl NodeTables {
             ("service_cap", &tables.service_cap),
         ] {
             assert!(
-                column.windows(2).all(|w| w[0] <= w[1]) && column.iter().all(|x| !x.is_nan()),
+                column.windows(2).all(|w| w[0] <= w[1]),
                 "node table column {name} must be non-decreasing: {column:?}"
             );
         }
@@ -203,24 +204,24 @@ impl NodeTables {
         self.static_w[p.0]
     }
 
-    /// [`UncoreConfig::scale`](crate::bandwidth::UncoreConfig::scale) at `level`.
+    /// [`UncoreConfig::scale`] at `level`.
     pub fn uncore_scale(&self, level: UncoreLevel) -> f64 {
         self.uncore_scale[level.0]
     }
 
-    /// [`UncoreConfig::total_bw`](crate::bandwidth::UncoreConfig::total_bw) at `level`.
+    /// [`UncoreConfig::total_bw`] at `level`.
     pub fn total_bw(&self, level: UncoreLevel) -> f64 {
         self.total_bw[level.0]
     }
 
-    /// [`UncoreConfig::power`](crate::bandwidth::UncoreConfig::power) at `level` and `achieved_bw`, bit for bit.
+    /// [`UncoreConfig::power`] at `level` and `achieved_bw`, bit for bit.
     pub fn uncore_power(&self, level: UncoreLevel, achieved_bw: f64) -> f64 {
         self.uncore_base_w
             + self.uncore_w_per_gbs * achieved_bw * 1e-9
             + self.uncore_freq_w[level.0]
     }
 
-    /// [`UncoreConfig::service_pipe`](crate::bandwidth::UncoreConfig::service_pipe) at `level` and `pressure`, bit for
+    /// [`UncoreConfig::service_pipe`] at `level` and `pressure`, bit for
     /// bit.
     pub fn service_pipe(&self, level: UncoreLevel, pressure: f64) -> f64 {
         let share = self.total_bw[level.0] / pressure.max(1.0);

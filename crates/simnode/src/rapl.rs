@@ -76,6 +76,17 @@ pub struct Actuation {
     pub uncore: UncoreLevel,
 }
 
+impl Actuation {
+    /// Every actuator at its top rung: the decision with no cap in force.
+    pub fn flat_out(cfg: &NodeConfig) -> Self {
+        Self {
+            pstate: cfg.ladder.max_pstate(),
+            duty: DutyCycle::FULL,
+            uncore: cfg.uncore.max_level(),
+        }
+    }
+}
+
 /// RAPL controller state.
 #[derive(Debug, Clone)]
 pub struct RaplController {
@@ -121,11 +132,7 @@ impl RaplController {
     /// average power, so a caller that knows the limit is off may skip
     /// measuring them.
     pub fn uncapped(&mut self, cfg: &NodeConfig) -> Actuation {
-        let act = Actuation {
-            pstate: cfg.ladder.max_pstate(),
-            duty: DutyCycle::FULL,
-            uncore: cfg.uncore.max_level(),
-        };
+        let act = Actuation::flat_out(cfg);
         self.last_limit = None;
         self.bias_w = 0.0;
         self.last = Some(act);
@@ -194,11 +201,7 @@ impl RaplController {
         let uncore_budget0 = budget - core_budget;
 
         // A fresh controller starts each search from the top rung.
-        let last = self.last.unwrap_or(Actuation {
-            pstate: cfg.ladder.max_pstate(),
-            duty: DutyCycle::FULL,
-            uncore: cfg.uncore.max_level(),
-        });
+        let last = self.last.unwrap_or(Actuation::flat_out(cfg));
 
         // DVFS: highest P-state fitting the core budget.
         let fit = self.highest_fit(cfg.ladder.len(), last.pstate.0, |i| {
@@ -242,7 +245,8 @@ impl RaplController {
 
     /// The highest of `n` rungs at which `fits` holds, or `None`, searched
     /// outward from rung `hint`. `fits` must hold on every rung below one
-    /// where it holds; a NaN estimate fails it, so no rung fits.
+    /// where it holds. A NaN estimate never fits, here as in a top-down
+    /// scan.
     fn highest_fit(
         &mut self,
         n: usize,
