@@ -1,9 +1,12 @@
 //! Microbenchmarks of the hot paths: the node's per-quantum step and
-//! macro-step, the RAPL control decision, the progress bus, the 1 Hz
-//! aggregator and the Eq. 7 evaluation. These are what bound full-experiment wall time, so
+//! macro-step, the RAPL control decision, the hardened daemon's control
+//! tick, the progress bus, the 1 Hz aggregator and the Eq. 7 evaluation. These are what bound full-experiment wall time, so
 //! regressions here matter directly for `repro all`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use nrm::resilience::{ResilienceConfig, ResilientDaemon};
+use nrm::scheme::StepFunction;
+use nrm::ActuatorKind;
 use powermodel::predict::ProgressModel;
 use progress::aggregator::ProgressAggregator;
 use progress::bus::{BusConfig, ProgressBus};
@@ -12,7 +15,7 @@ use simnode::hw::PowerLimit;
 use simnode::node::{CoreWork, Node, WorkPacket};
 use simnode::rapl::{ActivitySnapshot, RaplController};
 use simnode::time::{MS, SEC};
-use simnode::NodeTables;
+use simnode::{NodeTables, SimAgent};
 use std::hint::black_box;
 
 fn busy_node() -> Node {
@@ -114,6 +117,42 @@ fn bench_rapl(c: &mut Criterion) {
     g.finish();
 }
 
+/// The hardened daemon's control tick on its own: measure, program the
+/// cap (through the cap write and its read-back) and book-keep, as each
+/// cluster member does every 10 ms. The grant alternates between two
+/// caps, so every tick writes a new limit.
+fn bench_nrm(c: &mut Criterion) {
+    let mut g = c.benchmark_group("micro/nrm");
+    let period = 10 * MS;
+    g.throughput(Throughput::Elements(1_000));
+    g.bench_function("resilient_tick", |b| {
+        let mut node = busy_node();
+        node.set_package_cap(Some(90.0)).unwrap();
+        let schedule = StepFunction {
+            high_w: Some(90.0),
+            low_w: 80.0,
+            period: 2 * period,
+            high_fraction: 0.5,
+        };
+        let mut daemon = ResilientDaemon::new(
+            Box::new(schedule),
+            ActuatorKind::Rapl,
+            ResilienceConfig::default(),
+        )
+        .with_period(period);
+        let mut now = 0;
+        b.iter(|| {
+            for _ in 0..1_000 {
+                now += period;
+                daemon.on_tick(&mut node, now);
+            }
+            // Keep the sample log from growing across iterations.
+            daemon.samples.clear();
+        })
+    });
+    g.finish();
+}
+
 fn bench_bus(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro/bus");
     g.throughput(Throughput::Elements(1_000));
@@ -180,6 +219,7 @@ criterion_group!(
     benches,
     bench_node_step,
     bench_rapl,
+    bench_nrm,
     bench_bus,
     bench_aggregator,
     bench_model

@@ -326,11 +326,10 @@ impl SimAgent for ResilientDaemon {
         if self.active > 0 && self.primary_probe_in > 0 {
             self.primary_probe_in -= 1;
         }
-        let mut order: Vec<usize> = Vec::with_capacity(self.chain.len());
-        if probe_primary {
-            order.push(0);
-        }
-        order.extend(self.active..self.chain.len());
+        let order = probe_primary
+            .then_some(0)
+            .into_iter()
+            .chain(self.active..self.chain.len());
 
         let mut total_retries = 0;
         let mut verified = None;

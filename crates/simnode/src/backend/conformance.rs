@@ -97,9 +97,8 @@ fn conformance_allowlist_enforcement() {
 #[test]
 fn conformance_energy_counter_wraps_at_32_bits() {
     for (name, mut d) in tiers(None) {
-        let u = d.units();
         d.hw_write(MSR_PKG_ENERGY_STATUS, 0xFFFF_FFFE);
-        d.hw_add_energy(u.energy_j * 5.0);
+        d.hw_count(5, 0, 0);
         assert_eq!(d.hw_read(MSR_PKG_ENERGY_STATUS), 3, "{name}: wrap");
     }
 }
@@ -364,7 +363,7 @@ proptest! {
                 }
                 Op::AddEnergyTicks(t) => {
                     reference.hw_add_energy_ticks(t);
-                    ported.hw_add_energy_ticks(t);
+                    ported.hw_count(t, 0, 0);
                 }
                 Op::Advance(dt) => {
                     clock += dt;

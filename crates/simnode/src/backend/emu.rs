@@ -157,6 +157,16 @@ impl MsrBackend for EmulatedBackend {
         self.file.hw_write(addr, value);
     }
 
+    fn hw_count(&mut self, energy_ticks: u64, aperf: u64, mperf: u64) {
+        self.file.hw_count(energy_ticks, aperf, mperf);
+    }
+
+    /// The file's epoch: latched writes land through its `hw_write`, so
+    /// they move it when they apply, not when they are issued.
+    fn control_epoch(&self) -> Option<u64> {
+        self.file.control_epoch()
+    }
+
     fn fault_stats(&self) -> Option<&FaultStats> {
         self.file.fault_stats()
     }

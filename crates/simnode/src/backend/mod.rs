@@ -38,6 +38,8 @@ pub mod sim;
 
 #[cfg(test)]
 mod conformance;
+#[cfg(test)]
+mod epoch_oracle;
 
 pub use emu::{BusStats, EmulatedBackend};
 #[cfg(feature = "rapl")]
@@ -52,10 +54,13 @@ pub use sim::SimBackend;
 ///
 /// The first five methods are the user-space surface (`msr-safe`
 /// semantics: allow-list, fault filtering, [`MsrError`] as the shared
-/// error language). The `hw_*` pair is the privileged silicon-side
+/// error language). The `hw_*` methods are the privileged silicon-side
 /// surface the simulated node itself drives; real-hardware backends map
 /// them onto raw device access and drop writes the silicon owns
-/// (counters accumulate on their own there).
+/// (counters accumulate on their own there). [`control_epoch`] lets the
+/// node keep its decoded control registers across steps.
+///
+/// [`control_epoch`]: MsrBackend::control_epoch
 pub trait MsrBackend: std::fmt::Debug + Send {
     /// User-space read through the allow-list (and fault layer, where
     /// supported).
@@ -85,6 +90,33 @@ pub trait MsrBackend: std::fmt::Debug + Send {
 
     /// Privileged (hardware-side) write, bypassing the allow-list.
     fn hw_write(&mut self, addr: u32, value: u64);
+
+    /// The silicon's counting for one step, privileged: add
+    /// `energy_ticks` to the 32-bit wrapping `MSR_PKG_ENERGY_STATUS`,
+    /// and `aperf` and `mperf` to `IA32_APERF` and `IA32_MPERF`. The
+    /// default reads and writes each counter through
+    /// [`hw_read`](Self::hw_read) and [`hw_write`](Self::hw_write).
+    fn hw_count(&mut self, energy_ticks: u64, aperf: u64, mperf: u64) {
+        let energy = self.hw_read(MSR_PKG_ENERGY_STATUS);
+        self.hw_write(MSR_PKG_ENERGY_STATUS, (energy + energy_ticks) & 0xFFFF_FFFF);
+        let a = self.hw_read(IA32_APERF);
+        self.hw_write(IA32_APERF, a + aperf);
+        let m = self.hw_read(IA32_MPERF);
+        self.hw_write(IA32_MPERF, m + mperf);
+    }
+
+    /// A value that changes whenever a register other than the three
+    /// silicon-owned counters (`MSR_PKG_ENERGY_STATUS`, `IA32_APERF`,
+    /// `IA32_MPERF`) may have changed, by any path: a user write, a
+    /// privileged write, a latch or fault applying in
+    /// [`advance_to`](Self::advance_to). While it holds still, a caller
+    /// may keep what it decoded from those registers. `None` (the
+    /// default) means the backend cannot tell, as on real hardware where
+    /// other processes write the registers, and callers re-read every
+    /// time.
+    fn control_epoch(&self) -> Option<u64> {
+        None
+    }
 
     /// Fault-injection counters, when the backend carries a fault layer.
     fn fault_stats(&self) -> Option<&FaultStats> {

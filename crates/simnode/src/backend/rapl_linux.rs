@@ -260,6 +260,19 @@ mod tests {
     }
 
     #[test]
+    fn real_registers_have_no_control_epoch() {
+        // Other processes write real registers, so the node must re-read
+        // them every step.
+        let b = LinuxRaplBackend {
+            dev: File::open("/dev/null").unwrap(),
+            package: 0,
+            writable: false,
+            caps: Capabilities::none(),
+        };
+        assert_eq!(b.control_epoch(), None);
+    }
+
+    #[test]
     fn missing_package_is_unsupported() {
         // No machine has 10k sockets.
         assert!(matches!(

@@ -27,14 +27,45 @@ struct Reg {
     perm: Option<Permission>,
 }
 
+/// The seven architected registers, in their fixed slots at the front of
+/// [`SimBackend`]'s table. The three silicon-owned counters come first.
+const ARCHITECTED: [u32; 7] = [
+    MSR_PKG_ENERGY_STATUS,
+    IA32_APERF,
+    IA32_MPERF,
+    MSR_RAPL_POWER_UNIT,
+    MSR_PKG_POWER_LIMIT,
+    IA32_PERF_CTL,
+    IA32_CLOCK_MODULATION,
+];
+/// Slots of the counters [`MsrBackend::hw_count`] adds to.
+const ENERGY: usize = 0;
+const APERF: usize = 1;
+const MPERF: usize = 2;
+/// Slot of `MSR_PKG_POWER_LIMIT`, which a deferred cap write latches into.
+const POWER_LIMIT: usize = 4;
+
+/// Fixed slot of an architected register.
+fn architected_slot(addr: u32) -> Option<usize> {
+    match addr {
+        MSR_PKG_ENERGY_STATUS => Some(ENERGY),
+        IA32_APERF => Some(APERF),
+        IA32_MPERF => Some(MPERF),
+        MSR_RAPL_POWER_UNIT => Some(3),
+        MSR_PKG_POWER_LIMIT => Some(POWER_LIMIT),
+        IA32_PERF_CTL => Some(5),
+        IA32_CLOCK_MODULATION => Some(6),
+        _ => None,
+    }
+}
+
 /// The simulated MSR register file (allow-list + registers + optional
 /// fault layer).
 #[derive(Debug, Clone)]
 pub struct SimBackend {
-    /// Registers and allow-list in one small linear-scan table: the seven
-    /// architected registers, hottest first, then any address a builder
-    /// or `hw_write` added. A handful of integer compares beats hashing
-    /// on the node's per-quantum counter updates.
+    /// Registers and allow-list in one table: the seven architected
+    /// registers at fixed slots (see [`ARCHITECTED`]), then any address a
+    /// builder or `hw_write` added, found by a linear scan.
     regs: Vec<Reg>,
     /// Simulated time of the device, advanced by `advance_to`; only
     /// consulted by the fault layer.
@@ -42,57 +73,60 @@ pub struct SimBackend {
     /// Optional fault-injection layer ([`crate::faults`]). `None` (the
     /// default) leaves every access path untouched.
     faults: Option<FaultLayer>,
+    /// Stores to registers other than the counters (see
+    /// [`MsrBackend::control_epoch`]).
+    epoch: u64,
 }
 
 impl SimBackend {
     /// A register file with the default RAPL/DVFS allow-list and
     /// power-on values.
     pub fn new() -> Self {
-        let regs = [
-            MSR_PKG_ENERGY_STATUS,
-            IA32_APERF,
-            IA32_MPERF,
-            MSR_RAPL_POWER_UNIT,
-            MSR_PKG_POWER_LIMIT,
-            IA32_PERF_CTL,
-            IA32_CLOCK_MODULATION,
-        ]
-        .into_iter()
-        .map(|addr| Reg {
-            addr,
-            value: if addr == MSR_RAPL_POWER_UNIT {
-                RaplUnits::SKYLAKE_RAW
-            } else {
-                0
-            },
-            perm: Some(default_permission(addr).expect("default set")),
-        })
-        .collect();
+        let regs = ARCHITECTED
+            .into_iter()
+            .map(|addr| Reg {
+                addr,
+                value: if addr == MSR_RAPL_POWER_UNIT {
+                    RaplUnits::SKYLAKE_RAW
+                } else {
+                    0
+                },
+                perm: Some(default_permission(addr).expect("default set")),
+            })
+            .collect();
         Self {
             regs,
             now: 0,
             faults: None,
+            epoch: 0,
         }
     }
 
+    fn slot(&self, addr: u32) -> Option<usize> {
+        architected_slot(addr).or_else(|| {
+            self.regs[ARCHITECTED.len()..]
+                .iter()
+                .position(|r| r.addr == addr)
+                .map(|i| ARCHITECTED.len() + i)
+        })
+    }
+
     fn reg(&self, addr: u32) -> Option<&Reg> {
-        self.regs.iter().find(|r| r.addr == addr)
+        self.slot(addr).map(|i| &self.regs[i])
     }
 
     /// The entry for `addr`, appended (value 0, not allow-listed) if the
     /// file has none yet.
     fn reg_mut(&mut self, addr: u32) -> &mut Reg {
-        match self.regs.iter().position(|r| r.addr == addr) {
-            Some(i) => &mut self.regs[i],
-            None => {
-                self.regs.push(Reg {
-                    addr,
-                    value: 0,
-                    perm: None,
-                });
-                self.regs.last_mut().expect("just pushed")
-            }
-        }
+        let i = self.slot(addr).unwrap_or_else(|| {
+            self.regs.push(Reg {
+                addr,
+                value: 0,
+                perm: None,
+            });
+            self.regs.len() - 1
+        });
+        &mut self.regs[i]
     }
 
     fn perm(&self, addr: u32) -> Option<Permission> {
@@ -181,18 +215,14 @@ impl MsrBackend for SimBackend {
     fn advance_to(&mut self, now: Nanos) {
         self.now = now;
         if let Some(fl) = &mut self.faults {
-            // Field access, not `hw_read`: `fl` borrows `self.faults`.
-            let energy = self
-                .regs
-                .iter()
-                .find(|r| r.addr == MSR_PKG_ENERGY_STATUS)
-                .map_or(0, |r| r.value);
-            let (jump_to, latched) = fl.advance_to(now, energy);
+            // Slot access, not `hw_read`: `fl` borrows `self.faults`.
+            let (jump_to, latched) = fl.advance_to(now, self.regs[ENERGY].value);
             if let Some(v) = jump_to {
-                self.reg_mut(MSR_PKG_ENERGY_STATUS).value = v & 0xFFFF_FFFF;
+                self.regs[ENERGY].value = v & 0xFFFF_FFFF;
             }
             if let Some(raw) = latched {
-                self.reg_mut(MSR_PKG_POWER_LIMIT).value = raw;
+                self.regs[POWER_LIMIT].value = raw;
+                self.epoch += 1;
             }
         }
     }
@@ -212,7 +242,21 @@ impl MsrBackend for SimBackend {
     }
 
     fn hw_write(&mut self, addr: u32, value: u64) {
+        if !matches!(addr, MSR_PKG_ENERGY_STATUS | IA32_APERF | IA32_MPERF) {
+            self.epoch += 1;
+        }
         self.reg_mut(addr).value = value;
+    }
+
+    fn hw_count(&mut self, energy_ticks: u64, aperf: u64, mperf: u64) {
+        let energy = &mut self.regs[ENERGY].value;
+        *energy = (*energy + energy_ticks) & 0xFFFF_FFFF;
+        self.regs[APERF].value += aperf;
+        self.regs[MPERF].value += mperf;
+    }
+
+    fn control_epoch(&self) -> Option<u64> {
+        Some(self.epoch)
     }
 
     fn fault_stats(&self) -> Option<&FaultStats> {

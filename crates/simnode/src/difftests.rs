@@ -30,10 +30,10 @@ use crate::time::{Nanos, MS, US};
 /// SplitMix64 — a tiny deterministic stream for workload generation, kept
 /// separate from proptest's own RNG so a case's work sequence depends only
 /// on its `seed` input.
-struct Mix(u64);
+pub(crate) struct Mix(pub(crate) u64);
 
 impl Mix {
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -45,7 +45,7 @@ impl Mix {
         (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range(&mut self, lo: f64, hi: f64) -> f64 {
         lo + self.unit() * (hi - lo)
     }
 }
@@ -53,7 +53,7 @@ impl Mix {
 /// Draw a random work item: mostly compute packets across the whole
 /// compute-bound/memory-bound spectrum, with occasional sleeps, spins and
 /// idle stretches so every `CoreWork` arm of the step paths is exercised.
-fn random_work(rng: &mut Mix, now: Nanos) -> CoreWork {
+pub(crate) fn random_work(rng: &mut Mix, now: Nanos) -> CoreWork {
     match rng.next() % 8 {
         0 => CoreWork::Idle,
         1 => CoreWork::Spin,

@@ -3,16 +3,23 @@
 #
 # With `perf` on the PATH this records the chosen bench binary and prints
 # the symbol-level breakdown (plus a flamegraph SVG when the inferno or
-# flamegraph tools are installed). Without `perf` it falls back to the
-# criterion-stub timing breakdown: the macro-step fast path
-# (simnode/step_until_3s, cluster/*) side by side with the exact
-# single-quantum reference (node/step_1s from the micro bench), which is
-# the ratio the event-horizon stepping optimises.
+# flamegraph tools are installed). Without `perf` it runs the same bench
+# binary under scripts/ptrace_sample.py, a small sampler built from
+# python3, ptrace and addr2line: it stops every running thread of the
+# command every 2 ms (PROFILE_INTERVAL, in seconds), records the
+# instruction pointer, and prints the shares of leaf functions, of
+# functions anywhere in the inline chain and of source lines.
+#
+# The sampler takes any command, so an end-to-end workload can be
+# profiled directly, for example:
+#   cargo build --release --offline --manifest-path powerbench/Cargo.toml
+#   scripts/ptrace_sample.py -- powerbench/target/release/powerbench \
+#       --workload cluster_hier_halo_4096 --seconds 10
 #
 # Usage: scripts/profile.sh [bench-name] [filter]
 #        scripts/profile.sh [filter]
 #
-#   bench-name   bench target to profile under perf (default: cluster)
+#   bench-name   bench target to profile (default: cluster)
 #   filter       substring selecting which benches inside the target run
 #                (CRITERION_FILTER); an argument that names no bench
 #                target is taken as a filter on the default target, so
@@ -30,16 +37,17 @@ if [[ -n "${1:-}" && ! -f "crates/bench/benches/${bench}.rs" ]]; then
 fi
 export CRITERION_FILTER="$filter"
 
+cargo bench -q -p powerprog-bench --bench "$bench" --no-run
+# Find the freshest bench binary for the target.
+bin="$(ls -t target/release/deps/"${bench}"-* 2>/dev/null |
+    grep -v '\.d$' | head -n1)"
+if [[ -z "$bin" ]]; then
+    echo "profile.sh: no bench binary for '$bench'" >&2
+    exit 1
+fi
+
 if command -v perf >/dev/null 2>&1; then
     echo "== perf profile of bench '$bench'${filter:+ (filter: $filter)}"
-    cargo bench -q -p powerprog-bench --bench "$bench" --no-run
-    # Find the freshest bench binary for the target.
-    bin="$(ls -t target/release/deps/"${bench}"-* 2>/dev/null |
-        grep -v '\.d$' | head -n1)"
-    if [[ -z "$bin" ]]; then
-        echo "profile.sh: no bench binary for '$bench'" >&2
-        exit 1
-    fi
     out="target/profile"
     mkdir -p "$out"
     perf record -g --output="$out/perf.data" -- \
@@ -64,17 +72,7 @@ if command -v perf >/dev/null 2>&1; then
     exit 0
 fi
 
-echo "== no perf on PATH: criterion timing breakdown instead"
-echo
-echo "-- event-horizon fast path (macro-quantum stepping)"
+echo "== no perf on PATH: ptrace samples of bench '$bench'${filter:+ (filter: $filter)}"
 CRITERION_SAMPLES="${CRITERION_SAMPLES:-5}" \
-    cargo bench -q -p powerprog-bench --bench "$bench"
-if [[ -z "$filter" ]]; then
-    echo
-    echo "-- exact single-quantum reference (node/step_1s) and subsystem costs"
-    CRITERION_SAMPLES="${CRITERION_SAMPLES:-5}" \
-        cargo bench -q -p powerprog-bench --bench micro
-    echo
-    echo "step_until_3s simulates 3 s; node/step_1s simulates 1 s: divide the"
-    echo "step_until median by 3 to compare per-simulated-second cost."
-fi
+    python3 scripts/ptrace_sample.py --interval "${PROFILE_INTERVAL:-0.002}" \
+    -- "$bin" --bench
