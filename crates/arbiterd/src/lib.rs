@@ -28,8 +28,10 @@
 //!   lock per tick, grants batched into one frame per connection.
 //! - [`sharded`] — horizontal scale-out: N shards, each owning a span
 //!   of producers and a rack-style sub-budget, under a coordinator
-//!   that reuses [`cluster::OuterSolver`] so the machine budget splits
-//!   exactly as the in-process rack tree splits it.
+//!   that runs the in-process rack tree's own outer epoch
+//!   ([`cluster::OuterSolver::epoch`], with each service a
+//!   [`cluster::Subtree`]), so the machine budget splits exactly as the
+//!   rack tree splits it and the same level invariants are asserted.
 //! - [`client`] — the member side, one client per group of nodes
 //!   sharing a connection: hold-last-grant degradation, jittered
 //!   exponential reconnect backoff, shed-hint compliance; it

@@ -23,7 +23,7 @@
 
 use std::path::PathBuf;
 
-use cluster::{BudgetArbiter, NodeTelemetry, RackWindow};
+use cluster::{BudgetArbiter, NodeTelemetry, RackWindow, Subtree};
 
 use crate::proto::Msg;
 use crate::snapshot::Snapshot;
@@ -119,10 +119,11 @@ pub struct ArbiterService {
     last_seq: Vec<u64>,
     /// Freshest report per client in the current round.
     fresh: Vec<Option<(u64, NodeTelemetry)>>,
-    /// Accumulated telemetry sums since the last [`ArbiterService::
-    /// take_window`]: the upward half of a sharded deployment, where a
-    /// coordinator drains each shard's window on the outer period
-    /// exactly as [`cluster::RackArbiter`] drains its racks'.
+    /// Accumulated telemetry sums since the last
+    /// [`Subtree::take_window`]: the upward half of a sharded
+    /// deployment, where a coordinator drains each shard's window on the
+    /// outer period exactly as [`cluster::RackArbiter`] drains its
+    /// racks'.
     window: RackWindow,
     /// Reused per-tick staging for the redistribute call; kept across
     /// ticks so a full round does not reallocate `node_count` options.
@@ -163,7 +164,9 @@ impl ArbiterService {
     /// Try to resume from the snapshot at the configured path. Returns
     /// `true` when a usable snapshot was adopted (tick counter, budget,
     /// grants — bitwise — and the lease table); `false` leaves the fresh
-    /// state untouched, which is the cold-start path.
+    /// state untouched, which is the cold-start path. A snapshot the
+    /// arbiter refuses (see [`BudgetArbiter::restore`]) is a cold start
+    /// too, never a panic.
     pub fn restore(&mut self) -> bool {
         let Some(path) = &self.snapshot_path else {
             return false;
@@ -171,11 +174,7 @@ impl ArbiterService {
         let Some(snap) = Snapshot::load(path) else {
             return false;
         };
-        if snap.grants_w.len() != self.arbiter.node_count() {
-            return false;
-        }
-        self.arbiter.set_budget(snap.budget_w);
-        if !self.arbiter.restore_grants(&snap.grants_w) {
+        if !self.arbiter.restore(snap.budget_w, &snap.grants_w) {
             return false;
         }
         self.tick = snap.tick;
@@ -428,22 +427,6 @@ impl ArbiterService {
         self.leases.get(node).is_some_and(Option::is_some)
     }
 
-    /// Drain the outer aggregation window into one shard-level report:
-    /// `None` when no telemetry was accepted since the last drain (the
-    /// whole shard is silent and the coordinator freezes its
-    /// sub-budget, mirroring the silent-rack rule).
-    pub fn take_window(&mut self) -> Option<NodeTelemetry> {
-        self.window.take()
-    }
-
-    /// Re-budget the wrapped arbiter (the downward half of a sharded
-    /// deployment). Bit-stable: a same-bits budget is a no-op, so a
-    /// coordinator re-asserting an unchanged sub-budget never perturbs
-    /// grants.
-    pub fn set_budget(&mut self, budget_w: f64) {
-        self.arbiter.set_budget(budget_w);
-    }
-
     /// Σ of the current grants, W.
     pub fn sum_grants(&self) -> f64 {
         self.arbiter.grants().iter().sum()
@@ -452,6 +435,26 @@ impl ArbiterService {
     /// Service counters.
     pub fn stats(&self) -> ServiceStats {
         self.stats
+    }
+}
+
+/// A shard of a sharded deployment: the coordinator's
+/// [`cluster::OuterSolver::epoch`] drains the window (telemetry up) and
+/// re-budgets the wrapped arbiter (sub-budget down). A same-bits budget
+/// is a no-op, so re-asserting an unchanged sub-budget never perturbs
+/// grants; an empty window means the whole shard is silent and its
+/// sub-budget freezes, mirroring the silent-rack rule.
+impl Subtree for ArbiterService {
+    fn budget(&self) -> f64 {
+        self.arbiter.budget()
+    }
+
+    fn set_budget(&mut self, budget_w: f64) {
+        self.arbiter.set_budget(budget_w);
+    }
+
+    fn take_window(&mut self) -> Option<NodeTelemetry> {
+        self.window.take()
     }
 }
 
@@ -660,6 +663,59 @@ mod tests {
             assert!(revived.leased(node), "leases restore with the state");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fresh 4-node, 400 W service (40 W floor) that restores from
+    /// `snap`: whether it adopted it, and the service afterwards.
+    fn restore_from(snap: &Snapshot, name: &str) -> (bool, ArbiterService) {
+        let dir = std::env::temp_dir().join(format!("arbiterd-rst-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("svc.snap");
+        snap.save(&path).unwrap();
+        let mut svc =
+            ArbiterService::new(arbiter(4), ServiceConfig::default()).with_snapshot_path(path);
+        let adopted = svc.restore();
+        std::fs::remove_dir_all(&dir).ok();
+        (adopted, svc)
+    }
+
+    fn snapshot(budget_w: f64, grants_w: Vec<f64>) -> Snapshot {
+        Snapshot {
+            tick: 7,
+            budget_w,
+            leases: vec![Some(9); grants_w.len()],
+            grants_w,
+            window: None,
+        }
+    }
+
+    #[test]
+    fn restore_adopts_only_a_conserving_snapshot() {
+        // Checksum-valid but unusable: grants over the snapshot's own
+        // budget, a budget that cannot fund four 40 W floors, and a NaN
+        // budget. Each is a cold start, never a panic or a half-restore.
+        for (name, snap) in [
+            ("over", snapshot(300.0, vec![100.0; 4])),
+            ("infeasible", snapshot(100.0, vec![25.0; 4])),
+            ("nan", snapshot(f64::NAN, vec![100.0; 4])),
+        ] {
+            let (adopted, svc) = restore_from(&snap, name);
+            assert!(!adopted, "{name}: snapshot must be refused");
+            assert_eq!(svc.budget().to_bits(), 400.0f64.to_bits(), "{name}");
+            assert_eq!(svc.grants(), &[100.0; 4], "{name}: grants moved");
+            assert_eq!(svc.now(), 0, "{name}: tick adopted");
+            assert!(!svc.leased(0), "{name}: leases adopted");
+        }
+        // A conserving snapshot with its own budget is adopted bitwise.
+        let grants = vec![95.0, f64::from_bits(0x4057_C000_0000_0001), 90.0, 100.0];
+        let (adopted, svc) = restore_from(&snapshot(390.0, grants.clone()), "valid");
+        assert!(adopted);
+        assert_eq!(svc.budget().to_bits(), 390.0f64.to_bits());
+        for (a, b) in svc.grants().iter().zip(&grants) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(svc.now(), 7);
+        assert!(svc.leased(3));
     }
 
     #[test]

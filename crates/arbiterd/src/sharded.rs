@@ -4,10 +4,10 @@
 //! This module splits the producer population across `N` shards — each
 //! a full [`ArbiterService`] owning a contiguous span of nodes and a
 //! rack-style *sub-budget* — and re-splits the machine budget across
-//! the shards on an outer period, reusing [`cluster::OuterSolver`]
-//! verbatim: telemetry sums flow up (each shard drains its
-//! [`cluster::RackWindow`]), sub-budgets flow down, and a silent shard
-//! keeps its sub-budget frozen exactly like a silent rack.
+//! the shards on an outer period with the rack tree's own
+//! [`cluster::OuterSolver::epoch`]: telemetry sums flow up (each shard
+//! drains its [`cluster::RackWindow`]), sub-budgets flow down, and a
+//! silent shard keeps its sub-budget frozen exactly like a silent rack.
 //!
 //! Because the solver *is* the rack-level engine and each shard's
 //! service redistributes exactly like a rack's child arbiter, a
@@ -27,14 +27,13 @@
 //! `s` numbers its nodes `0..span.len()`); [`ShardedService::locate`]
 //! maps a global node id to its `(shard, local)` pair.
 
-use std::borrow::BorrowMut;
 use std::net::{SocketAddr, TcpListener};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use cluster::{ArbiterConfig, NodeTelemetry, OuterSolver};
+use cluster::{ArbiterConfig, OuterSolver};
 
 use crate::daemon::{Daemon, DaemonConfig};
 use crate::proto::Msg;
@@ -165,10 +164,10 @@ impl ShardedService {
 
     /// One lockstep machine tick: every shard runs the first half of
     /// its tick (fold telemetry, aggregate its window); on the outer
-    /// period the coordinator drains all windows, re-splits the machine
-    /// budget, and pushes sub-budgets down (decreases before increases,
-    /// so Σ sub-budgets never transiently exceeds the machine budget);
-    /// then every shard redistributes under its (possibly new) budget.
+    /// period the coordinator runs one [`OuterSolver::epoch`] — drain
+    /// all windows, re-split the machine budget, push sub-budgets down
+    /// decreases first, assert the level — then every shard
+    /// redistributes under its (possibly new) budget.
     /// Returns each shard's replies, in shard order, and asserts
     /// machine-wide Σ grants ≤ budget.
     pub fn tick(&mut self) -> Vec<Vec<Msg>> {
@@ -180,7 +179,7 @@ impl ShardedService {
         // skipping the solve keeps the path bitwise-identical to an
         // unsharded service.
         if self.shards.len() > 1 && self.tick.is_multiple_of(self.outer_period) {
-            outer_epoch(&mut self.solver, self.machine_budget_w, &mut self.shards);
+            self.solver.epoch(self.machine_budget_w, &mut self.shards);
         }
         let replies: Vec<Vec<Msg>> = self
             .shards
@@ -233,35 +232,6 @@ impl ShardedService {
         let adopted = fresh.restore();
         self.shards[i] = fresh;
         adopted
-    }
-}
-
-/// One outer epoch: drain every shard's window, re-split `budget_w`
-/// across the shards, and push the sub-budgets down — all decreases
-/// first, then the rest, so Σ budgets stays ≤ the machine budget at
-/// every intermediate state (a same-bits budget is a no-op inside the
-/// arbiter).
-fn outer_epoch<S: BorrowMut<ArbiterService>>(
-    solver: &mut OuterSolver,
-    budget_w: f64,
-    shards: &mut [S],
-) {
-    let reports: Vec<Option<NodeTelemetry>> = shards
-        .iter_mut()
-        .map(|s| s.borrow_mut().take_window())
-        .collect();
-    let subs = solver.resolve(budget_w, &reports);
-    for (s, &b) in shards.iter_mut().zip(subs) {
-        let svc = s.borrow_mut();
-        if b < svc.budget() {
-            svc.set_budget(b);
-        }
-    }
-    for (s, &b) in shards.iter_mut().zip(subs) {
-        let svc = s.borrow_mut();
-        if b > svc.budget() {
-            svc.set_budget(b);
-        }
     }
 }
 
@@ -333,7 +303,7 @@ impl ShardedDaemon {
                     let mut guards: Vec<_> = services.iter().map(|s| s.lock().unwrap()).collect();
                     let mut shards: Vec<&mut ArbiterService> =
                         guards.iter_mut().map(|g| &mut **g).collect();
-                    outer_epoch(&mut solver, budget_w, &mut shards);
+                    solver.epoch(budget_w, &mut shards);
                     let sum: f64 = shards.iter().map(|s| s.sum_grants()).sum();
                     drop(guards);
                     if sum > budget_w + 1e-6 {
@@ -409,7 +379,9 @@ impl Drop for ShardedDaemon {
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
-    use cluster::{BudgetArbiter, HierarchyConfig, Policy, PowerArbiter, RackArbiter};
+    use cluster::{
+        BudgetArbiter, HierarchyConfig, NodeTelemetry, Policy, PowerArbiter, RackArbiter,
+    };
     use std::time::Duration;
 
     fn machine_cfg(n: usize) -> ArbiterConfig {

@@ -40,6 +40,29 @@ use crate::policy::{self, Allocator, RebalanceScratch};
 /// Tolerance for floating-point invariant checks, W.
 pub(crate) const EPS_W: f64 = 1e-6;
 
+/// The conservation check every level of the tree shares: Σ `values` ≤
+/// `budget` and each value inside its `[min[i], max[i]]` clamp, within
+/// [`EPS_W`]. Returns the first violation. An arbiter or rack level
+/// panics on one (it can only be a bug); snapshot restore refuses the
+/// snapshot instead.
+pub(crate) fn conservation(
+    budget: f64,
+    values: &[f64],
+    min: &[f64],
+    max: &[f64],
+) -> Result<(), String> {
+    let total: f64 = values.iter().sum();
+    if !(..=budget + EPS_W).contains(&total) {
+        return Err(format!("Σ {total} W exceeds the {budget} W budget"));
+    }
+    for (i, ((&v, &lo), &hi)) in values.iter().zip(min).zip(max).enumerate() {
+        if !(lo - EPS_W..=hi + EPS_W).contains(&v) {
+            return Err(format!("child {i} holds {v} W outside [{lo}, {hi}] W"));
+        }
+    }
+    Ok(())
+}
+
 /// Budget-division policy (the serde-facing configuration enum; its
 /// executable form is [`Policy::allocator`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -330,7 +353,7 @@ pub(crate) fn validate_reports(
 /// arbiters nest into trees of arbitrary fan-out. The contract is also
 /// what the `arbiterd` daemon serves over a socket, which is why
 /// malformed input is a recoverable [`TelemetryError`] (NACK one client,
-/// keep serving) and why crash recovery ([`BudgetArbiter::restore_grants`])
+/// keep serving) and why crash recovery ([`BudgetArbiter::restore`])
 /// and lease reclamation ([`BudgetArbiter::reclaim`]) are part of the
 /// trait rather than daemon-private hacks.
 pub trait BudgetArbiter: Send {
@@ -394,13 +417,14 @@ pub trait BudgetArbiter: Send {
         false
     }
 
-    /// Overwrite the grants in force from a crash-recovery snapshot.
-    /// Returns `false` (state untouched) when the arbiter cannot restore
-    /// — wrong arity, a grant outside its clamps, Σ over budget, or an
+    /// Adopt the budget and grants of a crash-recovery snapshot.
+    /// Returns `false` with the state untouched when the arbiter cannot
+    /// restore: wrong arity, a budget that is not finite or cannot fund
+    /// the floors, a grant outside its clamps, Σ over the budget, or an
     /// implementation whose internal state is richer than its grant
     /// vector (the default).
-    fn restore_grants(&mut self, grants: &[f64]) -> bool {
-        let _ = grants;
+    fn restore(&mut self, budget_w: f64, grants: &[f64]) -> bool {
+        let _ = (budget_w, grants);
         false
     }
 }
@@ -622,20 +646,8 @@ impl PowerArbiter {
     /// per-node clamp (which a thermal ceiling may have tightened below
     /// the shared `[min_cap, max_cap]`).
     fn assert_invariants(&self) {
-        let total: f64 = self.grants.iter().sum();
-        assert!(
-            total <= self.cfg.budget_w + EPS_W,
-            "granted {} W exceeds the {} W budget",
-            total,
-            self.cfg.budget_w
-        );
-        for (i, &g) in self.grants.iter().enumerate() {
-            assert!(
-                (self.min_v[i] - EPS_W..=self.max_v[i] + EPS_W).contains(&g),
-                "node {i} grant {g} W outside [{}, {}] W",
-                self.min_v[i],
-                self.max_v[i]
-            );
+        if let Err(e) = conservation(self.cfg.budget_w, &self.grants, &self.min_v, &self.max_v) {
+            panic!("node grants: {e}");
         }
     }
 }
@@ -695,18 +707,16 @@ impl BudgetArbiter for PowerArbiter {
         true
     }
 
-    fn restore_grants(&mut self, grants: &[f64]) -> bool {
-        if grants.len() != self.grants.len() {
+    fn restore(&mut self, budget_w: f64, grants: &[f64]) -> bool {
+        let n = self.grants.len();
+        if grants.len() != n
+            || !budget_w.is_finite()
+            || budget_w < self.cfg.min_cap_w * n as f64 - EPS_W
+            || conservation(budget_w, grants, &self.min_v, &self.max_v).is_err()
+        {
             return false;
         }
-        let total: f64 = grants.iter().sum();
-        let clamped = grants
-            .iter()
-            .zip(self.min_v.iter().zip(&self.max_v))
-            .all(|(g, (&lo, &hi))| (lo - EPS_W..=hi + EPS_W).contains(g));
-        if total > self.cfg.budget_w + EPS_W || !clamped {
-            return false;
-        }
+        self.cfg.budget_w = budget_w;
         self.grants.copy_from_slice(grants);
         self.assert_invariants();
         true
@@ -1241,12 +1251,14 @@ mod tests {
         ]);
         // A snapshot putting node 0 above its thermal ceiling is refused
         // even though it is inside the shared clamp range.
-        assert!(!BudgetArbiter::restore_grants(
+        assert!(!BudgetArbiter::restore(
             &mut a,
+            400.0,
             &[110.0, 90.0, 90.0, 90.0]
         ));
-        assert!(BudgetArbiter::restore_grants(
+        assert!(BudgetArbiter::restore(
             &mut a,
+            400.0,
             &[85.0, 105.0, 105.0, 105.0]
         ));
     }
@@ -1257,19 +1269,27 @@ mod tests {
         let before = a.grants().to_vec();
 
         // Over budget: refused, state untouched.
-        assert!(!BudgetArbiter::restore_grants(&mut a, &[120.0; 4]));
+        assert!(!BudgetArbiter::restore(&mut a, 400.0, &[120.0; 4]));
         assert_eq!(a.grants(), before.as_slice());
         // Below the floor: refused.
-        assert!(!BudgetArbiter::restore_grants(
+        assert!(!BudgetArbiter::restore(
             &mut a,
+            400.0,
             &[10.0, 100.0, 100.0, 100.0]
         ));
         // Wrong arity: refused.
-        assert!(!BudgetArbiter::restore_grants(&mut a, &[100.0; 3]));
+        assert!(!BudgetArbiter::restore(&mut a, 400.0, &[100.0; 3]));
+        // A budget that cannot fund the floors, or is not a number:
+        // refused, budget and grants untouched.
+        assert!(!BudgetArbiter::restore(&mut a, 100.0, &[25.0; 4]));
+        assert!(!BudgetArbiter::restore(&mut a, f64::NAN, &[100.0; 4]));
+        assert_eq!(BudgetArbiter::budget(&a), 400.0);
+        assert_eq!(a.grants(), before.as_slice());
 
-        // A conserving snapshot is adopted bitwise.
+        // A conserving snapshot is adopted bitwise, budget included.
         let snap = [90.0, 110.0, 80.0, 120.0];
-        assert!(BudgetArbiter::restore_grants(&mut a, &snap));
+        assert!(BudgetArbiter::restore(&mut a, 420.0, &snap));
         assert_eq!(a.grants(), snap.as_slice());
+        assert_eq!(BudgetArbiter::budget(&a), 420.0);
     }
 }

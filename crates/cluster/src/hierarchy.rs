@@ -33,8 +33,8 @@
 use std::ops::Range;
 
 use crate::arbiter::{
-    validate_reports, ArbiterConfig, BudgetArbiter, GrantTrace, NodeTelemetry, Policy,
-    PowerArbiter, EPS_W,
+    conservation, validate_reports, ArbiterConfig, BudgetArbiter, GrantTrace, NodeTelemetry,
+    Policy, PowerArbiter, EPS_W,
 };
 use crate::error::{ensure, ConfigError, TelemetryError};
 use crate::policy::{self, Allocator, IncrementalFill, RebalanceScratch};
@@ -259,12 +259,44 @@ impl RackWindow {
     }
 }
 
+/// One child of an [`OuterSolver`] level: a subtree with a re-settable
+/// budget and a telemetry window aggregating upward. Each rack of a
+/// [`RackArbiter`] is one, and so is each `arbiterd` shard service.
+pub trait Subtree {
+    /// The budget this subtree divides, W.
+    fn budget(&self) -> f64;
+
+    /// Re-target the subtree at `budget_w` (see
+    /// [`BudgetArbiter::set_budget`]).
+    fn set_budget(&mut self, budget_w: f64);
+
+    /// Drain the telemetry aggregated since the last drain into one
+    /// report: `None` when no member reported (the subtree is silent and
+    /// keeps its budget, mirroring the node-level dropout rule).
+    fn take_window(&mut self) -> Option<NodeTelemetry>;
+}
+
+impl<T: Subtree + ?Sized> Subtree for &mut T {
+    fn budget(&self) -> f64 {
+        (**self).budget()
+    }
+
+    fn set_budget(&mut self, budget_w: f64) {
+        (**self).set_budget(budget_w)
+    }
+
+    fn take_window(&mut self) -> Option<NodeTelemetry> {
+        (**self).take_window()
+    }
+}
+
 /// The rack-level half of the tree, factored out of [`RackArbiter`] so a
-/// *distributed* deployment can reuse it verbatim: a coordinator splitting
-/// a machine budget across N `arbiterd` shards runs the exact code path —
-/// same incremental waterfill, same silent-child freeze, same bit
-/// patterns — as the in-process rack tree. One child here is one rack (or
-/// one shard); leaves are somebody else's problem.
+/// *distributed* deployment runs the same outer epoch: a coordinator
+/// splitting a machine budget across N `arbiterd` shards calls
+/// [`OuterSolver::epoch`] exactly as the in-process rack tree does —
+/// same incremental waterfill, same silent-child freeze, same push-down
+/// order, same bit patterns. One child here is one rack (or one shard);
+/// leaves are somebody else's problem.
 ///
 /// Holds the solver state that must survive across epochs for the
 /// incremental path to stay bit-stable: current sub-budgets, each child's
@@ -287,6 +319,7 @@ pub struct OuterSolver {
     /// frozen semantics need the general reporting-subset path).
     scratch: RebalanceScratch,
     /// Reused per-epoch buffers (no per-epoch allocation).
+    reports: Vec<Option<NodeTelemetry>>,
     tel: Vec<NodeTelemetry>,
     fill_tmp: Vec<f64>,
     fill_desired: Vec<f64>,
@@ -325,6 +358,7 @@ impl OuterSolver {
             fill: IncrementalFill::new(&min, &max),
             last_desired: vec![f64::NAN; n],
             scratch: RebalanceScratch::default(),
+            reports: Vec::with_capacity(n),
             tel: Vec::with_capacity(n),
             fill_tmp: Vec::new(),
             fill_desired: Vec::new(),
@@ -334,39 +368,42 @@ impl OuterSolver {
         }
     }
 
-    /// Children under division.
-    pub fn len(&self) -> usize {
-        self.sub_budgets.len()
-    }
-
-    /// True when the solver has no children (unreachable via `new`).
-    pub fn is_empty(&self) -> bool {
-        self.sub_budgets.is_empty()
-    }
-
     /// Current per-child sub-budgets, W.
     pub fn sub_budgets(&self) -> &[f64] {
         &self.sub_budgets
     }
 
-    /// Per-child lower clamps, W.
-    pub fn min(&self) -> &[f64] {
-        &self.min
+    /// One outer epoch over `children`: drain each child's window,
+    /// re-split `pool_w` across them, push the sub-budgets down and
+    /// assert the level's invariants (see [`OuterSolver::refit`]).
+    /// Returns the new sub-budgets and the drained window reports, one
+    /// per child.
+    ///
+    /// # Panics
+    /// Panics when `children` does not match the solver's child count,
+    /// or on an invariant violation (a bug, not an operating condition).
+    pub fn epoch<C: Subtree>(
+        &mut self,
+        pool_w: f64,
+        children: &mut [C],
+    ) -> (&[f64], &[Option<NodeTelemetry>]) {
+        let mut reports = std::mem::take(&mut self.reports);
+        reports.clear();
+        reports.extend(children.iter_mut().map(Subtree::take_window));
+        self.resolve(pool_w, &reports);
+        self.reports = reports;
+        self.push_down(pool_w, children);
+        (&self.sub_budgets, &self.reports)
     }
 
-    /// Per-child upper clamps, W.
-    pub fn max(&self) -> &[f64] {
-        &self.max
-    }
-
-    /// One outer-epoch solve: re-split `pool_w` across the children from
-    /// their drained window reports (`None` = silent child, sub-budget
-    /// frozen). When every child reported, the incremental fill re-solves
-    /// from desire deltas — a child whose desired sub-budget did not move
-    /// bitwise reuses its cached clamped desire and costs nothing beyond
-    /// the comparison; any silent child falls back to the general engine,
-    /// which owns the frozen-pool semantics.
-    pub fn resolve(&mut self, pool_w: f64, reports: &[Option<NodeTelemetry>]) -> &[f64] {
+    /// Re-split `pool_w` from the drained window reports (`None` = silent
+    /// child, sub-budget frozen). When every child reported, the
+    /// incremental fill re-solves from desire deltas — a child whose
+    /// desired sub-budget did not move bitwise reuses its cached clamped
+    /// desire and costs nothing beyond the comparison; any silent child
+    /// falls back to the general engine, which owns the frozen-pool
+    /// semantics.
+    fn resolve(&mut self, pool_w: f64, reports: &[Option<NodeTelemetry>]) {
         assert_eq!(
             reports.len(),
             self.sub_budgets.len(),
@@ -404,16 +441,84 @@ impl OuterSolver {
                 &mut self.scratch,
             );
         }
-        &self.sub_budgets
     }
 
-    /// Re-fit the current sub-budgets into a new pool (the
-    /// [`BudgetArbiter::set_budget`] cascade at this level): waterfill
-    /// the existing split into `pool_w` under the clamps.
-    pub fn refit(&mut self, pool_w: f64) -> &[f64] {
+    /// Re-fit the current sub-budgets into a new pool and push them down
+    /// to `children`: the [`BudgetArbiter::set_budget`] cascade at this
+    /// level.
+    ///
+    /// # Panics
+    /// Panics when `pool_w` cannot fund the sum of the child floors.
+    pub fn refit<C: Subtree>(&mut self, pool_w: f64, children: &mut [C]) {
+        let floor: f64 = self.min.iter().sum();
+        assert!(
+            pool_w >= floor - EPS_W,
+            "budget {pool_w} W cannot fund the {floor} W sum of child floors"
+        );
         let refit = policy::waterfill(&self.sub_budgets, pool_w, &self.min, &self.max);
         self.sub_budgets.copy_from_slice(&refit);
-        &self.sub_budgets
+        self.push_down(pool_w, children);
+    }
+
+    /// Hand each child its sub-budget — every decrease before any
+    /// increase, so Σ child budgets never exceeds the pool in between (a
+    /// same-bits budget is a no-op inside the child) — then assert the
+    /// level's invariants.
+    fn push_down<C: Subtree>(&self, pool_w: f64, children: &mut [C]) {
+        for (child, &b) in children.iter_mut().zip(&self.sub_budgets) {
+            if b < child.budget() {
+                child.set_budget(b);
+            }
+        }
+        for (child, &b) in children.iter_mut().zip(&self.sub_budgets) {
+            if b > child.budget() {
+                child.set_budget(b);
+            }
+        }
+        self.assert_level(pool_w, children);
+    }
+
+    /// The level's invariants: the sub-budgets conserve `pool_w` under
+    /// the per-child clamps, and every child holds exactly its
+    /// sub-budget (each child asserts its own level).
+    fn assert_level<C: Subtree>(&self, pool_w: f64, children: &[C]) {
+        assert_eq!(
+            children.len(),
+            self.sub_budgets.len(),
+            "one child per sub-budget"
+        );
+        if let Err(e) = conservation(pool_w, &self.sub_budgets, &self.min, &self.max) {
+            panic!("sub-budgets: {e}");
+        }
+        for (r, (child, &b)) in children.iter().zip(&self.sub_budgets).enumerate() {
+            assert!(
+                (child.budget() - b).abs() <= EPS_W,
+                "child {r} budget {} W drifted from its {b} W sub-budget",
+                child.budget()
+            );
+        }
+    }
+}
+
+/// One rack of a [`RackArbiter`]: its flat node arbiter and the member
+/// telemetry aggregating upward over the current outer window.
+#[derive(Debug, Clone)]
+struct Rack {
+    arbiter: PowerArbiter,
+    window: RackWindow,
+}
+
+impl Subtree for Rack {
+    fn budget(&self) -> f64 {
+        self.arbiter.budget()
+    }
+
+    fn set_budget(&mut self, budget_w: f64) {
+        self.arbiter.set_budget(budget_w);
+    }
+
+    fn take_window(&mut self) -> Option<NodeTelemetry> {
+        self.window.take()
     }
 }
 
@@ -426,19 +531,16 @@ pub struct RackArbiter {
     /// The rack-level division engine (shared with the sharded-daemon
     /// coordinator, which is why it is a separate type).
     outer: OuterSolver,
-    /// One flat arbiter per rack, budgeted at its sub-budget.
-    children: Vec<PowerArbiter>,
+    /// One flat arbiter per rack, budgeted at its sub-budget, with its
+    /// upward telemetry window.
+    racks: Vec<Rack>,
     /// Leaf index span of each rack (ranks are packed in rack order).
     spans: Vec<Range<usize>>,
-    /// Telemetry aggregating upward over the current outer window.
-    acc: Vec<RackWindow>,
     round: usize,
     /// Concatenated leaf grants across the racks, W.
     leaf_grants: Vec<f64>,
     leaf_trace: GrantTrace,
     rack_trace: GrantTrace,
-    /// Reused outer-epoch report buffer (no per-epoch allocation).
-    rack_reports: Vec<Option<NodeTelemetry>>,
     /// Which racks were re-split at the current barrier (reused).
     stepped: Vec<bool>,
     /// Inner-epoch child re-splits skipped because the rack subtree was
@@ -478,27 +580,26 @@ impl RackArbiter {
         // Children run untraced: the tree records the leaf trace itself,
         // and the duplicate per-rack traces were measurable overhead at
         // scale (four Vec clones per rack per barrier).
-        let children: Vec<PowerArbiter> = hierarchy
+        let racks: Vec<Rack> = hierarchy
             .racks
             .iter()
             .zip(outer.sub_budgets())
-            .map(|(&k, &b)| {
-                PowerArbiter::new(ArbiterConfig { budget_w: b, ..cfg }, k).with_tracing(false)
+            .map(|(&k, &b)| Rack {
+                arbiter: PowerArbiter::new(ArbiterConfig { budget_w: b, ..cfg }, k)
+                    .with_tracing(false),
+                window: RackWindow::default(),
             })
             .collect();
         let mut leaf_grants = vec![0.0; n];
-        for (child, span) in children.iter().zip(&spans) {
-            leaf_grants[span.clone()].copy_from_slice(child.grants());
+        for (rack, span) in racks.iter().zip(&spans) {
+            leaf_grants[span.clone()].copy_from_slice(rack.arbiter.grants());
         }
-        let n_racks = hierarchy.racks.len();
         let arb = Self {
-            rack_reports: Vec::with_capacity(n_racks),
-            stepped: vec![false; n_racks],
+            stepped: vec![false; racks.len()],
             skipped_rack_steps: 0,
             outer,
-            children,
+            racks,
             spans,
-            acc: vec![RackWindow::default(); n_racks],
             round: 0,
             leaf_grants,
             leaf_trace: GrantTrace::new(cfg.policy.name()),
@@ -506,18 +607,8 @@ impl RackArbiter {
             cfg,
             h: hierarchy,
         };
-        arb.assert_rack_invariants();
+        arb.outer.assert_level(cfg.budget_w, &arb.racks);
         arb
-    }
-
-    /// The node-level arbiter configuration.
-    pub fn config(&self) -> &ArbiterConfig {
-        &self.cfg
-    }
-
-    /// The rack-level configuration.
-    pub fn hierarchy(&self) -> &HierarchyConfig {
-        &self.h
     }
 
     /// Current rack sub-budgets, W.
@@ -548,9 +639,9 @@ impl RackArbiter {
     ) -> Result<&[f64], TelemetryError> {
         validate_reports(self.leaf_grants.len(), reports)?;
         // Telemetry aggregates upward into the outer window.
-        for (acc, span) in self.acc.iter_mut().zip(&self.spans) {
+        for (rack, span) in self.racks.iter_mut().zip(&self.spans) {
             for r in reports[span.clone()].iter().flatten() {
-                acc.add(r);
+                rack.window.add(r);
             }
         }
         self.round += 1;
@@ -559,23 +650,9 @@ impl RackArbiter {
         // Outer epoch: budgets flow downward.
         let outer = self.round.is_multiple_of(self.h.outer_period);
         if outer {
-            self.rack_reports.clear();
-            self.rack_reports
-                .extend(self.acc.iter_mut().map(RackWindow::take));
-            // The solver owns both epoch paths: every-rack-reported goes
-            // incremental (desire-delta waterfill), any silent rack falls
-            // back to the general engine's frozen semantics.
-            self.outer.resolve(self.cfg.budget_w, &self.rack_reports);
-            self.rack_trace.record(
-                barrier,
-                self.outer.sub_budgets(),
-                &self.rack_reports,
-                self.cfg.budget_w,
-            );
-            for (child, &b) in self.children.iter_mut().zip(self.outer.sub_budgets()) {
-                child.set_budget(b);
-            }
-            self.assert_rack_invariants();
+            let (subs, rack_reports) = self.outer.epoch(self.cfg.budget_w, &mut self.racks);
+            self.rack_trace
+                .record(barrier, subs, rack_reports, self.cfg.budget_w);
         }
 
         // Inner epoch: each *dirty* rack re-splits its sub-budget — a
@@ -589,10 +666,10 @@ impl RackArbiter {
         let inner = self.round.is_multiple_of(self.h.inner_period);
         self.stepped.iter_mut().for_each(|s| *s = false);
         if inner {
-            for (r, (child, span)) in self.children.iter_mut().zip(&self.spans).enumerate() {
+            for (r, (rack, span)) in self.racks.iter_mut().zip(&self.spans).enumerate() {
                 let slice = &reports[span.clone()];
                 if slice.iter().any(Option::is_some) {
-                    child.redistribute(slice)?;
+                    rack.arbiter.redistribute(slice)?;
                     self.stepped[r] = true;
                 } else {
                     self.skipped_rack_steps += 1;
@@ -602,9 +679,9 @@ impl RackArbiter {
 
         // Leaf grants only move where a rack re-split (or an outer epoch
         // re-fitted child budgets); clean subtrees keep their cached span.
-        for (r, (child, span)) in self.children.iter().zip(&self.spans).enumerate() {
+        for (r, (rack, span)) in self.racks.iter().zip(&self.spans).enumerate() {
             if outer || self.stepped[r] {
-                self.leaf_grants[span.clone()].copy_from_slice(child.grants());
+                self.leaf_grants[span.clone()].copy_from_slice(rack.arbiter.grants());
             }
         }
         self.leaf_trace
@@ -616,34 +693,6 @@ impl RackArbiter {
     /// clean (no member telemetry at that barrier).
     pub fn skipped_rack_steps(&self) -> usize {
         self.skipped_rack_steps
-    }
-
-    /// Rack-level invariants: Σ sub-budgets ≤ machine budget, every
-    /// sub-budget inside its clamp, and every child budgeted at exactly
-    /// its sub-budget (the node level asserts its own invariants).
-    fn assert_rack_invariants(&self) {
-        let subs = self.outer.sub_budgets();
-        let total: f64 = subs.iter().sum();
-        assert!(
-            total <= self.cfg.budget_w + EPS_W,
-            "rack sub-budgets {} W exceed the {} W machine budget",
-            total,
-            self.cfg.budget_w
-        );
-        for (r, &b) in subs.iter().enumerate() {
-            assert!(
-                (self.outer.min()[r] - EPS_W..=self.outer.max()[r] + EPS_W).contains(&b),
-                "rack {r} sub-budget {b} W outside [{}, {}] W",
-                self.outer.min()[r],
-                self.outer.max()[r]
-            );
-            assert!(
-                (self.children[r].config().budget_w - b).abs() <= EPS_W,
-                "rack {r} child budget {} W drifted from its {} W sub-budget",
-                self.children[r].config().budget_w,
-                b
-            );
-        }
     }
 }
 
@@ -675,22 +724,11 @@ impl BudgetArbiter for RackArbiter {
         if budget_w.to_bits() == self.cfg.budget_w.to_bits() {
             return;
         }
-        let floor: f64 = self.outer.min().iter().sum();
-        assert!(
-            budget_w >= floor - EPS_W,
-            "budget {} W cannot fund the {} W sum of rack floors",
-            budget_w,
-            floor
-        );
+        self.outer.refit(budget_w, &mut self.racks);
         self.cfg.budget_w = budget_w;
-        self.outer.refit(budget_w);
-        for (child, &b) in self.children.iter_mut().zip(self.outer.sub_budgets()) {
-            child.set_budget(b);
+        for (rack, span) in self.racks.iter().zip(&self.spans) {
+            self.leaf_grants[span.clone()].copy_from_slice(rack.arbiter.grants());
         }
-        for (child, span) in self.children.iter().zip(&self.spans) {
-            self.leaf_grants[span.clone()].copy_from_slice(child.grants());
-        }
-        self.assert_rack_invariants();
     }
 
     fn rack_trace(&self) -> Option<&GrantTrace> {
@@ -701,6 +739,8 @@ impl BudgetArbiter for RackArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn cfg(policy: Policy) -> ArbiterConfig {
         ArbiterConfig {
@@ -1014,6 +1054,90 @@ mod tests {
         assert!(total_sub <= 340.0 + 1e-6);
         let total_leaf: f64 = BudgetArbiter::grants(&tree).iter().sum();
         assert!(total_leaf <= 340.0 + 1e-6);
+    }
+
+    /// A fake rack for driving [`OuterSolver::epoch`] directly. All
+    /// fakes share one ledger of budgets, and each `set_budget` logs the
+    /// ledger's Σ, so a test sees every intermediate push-down state. A
+    /// fake that does not `obey` ignores re-budgeting.
+    struct Recorder {
+        id: usize,
+        ledger: Rc<RefCell<(Vec<f64>, Vec<f64>)>>,
+        window: Option<NodeTelemetry>,
+        obey: bool,
+    }
+
+    impl Subtree for Recorder {
+        fn budget(&self) -> f64 {
+            self.ledger.borrow().0[self.id]
+        }
+
+        fn set_budget(&mut self, budget_w: f64) {
+            if self.obey {
+                let (budgets, sums) = &mut *self.ledger.borrow_mut();
+                budgets[self.id] = budget_w;
+                sums.push(budgets.iter().sum());
+            }
+        }
+
+        fn take_window(&mut self) -> Option<NodeTelemetry> {
+            self.window.take()
+        }
+    }
+
+    /// Three 2-node racks at 200 W each of a 600 W pool; rack 2 is three
+    /// times slower, so a feedback epoch moves watts from racks 0 and 1
+    /// to rack 2. Returns the solver, the fakes and their ledger.
+    #[allow(clippy::type_complexity)]
+    fn skewed_level(
+        obey: bool,
+    ) -> (
+        OuterSolver,
+        Vec<Recorder>,
+        Rc<RefCell<(Vec<f64>, Vec<f64>)>>,
+    ) {
+        let c = ArbiterConfig {
+            budget_w: 600.0,
+            ..cfg(Policy::ProgressFeedback { gain: 1.0 })
+        };
+        let solver = OuterSolver::new(c.policy, &[2, 2, 2], None, &c);
+        let ledger = Rc::new(RefCell::new((solver.sub_budgets().to_vec(), Vec::new())));
+        let fakes = [1.0, 1.0, 3.0]
+            .iter()
+            .enumerate()
+            .map(|(id, &t)| Recorder {
+                id,
+                ledger: ledger.clone(),
+                window: report(t, 90.0),
+                obey,
+            })
+            .collect();
+        (solver, fakes, ledger)
+    }
+
+    #[test]
+    fn epoch_pushes_decreases_first_so_the_pool_is_never_exceeded() {
+        let (mut solver, mut fakes, ledger) = skewed_level(true);
+        let (subs, reports) = solver.epoch(600.0, &mut fakes);
+        assert!(subs[2] > 200.0 + 1.0, "watts must move: {subs:?}");
+        assert!(reports.iter().all(Option::is_some));
+        let (budgets, sums) = &*ledger.borrow();
+        assert_eq!(budgets.as_slice(), solver.sub_budgets());
+        assert_eq!(sums.len(), 3, "every child was re-budgeted once");
+        for (step, &sum) in sums.iter().enumerate() {
+            assert!(sum <= 600.0 + EPS_W, "step {step}: Σ {sum} W over the pool");
+        }
+        // A second epoch drains empty windows: every child is silent and
+        // keeps its sub-budget, so nothing is pushed down.
+        solver.epoch(600.0, &mut fakes);
+        assert_eq!(ledger.borrow().1.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "drifted")]
+    fn epoch_panics_when_a_child_ignores_its_sub_budget() {
+        let (mut solver, mut fakes, _) = skewed_level(false);
+        solver.epoch(600.0, &mut fakes);
     }
 
     #[test]

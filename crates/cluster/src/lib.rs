@@ -17,7 +17,10 @@
 //!   [`arbiter::BudgetArbiter`] trait so arbiters compose into trees;
 //! - [`hierarchy::RackArbiter`] — the two-level arbiter tree (machine →
 //!   rack → node) with independent inner/outer control periods,
-//!   upward-aggregated telemetry and downward-flowing sub-budgets;
+//!   upward-aggregated telemetry and downward-flowing sub-budgets; its
+//!   rack level is one [`hierarchy::OuterSolver::epoch`] over
+//!   [`hierarchy::Subtree`] children, the same epoch `arbiterd`'s shard
+//!   coordinator runs;
 //! - [`policy`] — the shared allocation engine (waterfill + clamps +
 //!   dropout freezing) both arbiter levels dispatch through, plus the
 //!   registry-derived useful-progress weights;
@@ -59,7 +62,7 @@ pub use arbiter::{
 pub use comm::{exchange, CommConfig, CommPattern, ExchangeOutcome, Flow, NodePhase};
 pub use error::{ClusterError, ConfigError, TelemetryError};
 pub use grant::{GrantCell, GrantSchedule, GrantSource};
-pub use hierarchy::{HierarchyConfig, OuterSolver, RackArbiter, RackWindow};
+pub use hierarchy::{HierarchyConfig, OuterSolver, RackArbiter, RackWindow, Subtree};
 pub use member::{ClusterNode, DEFAULT_DAEMON_PERIOD};
 pub use partition::MachinePartition;
 pub use policy::{progress_weight, registry_progress_weights, Allocator};

@@ -50,10 +50,11 @@ impl Policy {
 }
 
 impl Allocator {
-    /// Desired grants for the reporting children, parallel to `grants`.
-    /// `None` means "hold every grant exactly" (the immutable-by-design
-    /// uniform-static policy); the engine then skips the waterfill
-    /// entirely, so held grants are preserved bit for bit.
+    /// Desired grants for the reporting children, parallel to `grants`,
+    /// written into `out` (cleared first). Returns `false` for "hold
+    /// every grant exactly" (the immutable-by-design uniform-static
+    /// policy); the engine then skips the waterfill entirely, so held
+    /// grants are preserved bit for bit.
     ///
     /// `grants` and `telemetry` carry only the *reporting* children, in
     /// child order; `pool` is the watts available to them after frozen
@@ -62,27 +63,8 @@ impl Allocator {
     /// science one unit of its reported `rate` is worth (see
     /// [`registry_progress_weights`]) — and switches the feedback policy
     /// from equalizing iteration *times* to equalizing weighted
-    /// *useful-progress rates*.
-    pub fn desired(
-        &self,
-        grants: &[f64],
-        telemetry: &[NodeTelemetry],
-        pool: f64,
-        weights: Option<&[f64]>,
-    ) -> Option<Vec<f64>> {
-        let mut tmp = Vec::new();
-        let mut out = Vec::new();
-        self.desired_into(grants, telemetry, pool, weights, &mut tmp, &mut out)
-            .then_some(out)
-    }
-
-    /// Allocation-free form of [`Allocator::desired`]: writes the desired
-    /// grants into `out` (cleared first) and returns whether the policy
-    /// produced desires at all (`false` = hold every grant exactly).
-    /// `tmp` is caller-owned scratch reused across calls — the hot
-    /// redistribution path runs every barrier over thousands of children,
-    /// so the per-call `Vec` churn of the allocating form is the first
-    /// thing the profiler sees at scale.
+    /// *useful-progress rates*. `tmp` is caller-owned scratch reused
+    /// across calls, so the hot path allocates nothing.
     pub(crate) fn desired_into(
         &self,
         grants: &[f64],
@@ -445,17 +427,6 @@ impl IncrementalFill {
         self.sum = t;
     }
 
-    /// Tighten child `i`'s ceiling (a thermal clamp arriving at run
-    /// time). The cached desire is re-clamped into the new range.
-    pub fn tighten_max(&mut self, i: usize, ceiling: f64) {
-        let hi = ceiling.clamp(self.min[i], self.max[i]);
-        if hi < self.max[i] {
-            self.sum_max += hi - self.max[i];
-            self.max[i] = hi;
-            self.update(i, self.clamped[i]);
-        }
-    }
-
     /// Solve the fill for `pool` watts from the cached clamped desires:
     /// the same clamped-proportional algebra as `waterfill`, driven by
     /// the cached sums. Returns the per-child grants.
@@ -541,6 +512,21 @@ mod tests {
         vec![v; n]
     }
 
+    /// The allocating form of [`Allocator::desired_into`]: `None` for
+    /// "hold every grant".
+    fn desired(
+        alloc: Allocator,
+        grants: &[f64],
+        telemetry: &[NodeTelemetry],
+        pool: f64,
+        weights: Option<&[f64]>,
+    ) -> Option<Vec<f64>> {
+        let mut out = Vec::new();
+        alloc
+            .desired_into(grants, telemetry, pool, weights, &mut Vec::new(), &mut out)
+            .then_some(out)
+    }
+
     #[test]
     fn waterfill_fits_pool_and_clamps() {
         let out = waterfill(
@@ -587,7 +573,7 @@ mod tests {
     #[test]
     fn hold_allocator_never_produces_desires() {
         let t = NodeTelemetry::compute_only(1.0, 1.0, 90.0);
-        assert_eq!(Allocator::Hold.desired(&[80.0], &[t], 100.0, None), None);
+        assert_eq!(desired(Allocator::Hold, &[80.0], &[t], 100.0, None), None);
     }
 
     #[test]
@@ -597,17 +583,13 @@ mod tests {
             NodeTelemetry::compute_only(1.0, 1.0, 120.0),
             NodeTelemetry::compute_only(1.0, 1.0, 60.0),
         ];
-        let d = alloc
-            .desired(&[80.0, 80.0], &tel, 180.0, None)
-            .expect("moves");
+        let d = desired(alloc, &[80.0, 80.0], &tel, 180.0, None).expect("moves");
         assert!((d[0] - 120.0).abs() < 1e-9 && (d[1] - 60.0).abs() < 1e-9);
         let dark = [
             NodeTelemetry::compute_only(1.0, 1.0, 0.0),
             NodeTelemetry::compute_only(1.0, 1.0, 0.0),
         ];
-        let d = alloc
-            .desired(&[80.0, 80.0], &dark, 180.0, None)
-            .expect("moves");
+        let d = desired(alloc, &[80.0, 80.0], &dark, 180.0, None).expect("moves");
         assert_eq!(d, vec![90.0, 90.0]);
     }
 
@@ -618,9 +600,7 @@ mod tests {
             NodeTelemetry::compute_only(0.5, 2.0, 90.0),
             NodeTelemetry::compute_only(1.5, 1.0 / 1.5, 90.0),
         ];
-        let d = alloc
-            .desired(&[100.0, 100.0], &tel, 200.0, None)
-            .expect("moves");
+        let d = desired(alloc, &[100.0, 100.0], &tel, 200.0, None).expect("moves");
         assert!(d[1] > 100.0 && d[0] < 100.0, "{d:?}");
     }
 
@@ -634,16 +614,12 @@ mod tests {
             NodeTelemetry::compute_only(1.0, 1.0, 90.0),
             NodeTelemetry::compute_only(1.0, 1.0, 90.0),
         ];
-        let flat = alloc
-            .desired(&[100.0, 100.0], &tel, 200.0, None)
-            .expect("moves");
+        let flat = desired(alloc, &[100.0, 100.0], &tel, 200.0, None).expect("moves");
         assert!(
             (flat[0] - flat[1]).abs() < 1e-9,
             "time mode holds: {flat:?}"
         );
-        let d = alloc
-            .desired(&[100.0, 100.0], &tel, 200.0, Some(&[1.0, 0.5]))
-            .expect("moves");
+        let d = desired(alloc, &[100.0, 100.0], &tel, 200.0, Some(&[1.0, 0.5])).expect("moves");
         assert!(d[1] > 100.0 && d[0] < 100.0, "{d:?}");
     }
 
@@ -764,22 +740,5 @@ mod tests {
         fill.update(0, 999.0);
         assert_eq!(fill.solve(88.5)[0].to_bits(), 88.5f64.to_bits());
         assert_eq!(fill.solve(500.0)[0].to_bits(), 130.0f64.to_bits());
-    }
-
-    #[test]
-    fn incremental_fill_thermal_tighten_reclamps_the_cache() {
-        let mut fill = IncrementalFill::new(&uniform(2, 40.0), &uniform(2, 130.0));
-        fill.update(0, 120.0);
-        fill.update(1, 120.0);
-        fill.tighten_max(0, 90.0);
-        let g = fill.solve(400.0).to_vec();
-        assert!(g[0] <= 90.0 + 1e-9, "tightened ceiling must hold: {g:?}");
-        let full = fill.solve_full(400.0);
-        for (a, b) in g.iter().zip(&full) {
-            assert!(
-                (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                "{g:?} vs {full:?}"
-            );
-        }
     }
 }

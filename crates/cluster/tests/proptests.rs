@@ -394,13 +394,12 @@ proptest! {
 
 /// A bounded incremental-fill scenario: per-child clamps, a pool inside
 /// the feasible band, rounds of per-child desires where `None` models a
-/// telemetry dropout (the child stays clean that round), and a few
-/// thermal-ceiling events to interleave with the update stream.
+/// telemetry dropout (the child stays clean that round).
 #[allow(clippy::type_complexity)]
 fn fill_scenario() -> impl Strategy<
     Value = (
-        (Vec<f64>, Vec<f64>, f64),                  // min, headroom, pool frac
-        (Vec<Vec<Option<f64>>>, Vec<(usize, f64)>), // desire rounds, ceilings
+        (Vec<f64>, Vec<f64>, f64), // min, headroom, pool frac
+        Vec<Vec<Option<f64>>>,     // desire rounds
     ),
 > {
     (2usize..10).prop_flat_map(|n| {
@@ -410,15 +409,12 @@ fn fill_scenario() -> impl Strategy<
                 prop::collection::vec(10.0f64..100.0, n),
                 0.0f64..1.3,
             ),
-            (
+            prop::collection::vec(
                 prop::collection::vec(
-                    prop::collection::vec(
-                        prop_oneof![1 => Just(None), 4 => (0.0f64..500.0).prop_map(Some)],
-                        n,
-                    ),
-                    1..8,
+                    prop_oneof![1 => Just(None), 4 => (0.0f64..500.0).prop_map(Some)],
+                    n,
                 ),
-                prop::collection::vec((0..n, 0.0f64..200.0), 0..4),
+                1..8,
             ),
         )
     })
@@ -428,25 +424,10 @@ fn fill_scenario() -> impl Strategy<
 /// after every round that the incremental solve agrees with the fresh
 /// full solve over the same cached desires to 1e-9 relative, and that
 /// the fill invariants (Σ ≤ pool, per-child clamps) hold.
-fn check_incremental_fill(
-    min: &[f64],
-    max: &[f64],
-    pool: f64,
-    rounds: &[Vec<Option<f64>>],
-    ceilings: &[(usize, f64)],
-) {
+fn check_incremental_fill(min: &[f64], max: &[f64], pool: f64, rounds: &[Vec<Option<f64>>]) {
     let n = min.len();
     let mut fill = IncrementalFill::new(min, max);
-    // Interleave the ceiling events across the rounds, PR-5 style: a
-    // thermal clamp lands whenever the NVML poller sees it, not at a
-    // barrier.
     for (round, desires) in rounds.iter().enumerate() {
-        for &(i, ceiling) in ceilings
-            .iter()
-            .filter(|(i, _)| i % rounds.len() == round % rounds.len() && *i < n)
-        {
-            fill.tighten_max(i, ceiling);
-        }
         let before: Vec<u64> = fill.clamped().iter().map(|c| c.to_bits()).collect();
         for (i, d) in desires.iter().enumerate() {
             if let Some(d) = *d {
@@ -518,41 +499,12 @@ proptest! {
     /// `waterfill` over the same desires, and the fill invariants hold.
     #[test]
     fn incremental_fill_tracks_the_full_solve(scn in fill_scenario()) {
-        let ((min, headroom, pool_frac), (rounds, _)) = scn;
+        let ((min, headroom, pool_frac), rounds) = scn;
         let max: Vec<f64> = min.iter().zip(&headroom).map(|(&lo, &h)| lo + h).collect();
         let sum_min: f64 = min.iter().sum();
         let sum_max: f64 = max.iter().sum();
         let pool = sum_min + (sum_max - sum_min) * pool_frac;
-        check_incremental_fill(&min, &max, pool, &rounds, &[]);
-    }
-
-    /// Thermal-ceiling clamps arriving mid-stream never break the
-    /// incremental/full agreement, and a tightened ceiling is respected
-    /// by every subsequent solve.
-    #[test]
-    fn thermal_ceilings_clamp_without_divergence(scn in fill_scenario()) {
-        let ((min, headroom, pool_frac), (rounds, ceilings)) = scn;
-        let max: Vec<f64> = min.iter().zip(&headroom).map(|(&lo, &h)| lo + h).collect();
-        let sum_min: f64 = min.iter().sum();
-        let sum_max: f64 = max.iter().sum();
-        let pool = sum_min + (sum_max - sum_min) * pool_frac;
-        check_incremental_fill(&min, &max, pool, &rounds, &ceilings);
-        // And directly: after tightening, the solved grant never sits
-        // above the effective ceiling (the floor wins a conflict, as in
-        // the single-rack arbiter).
-        let mut fill = IncrementalFill::new(&min, &max);
-        for &(i, ceiling) in ceilings.iter().filter(|(i, _)| *i < min.len()) {
-            fill.tighten_max(i, ceiling);
-            fill.update(i, 500.0);
-            let g = fill.solve(pool)[i];
-            let eff = ceiling.clamp(min[i], max[i]);
-            prop_assert!(
-                g <= eff + 1e-9 * eff.max(1.0),
-                "grant {} above tightened ceiling {}",
-                g,
-                eff
-            );
-        }
+        check_incremental_fill(&min, &max, pool, &rounds);
     }
 
     /// A long all-dirty update stream (every child re-desired every

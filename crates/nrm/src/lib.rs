@@ -21,7 +21,6 @@ pub mod actuator;
 pub mod backoff;
 pub mod composition;
 pub mod daemon;
-pub mod job;
 pub mod policies;
 pub mod resilience;
 pub mod scheme;
@@ -30,7 +29,6 @@ pub use actuator::{Actuator, ActuatorKind};
 pub use backoff::Backoff;
 pub use composition::CompositeProgress;
 pub use daemon::NrmDaemon;
-pub use job::{JobPolicy, JobPowerManager, ManagedNode, NodeStatus};
 pub use policies::{choose_strategy, ramp_plan, FreqPowerPoint, RateCurve, Strategy};
 pub use resilience::{MsrPowerSensor, ResilienceConfig, ResilientDaemon};
 pub use scheme::{

@@ -262,7 +262,7 @@ pub fn simulate(cfg: &SchedConfig, policy: SchedPolicy) -> Result<ScheduleOutcom
             now_us,
         );
 
-        min_slack_w = min_slack_w.min(partition.min_slack_w());
+        min_slack_w = min_slack_w.min(partition.headroom_w());
     }
 
     assert!(pending.is_empty(), "EASY reservation must drain the queue");

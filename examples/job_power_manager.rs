@@ -8,15 +8,16 @@
 //! more watts for the same frequency). Under a tight job budget, an
 //! application-agnostic equal split leaves the leaky node lagging — and
 //! for a bulk-synchronous job the whole job runs at the slowest node's
-//! pace. The progress-aware policy watches normalized progress and moves
-//! watts to the laggard.
+//! pace. The divider is the cluster crate's `PowerArbiter`: equal split
+//! is its uniform-static policy, and the progress-aware split is its
+//! feedback policy weighted by `1 / baseline rate`, which equalizes
+//! normalized progress by moving watts to the laggard.
 //!
 //! ```text
 //! cargo run --release --example job_power_manager
 //! ```
 
-use nrm::job::{settled_job_progress, JobPolicy, JobPowerManager, ManagedNode};
-use powerprog::core::jobsim::SimNode;
+use cluster::{ArbiterConfig, Policy, PowerArbiter};
 use powerprog::prelude::*;
 
 fn build_fleet() -> Vec<SimNode> {
@@ -37,30 +38,34 @@ fn build_fleet() -> Vec<SimNode> {
     ]
 }
 
-fn run(policy: JobPolicy, label: &str) -> f64 {
+fn run(policy: Policy, label: &str) -> f64 {
     let mut nodes = build_fleet();
-    let mut refs: Vec<&mut dyn ManagedNode> = nodes
-        .iter_mut()
-        .map(|n| n as &mut dyn ManagedNode)
-        .collect();
     // Three nodes wanting ~450 W get 270 W.
-    let mgr = JobPowerManager::new(270.0, policy);
-    let trace = mgr.run(&mut refs, 10);
+    let cfg = ArbiterConfig {
+        budget_w: 270.0,
+        min_cap_w: 40.0,
+        max_cap_w: 150.0,
+        policy,
+    };
+    let weights = nodes.iter().map(|n| 1.0 / n.baseline_rate()).collect();
+    let mut arbiter = PowerArbiter::new(cfg, nodes.len()).with_progress_weights(weights);
+    let trace = run_job(&mut arbiter, &mut nodes, 10);
 
     println!("--- {label} ---");
     println!(
         "{:>5} {:>22} {:>26} {:>8}",
-        "epoch", "caps (W)", "normalized progress", "job"
+        "epoch", "next caps (W)", "normalized progress", "job"
     );
-    for (i, e) in trace.iter().enumerate() {
-        let caps: Vec<String> = e.caps_w.iter().map(|c| format!("{c:.0}")).collect();
-        let norm: Vec<String> = e.normalized.iter().map(|p| format!("{p:.2}")).collect();
+    for (i, (norm, tick)) in trace.iter().zip(arbiter.trace().ticks()).enumerate() {
+        let caps: Vec<String> = tick.granted_w.iter().map(|c| format!("{c:.0}")).collect();
+        let job = norm.iter().copied().fold(f64::INFINITY, f64::min);
+        let norm: Vec<String> = norm.iter().map(|p| format!("{p:.2}")).collect();
         println!(
             "{:>5} {:>22} {:>26} {:>8.2}",
             i,
             caps.join("/"),
             norm.join("/"),
-            e.job_progress
+            job
         );
     }
     let settled = settled_job_progress(&trace);
@@ -70,13 +75,13 @@ fn run(policy: JobPolicy, label: &str) -> f64 {
 
 fn main() {
     println!("Job budget: 270 W over 3 nodes (one leaky chip), LAMMPS everywhere.\n");
-    let equal = run(JobPolicy::EqualSplit, "equal split (application-agnostic)");
+    let equal = run(Policy::UniformStatic, "equal split (application-agnostic)");
     let aware = run(
-        JobPolicy::ProgressAware { gain: 1.5 },
-        "progress-aware (moves watts to the laggard)",
+        Policy::ProgressFeedback { gain: 1.5 },
+        "progress feedback (moves watts to the laggard)",
     );
     println!(
-        "progress-aware improves bulk-synchronous job progress by {:.1}%",
+        "progress feedback improves bulk-synchronous job progress by {:.1}%",
         100.0 * (aware / equal - 1.0)
     );
     println!("— exactly why the paper wants progress to be monitorable online.");

@@ -52,7 +52,6 @@ pub mod prelude {
     pub use nrm::actuator::ActuatorKind;
     pub use nrm::composition::CompositeProgress;
     pub use nrm::daemon::NrmDaemon;
-    pub use nrm::job::{JobPolicy, JobPowerManager, ManagedNode};
     pub use nrm::resilience::{MsrPowerSensor, ResilienceConfig, ResilientDaemon};
     pub use nrm::scheme::{
         CapSchedule, ConstantCap, JaggedEdge, LinearDecay, StepFunction, Uncapped,
@@ -60,6 +59,7 @@ pub mod prelude {
     pub use powermodel::beta::beta_from_times;
     pub use powermodel::mpo::mpo;
     pub use powermodel::predict::{ProgressModel, PAPER_ALPHA};
+    pub use powerprog_core::jobsim::{run_job, settled_job_progress, SimNode};
     pub use powerprog_core::runner::{run_app, RunArtifacts, RunConfig, ScheduleSpec};
     pub use progress::aggregator::ProgressAggregator;
     pub use progress::bus::{BusConfig, DropPolicy, ProgressBus};
