@@ -1,8 +1,11 @@
 //! Microbenchmarks of the hot paths: the node's per-quantum step and
 //! macro-step, the RAPL control decision, the hardened daemon's control
-//! tick, the progress bus, the 1 Hz aggregator and the Eq. 7 evaluation. These are what bound full-experiment wall time, so
-//! regressions here matter directly for `repro all`.
+//! tick, the progress bus, the 1 Hz aggregator, the Eq. 7 evaluation and
+//! one cluster barrier's exchange pricing. These are what bound
+//! full-experiment wall time, so regressions here matter directly for
+//! `repro all`.
 
+use cluster::{exchange, ramp_weights, CommConfig, CommPattern, Topology};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nrm::resilience::{ResilienceConfig, ResilientDaemon};
 use nrm::scheme::StepFunction;
@@ -215,6 +218,35 @@ fn bench_model(c: &mut Criterion) {
     g.finish();
 }
 
+/// Pricing one barrier's exchange at the `cluster_hier_halo_4096`
+/// geometry: 4096 ramp-weighted ranks, a 1 MiB-per-unit halo (8192
+/// flows) over racks of 32 with 25 GB/s uplinks.
+fn bench_exchange(c: &mut Criterion) {
+    let mut g = c.benchmark_group("micro/cluster");
+    let n = 4096;
+    let cfg = CommConfig {
+        alpha_s: 2e-6,
+        nic_bw: 12.5e9,
+        power_coupling: 0.5,
+        pattern: CommPattern::HaloExchange {
+            bytes_per_unit: 1024.0 * 1024.0,
+        },
+        topology: Topology::RackTree {
+            nodes_per_rack: 32,
+            uplink_bw: 25.0e9,
+        },
+    };
+    let weights = ramp_weights(n, 1.0, 2.6);
+    // Heavier ranks finish computing later and run more capped.
+    let ready: Vec<f64> = weights.iter().map(|w| 0.1 * w).collect();
+    let drain: Vec<f64> = weights.iter().map(|w| 1.2 - 0.2 * w).collect();
+    g.throughput(Throughput::Elements(2 * n as u64));
+    g.bench_function("exchange_4096n_racktree_halo", |b| {
+        b.iter(|| black_box(exchange(&cfg, &ready, &weights, &drain)).barrier_s)
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_node_step,
@@ -222,6 +254,7 @@ criterion_group!(
     bench_nrm,
     bench_bus,
     bench_aggregator,
-    bench_model
+    bench_model,
+    bench_exchange
 );
 criterion_main!(benches);

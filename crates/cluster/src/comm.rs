@@ -33,12 +33,10 @@
 //! zero bytes generates no flows at all and reproduces the ideal-barrier
 //! schedule bit for bit.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ensure, ConfigError};
-use crate::topology::{LinkId, Topology};
+use crate::topology::{LinkId, LinkIndex, Topology};
 
 /// Exponent mapping a rank's work *volume* (its weight) to its halo
 /// *surface*: a 3-D domain decomposition exchanges faces, so halo bytes
@@ -165,9 +163,9 @@ pub struct ExchangeOutcome {
     pub phases: Vec<NodePhase>,
     /// When the barrier released (max `done_s`), s.
     pub barrier_s: f64,
-    /// Bytes charged to every link touched this exchange (deterministic
-    /// iteration order).
-    pub link_bytes: BTreeMap<LinkId, f64>,
+    /// Bytes charged to every link touched this exchange, in [`LinkId`]
+    /// order.
+    pub link_bytes: Vec<(LinkId, f64)>,
     /// Total bytes injected by all nodes.
     pub total_bytes: f64,
 }
@@ -229,39 +227,51 @@ pub fn flows(pattern: CommPattern, weights: &[f64]) -> Vec<Flow> {
     }
 }
 
+/// Per-flow durations and the bytes charged to each touched link.
+type Pricing = (Vec<f64>, Vec<(LinkId, f64)>);
+
 /// Fair-share duration of every flow: each flow runs at the minimum over
 /// its route of `link_bw / concurrent_flows`, plus per-message latency.
-/// Returns `(durations_s, bytes_per_link)`.
-fn flow_durations(
-    cfg: &CommConfig,
-    flows: &[Flow],
-    drain: &[f64],
-) -> (Vec<f64>, BTreeMap<LinkId, f64>) {
-    let mut flows_on: BTreeMap<LinkId, usize> = BTreeMap::new();
-    let mut bytes_on: BTreeMap<LinkId, f64> = BTreeMap::new();
-    let routes: Vec<Vec<LinkId>> = flows
-        .iter()
-        .map(|f| cfg.topology.path(f.src, f.dst))
-        .collect();
-    for (f, route) in flows.iter().zip(&routes) {
-        for &l in route {
-            *flows_on.entry(l).or_insert(0) += 1;
-            *bytes_on.entry(l).or_insert(0.0) += f.bytes;
+/// Returns `(durations_s, bytes_per_link)`, the touched links in
+/// [`LinkId`] order.
+///
+/// Flow counts and byte sums live in vectors over the dense
+/// [`LinkIndex`]; every link's sum takes its `+=` in flow order, so the
+/// result is the same bits an ordered map keyed by link would give.
+fn flow_durations(cfg: &CommConfig, flows: &[Flow], drain: &[f64]) -> Pricing {
+    let topo = &cfg.topology;
+    let links = LinkIndex::new(topo, drain.len());
+    let mut flows_on = vec![0u32; links.len()];
+    let mut bytes_on = vec![0.0f64; links.len()];
+    for f in flows {
+        for &l in topo.path(f.src, f.dst).iter() {
+            let i = links.of(l);
+            flows_on[i] += 1;
+            bytes_on[i] += f.bytes;
         }
     }
+    // Each link's fair share, divided once rather than at every visit (an
+    // untouched link's share is never read).
+    let share: Vec<f64> = (0..links.len())
+        .map(|i| topo.link_bw(links.link(i), cfg.nic_bw, drain) / flows_on[i] as f64)
+        .collect();
     let durations = flows
         .iter()
-        .zip(&routes)
-        .map(|(f, route)| {
-            let rate = route
+        .map(|f| {
+            let rate = topo
+                .path(f.src, f.dst)
                 .iter()
-                .map(|&l| cfg.topology.link_bw(l, cfg.nic_bw, drain) / flows_on[&l] as f64)
+                .map(|&l| share[links.of(l)])
                 .fold(f64::INFINITY, f64::min);
             let beta_time = if f.bytes > 0.0 { f.bytes / rate } else { 0.0 };
             cfg.alpha_s * f.msgs as f64 + beta_time
         })
         .collect();
-    (durations, bytes_on)
+    let link_bytes = (0..links.len())
+        .filter(|&i| flows_on[i] > 0)
+        .map(|i| (links.link(i), bytes_on[i]))
+        .collect();
+    (durations, link_bytes)
 }
 
 /// Price one exchange phase.
@@ -279,6 +289,18 @@ pub fn exchange(
     weights: &[f64],
     drain: &[f64],
 ) -> ExchangeOutcome {
+    price_with(cfg, ready_s, weights, drain, flow_durations)
+}
+
+/// [`exchange`] with the flow pricing passed in, so a test can price the
+/// same exchange with a reference implementation.
+fn price_with(
+    cfg: &CommConfig,
+    ready_s: &[f64],
+    weights: &[f64],
+    drain: &[f64],
+    durations_of: fn(&CommConfig, &[Flow], &[f64]) -> Pricing,
+) -> ExchangeOutcome {
     cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     let n = ready_s.len();
     assert_eq!(weights.len(), n, "weights arity mismatch");
@@ -288,7 +310,7 @@ pub fn exchange(
     }
 
     let flows = flows(cfg.pattern, weights);
-    let (durations, link_bytes) = flow_durations(cfg, &flows, drain);
+    let (durations, link_bytes) = durations_of(cfg, &flows, drain);
     let total_bytes: f64 = flows.iter().map(|f| f.bytes).sum();
 
     let mut comm = vec![0.0f64; n];
@@ -341,6 +363,119 @@ pub fn exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The reference pricing: per-link flow counts and byte sums in
+    /// ordered maps keyed by [`LinkId`], each route collected into its own
+    /// vector, and the fair share divided at every link visit.
+    fn oracle_flow_durations(cfg: &CommConfig, flows: &[Flow], drain: &[f64]) -> Pricing {
+        let mut flows_on: BTreeMap<LinkId, usize> = BTreeMap::new();
+        let mut bytes_on: BTreeMap<LinkId, f64> = BTreeMap::new();
+        let routes: Vec<Vec<LinkId>> = flows
+            .iter()
+            .map(|f| cfg.topology.path(f.src, f.dst).to_vec())
+            .collect();
+        for (f, route) in flows.iter().zip(&routes) {
+            for &l in route {
+                *flows_on.entry(l).or_insert(0) += 1;
+                *bytes_on.entry(l).or_insert(0.0) += f.bytes;
+            }
+        }
+        let durations = flows
+            .iter()
+            .zip(&routes)
+            .map(|(f, route)| {
+                let rate = route
+                    .iter()
+                    .map(|&l| cfg.topology.link_bw(l, cfg.nic_bw, drain) / flows_on[&l] as f64)
+                    .fold(f64::INFINITY, f64::min);
+                let beta_time = if f.bytes > 0.0 { f.bytes / rate } else { 0.0 };
+                cfg.alpha_s * f.msgs as f64 + beta_time
+            })
+            .collect();
+        (durations, bytes_on.into_iter().collect())
+    }
+
+    /// Any exchange scenario the model accepts: 1..=70 nodes (2 drawn
+    /// often: both ring neighbours coincide), a flat switch or a rack tree
+    /// whose last rack is usually partial, every pattern with sizes that
+    /// are often zero, and random drain factors.
+    fn scenario() -> impl Strategy<Value = (CommConfig, Vec<f64>, Vec<f64>, Vec<f64>)> {
+        let nodes = prop_oneof![1 => Just(2usize), 4 => 1usize..=70];
+        let bytes = prop_oneof![1 => Just(0.0f64), 3 => 0.0f64..64.0e6];
+        (nodes, 0usize..3, 0usize..3, bytes).prop_flat_map(|(n, pattern, topo, size)| {
+            let pattern = match pattern {
+                0 => CommPattern::None,
+                1 => CommPattern::AllReduce {
+                    payload_bytes: size,
+                },
+                _ => CommPattern::HaloExchange {
+                    bytes_per_unit: size,
+                },
+            };
+            (
+                (1usize..=9, 1.0e9f64..50.0e9, 0.0f64..1.0e-5).prop_map(
+                    move |(nodes_per_rack, uplink_bw, alpha_s)| CommConfig {
+                        alpha_s,
+                        nic_bw: 12.5e9,
+                        power_coupling: 0.5,
+                        pattern,
+                        topology: if topo == 0 {
+                            Topology::FlatSwitch
+                        } else {
+                            Topology::RackTree {
+                                nodes_per_rack,
+                                uplink_bw,
+                            }
+                        },
+                    },
+                ),
+                prop::collection::vec(0.0f64..10.0, n),
+                prop::collection::vec(0.1f64..4.0, n),
+                prop::collection::vec(0.05f64..1.0, n),
+            )
+        })
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 256,
+            ..ProptestConfig::default()
+        })]
+
+        /// Dense-array pricing gives the reference pricing's bits: every
+        /// flow duration, every node's phase, the barrier and each touched
+        /// link's byte sum.
+        #[test]
+        fn dense_pricing_matches_the_ordered_map_oracle(scn in scenario()) {
+            let (cfg, ready, weights, drain) = scn;
+            let fl = flows(cfg.pattern, &weights);
+            let (d_new, l_new) = flow_durations(&cfg, &fl, &drain);
+            let (d_old, l_old) = oracle_flow_durations(&cfg, &fl, &drain);
+            prop_assert_eq!(bits(&d_new), bits(&d_old));
+            let link_bits = |l: &[(LinkId, f64)]| -> Vec<(LinkId, u64)> {
+                l.iter().map(|&(id, b)| (id, b.to_bits())).collect()
+            };
+            prop_assert_eq!(link_bits(&l_new), link_bits(&l_old));
+
+            let new = exchange(&cfg, &ready, &weights, &drain);
+            let old = price_with(&cfg, &ready, &weights, &drain, oracle_flow_durations);
+            prop_assert_eq!(new.barrier_s.to_bits(), old.barrier_s.to_bits());
+            prop_assert_eq!(new.total_bytes.to_bits(), old.total_bytes.to_bits());
+            prop_assert_eq!(link_bits(&new.link_bytes), link_bits(&old.link_bytes));
+            for (a, b) in new.phases.iter().zip(&old.phases) {
+                prop_assert_eq!(
+                    bits(&[a.ready_s, a.done_s, a.comm_s, a.slack_s]),
+                    bits(&[b.ready_s, b.done_s, b.comm_s, b.slack_s])
+                );
+            }
+        }
+    }
 
     fn halo_cfg(bytes_per_unit: f64) -> CommConfig {
         CommConfig {

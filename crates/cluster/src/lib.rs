@@ -67,5 +67,5 @@ pub use member::{ClusterNode, DEFAULT_DAEMON_PERIOD};
 pub use partition::MachinePartition;
 pub use policy::{progress_weight, registry_progress_weights, Allocator};
 pub use sim::{run_cluster, ClusterConfig, ClusterOutcome, IterationRecord, NodeSpec, Preset};
-pub use topology::{LinkId, Topology};
+pub use topology::{LinkId, Route, Topology};
 pub use workload::{ramp_weights, WorkloadShape};

@@ -82,22 +82,28 @@ impl Topology {
         }
     }
 
-    /// The ordered links a `src → dst` flow crosses. Self-flows are
-    /// loopback and cross nothing.
-    pub fn path(&self, src: usize, dst: usize) -> Vec<LinkId> {
+    /// The ordered links a `src → dst` flow crosses: a NIC pair, plus an
+    /// uplink and a downlink between racks. Self-flows are loopback and
+    /// cross nothing. This is the one routing function; it allocates
+    /// nothing.
+    pub fn path(&self, src: usize, dst: usize) -> Route {
+        let mut route = Route {
+            links: [LinkId::NicTx(src); 4],
+            len: 0,
+        };
         if src == dst {
-            return Vec::new();
+            return route;
         }
-        let mut links = vec![LinkId::NicTx(src)];
+        route.push(LinkId::NicTx(src));
         if let Topology::RackTree { .. } = self {
             let (rs, rd) = (self.rack_of(src), self.rack_of(dst));
             if rs != rd {
-                links.push(LinkId::RackUp(rs));
-                links.push(LinkId::RackDown(rd));
+                route.push(LinkId::RackUp(rs));
+                route.push(LinkId::RackDown(rd));
             }
         }
-        links.push(LinkId::NicRx(dst));
-        links
+        route.push(LinkId::NicRx(dst));
+        route
     }
 
     /// The capacity of a link, bytes/s. NIC links scale with the owning
@@ -114,6 +120,82 @@ impl Topology {
     }
 }
 
+/// The links one flow crosses, in order: at most four, held inline.
+/// Compare routes as slices (`route[..]`).
+#[derive(Debug, Clone, Copy)]
+pub struct Route {
+    links: [LinkId; 4],
+    len: usize,
+}
+
+impl Route {
+    fn push(&mut self, link: LinkId) {
+        self.links[self.len] = link;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Route {
+    type Target = [LinkId];
+
+    fn deref(&self) -> &[LinkId] {
+        &self.links[..self.len]
+    }
+}
+
+/// A dense numbering of one network's links that follows [`LinkId`]'s
+/// order: with `N` nodes and `R` racks, `NicTx(n) → n`,
+/// `NicRx(n) → N + n`, `RackUp(r) → 2N + r`, `RackDown(r) → 2N + R + r`.
+/// A flat switch has no racks (`R = 0`); a rack tree has
+/// `R = ceil(N / nodes_per_rack)`, the last rack possibly partial. Per-link
+/// tallies then live in plain vectors, and walking the indices in order
+/// visits the links in `LinkId` order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LinkIndex {
+    nodes: usize,
+    racks: usize,
+}
+
+impl LinkIndex {
+    /// The numbering of `topology`'s links over `nodes` nodes.
+    pub(crate) fn new(topology: &Topology, nodes: usize) -> Self {
+        let racks = match topology {
+            Topology::FlatSwitch => 0,
+            Topology::RackTree { nodes_per_rack, .. } => nodes.div_ceil(*nodes_per_rack),
+        };
+        Self { nodes, racks }
+    }
+
+    /// How many links the network has.
+    pub(crate) fn len(&self) -> usize {
+        2 * (self.nodes + self.racks)
+    }
+
+    /// The dense index of `link`.
+    pub(crate) fn of(&self, link: LinkId) -> usize {
+        match link {
+            LinkId::NicTx(n) => n,
+            LinkId::NicRx(n) => self.nodes + n,
+            LinkId::RackUp(r) => 2 * self.nodes + r,
+            LinkId::RackDown(r) => 2 * self.nodes + self.racks + r,
+        }
+    }
+
+    /// The link at dense index `i` (the inverse of [`of`](Self::of)).
+    pub(crate) fn link(&self, i: usize) -> LinkId {
+        let (n, r) = (self.nodes, self.racks);
+        if i < n {
+            LinkId::NicTx(i)
+        } else if i < 2 * n {
+            LinkId::NicRx(i - n)
+        } else if i < 2 * n + r {
+            LinkId::RackUp(i - 2 * n)
+        } else {
+            LinkId::RackDown(i - 2 * n - r)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +203,7 @@ mod tests {
     #[test]
     fn flat_switch_paths_touch_only_nics() {
         let t = Topology::FlatSwitch;
-        assert_eq!(t.path(0, 3), vec![LinkId::NicTx(0), LinkId::NicRx(3)]);
+        assert_eq!(t.path(0, 3)[..], [LinkId::NicTx(0), LinkId::NicRx(3)]);
         assert_eq!(t.rack_of(7), 0);
         assert!(t.path(2, 2).is_empty(), "loopback crosses nothing");
     }
@@ -133,11 +215,11 @@ mod tests {
             uplink_bw: 25.0e9,
         };
         // Intra-rack: NICs only.
-        assert_eq!(t.path(0, 3), vec![LinkId::NicTx(0), LinkId::NicRx(3)]);
+        assert_eq!(t.path(0, 3)[..], [LinkId::NicTx(0), LinkId::NicRx(3)]);
         // Inter-rack: up out of rack 0, down into rack 1.
         assert_eq!(
-            t.path(1, 5),
-            vec![
+            t.path(1, 5)[..],
+            [
                 LinkId::NicTx(1),
                 LinkId::RackUp(0),
                 LinkId::RackDown(1),
@@ -166,5 +248,30 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.what, "Topology::RackTree.nodes_per_rack");
         assert!(Topology::FlatSwitch.validate().is_ok());
+    }
+
+    #[test]
+    fn link_index_is_dense_and_follows_link_order() {
+        let tree = Topology::RackTree {
+            nodes_per_rack: 4,
+            uplink_bw: 25.0e9,
+        };
+        // 10 nodes in racks of 4: the last rack holds 2, so R = 3.
+        for (t, nodes, links) in [(Topology::FlatSwitch, 10, 20), (tree, 10, 26)] {
+            let idx = LinkIndex::new(&t, nodes);
+            assert_eq!(idx.len(), links);
+            let all: Vec<LinkId> = (0..idx.len()).map(|i| idx.link(i)).collect();
+            assert!(all.windows(2).all(|w| w[0] < w[1]), "{t:?}: {all:?}");
+            for (i, &l) in all.iter().enumerate() {
+                assert_eq!(idx.of(l), i);
+            }
+            // Every link a route crosses has an index inside the table.
+            for src in 0..nodes {
+                for dst in 0..nodes {
+                    assert!(t.path(src, dst).iter().all(|&l| idx.of(l) < idx.len()));
+                }
+            }
+        }
+        assert_eq!(LinkIndex::new(&tree, 10).link(25), LinkId::RackDown(2));
     }
 }

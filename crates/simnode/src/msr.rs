@@ -18,7 +18,7 @@ use std::cell::Cell;
 
 use crate::backend::{BusStats, Capabilities, MsrBackend, MsrDeviceBuilder};
 use crate::faults::FaultStats;
-use crate::time::Nanos;
+use crate::time::{round_u64, Nanos};
 use serde::{Deserialize, Serialize};
 
 /// `MSR_RAPL_POWER_UNIT`: unit definitions for the RAPL registers.
@@ -304,7 +304,7 @@ impl PowerLimit {
             return 0;
         };
         assert!(w > 0.0, "cap must be positive");
-        let p = ((w / units.power_w).round() as u64).min(0x7FFF);
+        let p = round_u64(w / units.power_w).min(0x7FFF);
         p | 1 << 15 | 1 << 16 | window_field // power | enable | clamp | window
     }
 
@@ -321,7 +321,7 @@ impl PowerLimit {
         let window_s = (1.0 + f as f64 / 4.0) * (2.0f64).powi(y as i32) * units.time_s;
         Self {
             watts,
-            window: (window_s * 1e9).round() as Nanos,
+            window: round_u64(window_s * 1e9),
         }
     }
 }

@@ -35,7 +35,7 @@ use crate::msr::{
 use crate::power::NodeTables;
 use crate::rapl::{ActivitySnapshot, Actuation, RaplController};
 use crate::thermal::ThermalState;
-use crate::time::{secs, Nanos};
+use crate::time::{round_u64, secs, Nanos};
 
 /// A unit of application work: some compute cycles interleaved with some
 /// memory traffic, retiring some number of instructions.
@@ -869,7 +869,7 @@ impl Node {
                 let pkg_w = core_w_i + uncore_w;
                 let e = pkg_w * dt_s;
                 self.energy.record(start + (i + 1) * dt, e);
-                energy_ticks += (e / energy_unit).round() as u64;
+                energy_ticks += round_u64(e / energy_unit);
                 t.step(pkg_w, dt_s);
                 done = i + 1;
                 if t.throttling() != throttled0 {
@@ -883,7 +883,7 @@ impl Node {
             core_w_last = core_w0;
             let e_q = (core_w0 + uncore_w) * dt_s;
             self.energy.record(start + k * dt, e_q * k as f64);
-            energy_ticks = (e_q / energy_unit).round() as u64 * k;
+            energy_ticks = round_u64(e_q / energy_unit) * k;
         }
 
         // Pass 3: apply the k-quantum closed form with the span actually
@@ -902,8 +902,8 @@ impl Node {
         // APERF or MPERF.
         self.msr.hw_count(
             energy_ticks,
-            aperf_q.round() as u64 * executed,
-            mperf_q.round() as u64 * executed,
+            round_u64(aperf_q) * executed,
+            round_u64(mperf_q) * executed,
         );
         self.msr.advance_to(end);
 
@@ -1102,9 +1102,9 @@ impl Node {
 
         self.now = end;
         self.energy.record(self.now, pkg_w * dt_s);
-        let energy_ticks = (pkg_w * dt_s / self.regs.units.energy_j).round() as u64;
+        let energy_ticks = round_u64(pkg_w * dt_s / self.regs.units.energy_j);
         self.msr
-            .hw_count(energy_ticks, aperf.round() as u64, mperf.round() as u64);
+            .hw_count(energy_ticks, round_u64(aperf), round_u64(mperf));
         self.msr.advance_to(end);
 
         self.telemetry = QuantumTelemetry {
@@ -1127,7 +1127,14 @@ impl Node {
     /// 0`), none otherwise; never a fraction. Running and idle cores count
     /// as one.
     fn sleep_powered(&self) -> f64 {
-        self.cfg.cstate_static_frac.min(1.0).ceil()
+        // `validate` pins the fraction to [0, 1], where this equals `ceil`
+        // (a software call on the baseline target), ±0 included.
+        let frac = self.cfg.cstate_static_frac.min(1.0);
+        if frac > 0.0 {
+            1.0
+        } else {
+            frac
+        }
     }
 
     /// One RAPL control decision based on activity accumulated since the

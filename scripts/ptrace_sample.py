@@ -12,6 +12,10 @@ addr2line, inline frames included, and three tables are printed:
   each counted once;
 - source lines: the innermost frame's file and line.
 
+Without debug info (a distribution's libc), addr2line names the nearest
+preceding dynamic symbol, however far away it ends. A sample outside that
+symbol's extent (`nm -D -S`) is reported as `<file+0xADDR>` instead.
+
 Only x86-64 Linux is supported. Binaries need line tables for names and
 lines (this workspace's release and bench profiles keep them).
 
@@ -171,6 +175,23 @@ def load_segments(path):
     return segs
 
 
+def dynamic_extents(path):
+    """Maps each sized dynamic symbol of an ELF file to its [(start, end)] address ranges."""
+    out = subprocess.run(
+        ["nm", "-D", "-S", "-C", "--defined-only", path],
+        capture_output=True,
+        text=True,
+    ).stdout.splitlines()
+    extents = collections.defaultdict(list)
+    for line in out:
+        parts = line.split(maxsplit=3)
+        if len(parts) < 4:
+            continue  # no size: absolute version nodes and the like
+        start, size = int(parts[0], 16), int(parts[1], 16)
+        extents[parts[3].split("@")[0]].append((start, start + size))
+    return extents
+
+
 def symbolise(path, offsets):
     """Maps each file offset to its inline chain [(function, line)], innermost first."""
     segs = load_segments(path)
@@ -208,11 +229,21 @@ def symbolise(path, offsets):
         i += 2
     if cur is not None:
         results[cur] = frames
+    extents = None
     for va, offs in by_addr.items():
         frames = results.get(va) or []
-        if frames and frames[0][0] != "??":
-            for off in offs:
-                chains[off] = frames
+        if not frames or frames[0][0] == "??":
+            continue
+        if len(frames) == 1 and frames[0][1].startswith("??"):
+            # No line info: the name came from the symbol table. Keep it
+            # only if the address lies inside one of that symbol's copies.
+            if extents is None:
+                extents = dynamic_extents(path)
+            ranges = extents.get(frames[0][0])
+            if ranges is not None and not any(a <= va < b for a, b in ranges):
+                frames = [(f"<{os.path.basename(path)}+{va:#x}>", frames[0][1])]
+        for off in offs:
+            chains[off] = frames
     return chains
 
 
