@@ -81,6 +81,9 @@ cargo build --workspace --release
 
 if [[ "$run_tests" -eq 1 ]]; then
     echo "== cargo test"
+    # Includes crates/core/tests/golden.rs: `repro all --quick` diffed
+    # against tests/golden/all_quick, and `repro sched --quick --seed 11`
+    # replayed twice and diffed, both bit for bit.
     cargo test --workspace --release -q
     echo "== cargo test -p simnode --features rapl"
     # The rapl feature's probe path degrades to MsrError::Unsupported on
@@ -98,30 +101,6 @@ if [[ "$run_tests" -eq 1 ]]; then
     echo "== micro bench (test mode)"
     # Runs each micro bench once, the node's macro-step benches included.
     cargo bench -q -p powerprog-bench --bench micro -- --test
-    echo "== repro sched determinism (same seed, bit-identical CSVs)"
-    # The scheduler's whole pipeline — trace, admission, arbiter ticks —
-    # must replay bit for bit under a fixed seed; diff catches any drift.
-    sched_a="$(mktemp -d)"
-    sched_b="$(mktemp -d)"
-    target/release/repro sched --quick --seed 11 --out "$sched_a" >/dev/null
-    target/release/repro sched --quick --seed 11 --out "$sched_b" >/dev/null
-    diff -r "$sched_a" "$sched_b" || {
-        echo "ci.sh: repro sched is not deterministic under a fixed seed" >&2
-        exit 1
-    }
-    rm -rf "$sched_a" "$sched_b"
-    echo "== repro all golden diff (every artefact, bit for bit)"
-    # tests/golden/all_quick holds every CSV `repro all --quick --out`
-    # writes: the paper's tables and figures, the cluster, scheduler and
-    # ablation artefacts. Any drift in any layer (node, NRM, monitoring,
-    # arbiters, scheduler) shows up as a diff here.
-    golden_out="$(mktemp -d)"
-    target/release/repro all --quick --out "$golden_out" >/dev/null
-    diff -r tests/golden/all_quick "$golden_out" || {
-        echo "ci.sh: repro all --quick drifted from the golden CSVs" >&2
-        exit 1
-    }
-    rm -rf "$golden_out"
 fi
 
 if [[ "$soak" -eq 1 ]]; then
