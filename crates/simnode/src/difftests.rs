@@ -148,6 +148,27 @@ fn blocked_work(seed: u64, cores: usize) -> impl FnMut(&[usize], Nanos) -> Vec<(
     }
 }
 
+/// Full-width SPMD work, the shape both simulator benchmarks run: every
+/// refill gives all cores one shared non-`Idle` draw, so the node is one
+/// run of bit-identical cores from start to finish. Cores finish
+/// together; segment boundaries refill too, so a draw of spinners does
+/// not spin for the rest of the case.
+fn full_width_work(
+    seed: u64,
+    cores: usize,
+) -> impl FnMut(&[usize], Nanos) -> Vec<(usize, CoreWork)> {
+    let mut rng = Mix(seed);
+    move |_, now| {
+        let w = loop {
+            let w = random_work(&mut rng, now);
+            if w != CoreWork::Idle {
+                break w;
+            }
+        };
+        (0..cores).map(|c| (c, w)).collect()
+    }
+}
+
 /// Drive `exact` and `fast` in lockstep for `total` sim-time, assigning
 /// identical fresh work from `refill` at the start (every core), at every
 /// segment boundary (no core) and on every completion/wake (the cores that
@@ -286,6 +307,21 @@ proptest! {
         let quantum = 100 * US;
         let (exact, fast) = node_pair(base_cfg(24, quantum, quantum * rapl_mult));
         run_lockstep(exact, fast, blocked_work(seed, 24), 80 * MS, 40 * MS, &[cap, None], true);
+    }
+
+    /// The same contract on the run shape the benchmarks use: all 24
+    /// cores hold one shared draw, so every macro-step evaluates a single
+    /// run of 24 and each of its sums gets that run's increments for all
+    /// 24 cores at once.
+    #[test]
+    fn step_until_matches_exact_on_full_width_runs(
+        seed in any::<u64>(),
+        rapl_mult in 2u64..16,
+        cap in prop_oneof![Just(None), (45.0f64..140.0).prop_map(Some)],
+    ) {
+        let quantum = 100 * US;
+        let (exact, fast) = node_pair(base_cfg(24, quantum, quantum * rapl_mult));
+        run_lockstep(exact, fast, full_width_work(seed, 24), 120 * MS, 30 * MS, &[cap, None], true);
     }
 
     /// Same contract under active fault plans: stuck/jumping energy
