@@ -149,8 +149,6 @@ fn bench_nrm(c: &mut Criterion) {
                 now += period;
                 daemon.on_tick(&mut node, now);
             }
-            // Keep the sample log from growing across iterations.
-            daemon.samples.clear();
         })
     });
     g.finish();

@@ -462,11 +462,9 @@ pub fn run_app(cfg: &RunConfig) -> RunArtifacts {
     let mut hardened: Option<ResilientDaemon> = None;
     match &cfg.resilience {
         Some(rc) => {
-            hardened = Some(ResilientDaemon::new(
-                cfg.schedule.build(),
-                cfg.actuator,
-                rc.clone(),
-            ));
+            hardened = Some(
+                ResilientDaemon::new(cfg.schedule.build(), cfg.actuator, rc.clone()).with_history(),
+            );
         }
         None => naive = Some(NrmDaemon::new(cfg.schedule.build(), cfg.actuator)),
     }

@@ -170,7 +170,12 @@ pub struct ResilientDaemon {
     sensor: MsrPowerSensor,
     period: Nanos,
     start: Option<Nanos>,
-    /// Observations, one per tick.
+    /// The latest observation, kept whether or not `samples` is.
+    last: Option<DaemonSample>,
+    /// Whether `samples` keeps every tick's observation.
+    history: bool,
+    /// Observations, one per tick, when built [`ResilientDaemon::with_history`];
+    /// empty otherwise.
     pub samples: Vec<DaemonSample>,
 }
 
@@ -203,8 +208,18 @@ impl ResilientDaemon {
             sensor: MsrPowerSensor::new(),
             period: SEC,
             start: None,
+            last: None,
+            history: false,
             samples: Vec::new(),
         }
+    }
+
+    /// Keep every tick's observation in `samples`. Without it the daemon
+    /// keeps only the latest ([`ResilientDaemon::last_sample`]), so a
+    /// long run holds no history that nobody reads.
+    pub fn with_history(mut self) -> Self {
+        self.history = true;
+        self
     }
 
     /// Override the control period (tests).
@@ -231,7 +246,7 @@ impl ResilientDaemon {
 
     /// The most recent observation, if the daemon has ticked at all.
     pub fn last_sample(&self) -> Option<&DaemonSample> {
-        self.samples.last()
+        self.last.as_ref()
     }
 
     /// Attempt `chain[idx]` with immediate retries; returns
@@ -385,7 +400,7 @@ impl SimAgent for ResilientDaemon {
             self.safe_mode = false;
         }
 
-        self.samples.push(DaemonSample {
+        let sample = DaemonSample {
             at: now,
             cap_w: target,
             avg_power_w: measured.unwrap_or(self.last_power_w),
@@ -394,7 +409,11 @@ impl SimAgent for ResilientDaemon {
             retries: total_retries,
             verified,
             safe_mode: self.safe_mode,
-        });
+        };
+        if self.history {
+            self.samples.push(sample);
+        }
+        self.last = Some(sample);
     }
 }
 
@@ -448,6 +467,7 @@ mod tests {
             ActuatorKind::Rapl,
             ResilienceConfig::default(),
         )
+        .with_history()
     }
 
     #[test]
