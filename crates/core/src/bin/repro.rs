@@ -167,6 +167,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             }
             other => return Err(format!("unknown experiment or option '{other}'")),
         }
+        if flags.contains(&a) {
+            return Err(format!("{a} is given more than once"));
+        }
         flags.push(a);
     }
     if o.what.is_empty() {
@@ -470,6 +473,24 @@ mod tests {
             panic!("zero shards is loadgen's error to report");
         };
         assert_eq!(o.shards, Some(0));
+    }
+
+    #[test]
+    fn repeated_flags_are_errors() {
+        for (bad, flag) in [
+            (&["sched", "--seed", "1", "--seed", "2"][..], "--seed"),
+            (&["--seed", "1", "--seed", "1"], "--seed"),
+            (&["--quick", "fig5", "--quick"], "--quick"),
+            (
+                &["cluster", "--out", "a", "--budget", "90", "--out", "b"],
+                "--out",
+            ),
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err, format!("{flag} is given more than once"), "{bad:?}");
+        }
+        // An experiment named twice is not an option given twice.
+        assert!(parse(&["fig5", "fig5", "--quick"]).is_ok());
     }
 
     #[test]
