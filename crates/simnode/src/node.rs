@@ -232,6 +232,36 @@ fn same_work(a: &CoreWork, b: &CoreWork) -> bool {
     }
 }
 
+/// What every quantum of a macro-step runs at: the constants its pass 1
+/// turns each run's state into per-quantum increments with.
+#[derive(Debug, Clone, Copy)]
+struct QuantumRates {
+    /// Quantum length, s.
+    dt_s: f64,
+    /// Effective core clock (P-state and duty cycle), Hz.
+    f_eff_hz: f64,
+    /// Top P-state clock, the rate MPERF counts at, Hz.
+    fmax_hz: f64,
+    /// Dynamic power of a fully active core at this clock, W.
+    dyn_w: f64,
+    /// Static power of a powered core at this P-state, before leakage, W.
+    static_w: f64,
+    /// Leakage factor at the step's starting temperature.
+    leak0: f64,
+    /// How many powered cores a sleeping core counts as.
+    sleep_powered: f64,
+}
+
+/// Folds a run's per-core increments into the sums for all `n` of its
+/// cores with one multiply-add per sum. Against adding them once per core
+/// this drifts by a few ulps at most, and only when `n > 1`.
+fn add_run(sums: &mut [f64; 12], inc: &[f64; 12], n: usize) {
+    let n = n as f64;
+    for (sum, inc) in sums.iter_mut().zip(inc) {
+        *sum += n * inc;
+    }
+}
+
 /// Telemetry for the quantum that just executed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct QuantumTelemetry {
@@ -736,115 +766,18 @@ impl Node {
     /// would first run at the new frequency.
     fn macro_step(&mut self, k: u64) {
         let dt = self.cfg.quantum;
-        let dt_s = secs(dt);
         let start = self.now;
         self.work.macro_steps += 1;
 
-        let mut effective = self.actuation;
-        let throttled0 = self
-            .thermal
-            .as_ref()
-            .map(|t| t.throttling())
-            .unwrap_or(false);
-        if throttled0 {
-            effective.pstate = self.cfg.ladder.min_pstate();
-        }
-        let leak0 = self
-            .thermal
-            .as_ref()
-            .map(|t| t.leak_factor())
-            .unwrap_or(1.0);
-
-        let duty = effective.duty;
-        let duty_frac = duty.fraction();
+        let (rates, effective, throttled0) = self.quantum_rates();
+        let QuantumRates { dt_s, leak0, .. } = rates;
         let f_mhz = self.tables.mhz(effective.pstate);
-        let f_eff_hz = f_mhz * 1e6 * duty_frac;
-        let fmax_hz = self.cfg.fmax_mhz() as f64 * 1e6;
+        let duty_frac = effective.duty.fraction();
         let uncore_level = effective.uncore;
-        let dyn_full_w = self.tables.dynamic_full(effective.pstate);
-        let static_at_f = self.tables.static_power(effective.pstate);
 
-        let sleep_powered = self.sleep_powered();
-
-        // Pass 1: per-quantum constants. While no horizon is crossed every
-        // quantum of the macro step contributes identical increments —
-        // packet state decays multiplicatively, so remaining-work ratios
-        // (and hence utilisations, power and counter deltas) are invariant.
-        // A run's increments are computed once and added once per core, so
-        // every sum sees the per-core additions in core order; a sum a core
-        // kind leaves alone gets `+0.0`, exact because no sum starting at
-        // `+0.0` can become `-0.0`.
-        let mut sums = [0.0f64; 12];
-        let mut i = 0;
-        while i < self.cores.len() {
-            let eval = &mut self.scratch[i];
-            let (activity, static_scale, busy_frac, powered, bytes, inst, cycles, misses) =
-                match self.cores[i] {
-                    CoreWork::Idle => (0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
-                    CoreWork::Sleep { .. } => (
-                        0.0,
-                        self.cfg.cstate_static_frac,
-                        0.0,
-                        sleep_powered,
-                        0.0,
-                        self.cfg.sleep_inst_per_sec * dt_s,
-                        0.0,
-                        0.0,
-                    ),
-                    CoreWork::Spin => {
-                        let cyc = f_eff_hz * dt_s;
-                        (1.0, 1.0, 1.0, 1.0, 0.0, self.cfg.spin_ipc * cyc, cyc, 0.0)
-                    }
-                    CoreWork::Compute(ps) => {
-                        let CoreScratch { t_comp, t_mem, .. } = *eval;
-                        let t_total = t_comp + t_mem;
-                        debug_assert!(
-                            t_total > dt_s * k as f64,
-                            "macro step may not contain a completion"
-                        );
-                        let rho = dt_s / t_total;
-                        eval.rho = rho;
-                        let u_comp = t_comp / t_total;
-                        let u_mem = t_mem / t_total;
-                        let misses_serviced = ps.misses_left * rho;
-                        let busy = (u_comp + u_mem).min(1.0);
-                        let activity = u_comp + u_mem * self.cfg.stall_dyn_frac;
-                        (
-                            activity.min(1.0),
-                            1.0,
-                            busy,
-                            1.0,
-                            misses_serviced * self.cfg.uncore.bytes_per_miss,
-                            ps.inst_left * rho,
-                            f_eff_hz * busy * dt_s,
-                            misses_serviced,
-                        )
-                    }
-                };
-            let dyn_w = dyn_full_w * duty_frac * activity;
-            let inc = [
-                bytes,
-                inst,
-                cycles,
-                misses,
-                dyn_w,
-                static_at_f * static_scale,
-                // Interleaved per-core sum, bit-equal to the exact path at leak0.
-                dyn_w + static_at_f * (static_scale * leak0),
-                activity,
-                busy_frac,
-                powered,
-                f_eff_hz * busy_frac * dt_s,
-                fmax_hz * busy_frac * dt_s,
-            ];
-            for _ in 0..eval.run {
-                for (sum, inc) in sums.iter_mut().zip(&inc) {
-                    *sum += inc;
-                }
-            }
-            i += eval.run;
-            self.work.run_evals += 1;
-        }
+        // Pass 1: per-quantum sums, each run's increments added once for
+        // all of its cores.
+        let sums = self.quantum_sums(k, &rates, add_run);
         // core_dyn_w and core_static_w (sans leak factor) feed the thermal path.
         let [bytes_q, inst_q, cycles_q, misses_q, core_dyn_w, core_static_w, rest @ ..] = sums;
         let [core_w0, compute_weight, busy_weight, powered, aperf_q, mperf_q] = rest;
@@ -922,6 +855,124 @@ impl Node {
         self.acc_quanta += executed;
     }
 
+    /// The rates every quantum of a macro-step starting now runs at, the
+    /// actuation in force (a PROCHOT pin applied) and whether the node
+    /// was throttled.
+    fn quantum_rates(&self) -> (QuantumRates, Actuation, bool) {
+        let mut effective = self.actuation;
+        let throttled = self
+            .thermal
+            .as_ref()
+            .map(|t| t.throttling())
+            .unwrap_or(false);
+        if throttled {
+            effective.pstate = self.cfg.ladder.min_pstate();
+        }
+        let duty_frac = effective.duty.fraction();
+        let rates = QuantumRates {
+            dt_s: secs(self.cfg.quantum),
+            f_eff_hz: self.tables.mhz(effective.pstate) * 1e6 * duty_frac,
+            fmax_hz: self.cfg.fmax_mhz() as f64 * 1e6,
+            dyn_w: self.tables.dynamic_full(effective.pstate) * duty_frac,
+            static_w: self.tables.static_power(effective.pstate),
+            leak0: self
+                .thermal
+                .as_ref()
+                .map(|t| t.leak_factor())
+                .unwrap_or(1.0),
+            sleep_powered: self.sleep_powered(),
+        };
+        (rates, effective, throttled)
+    }
+
+    /// Pass 1 of [`Node::macro_step`]: the per-quantum sums over all cores
+    /// of bytes, instructions, cycles, misses, dynamic W, static W, core W
+    /// at `leak0`, activity, busy fraction, powered cores, APERF and
+    /// MPERF. While no horizon is crossed every quantum of the macro step
+    /// contributes identical increments: packet state decays
+    /// multiplicatively, so remaining-work ratios (and hence utilisations,
+    /// power and counter deltas) are invariant. Each run's increments are
+    /// computed once, at its first core, and `add` folds them into the sums
+    /// for all of the run's cores ([`add_run`] in production; the tests
+    /// race it against adding them once per core). A sum a core kind
+    /// leaves alone gets `+0.0`, exact because no sum starting at `+0.0`
+    /// can become `-0.0`. Records each computing run's `rho` for pass 3.
+    fn quantum_sums(
+        &mut self,
+        k: u64,
+        r: &QuantumRates,
+        add: impl Fn(&mut [f64; 12], &[f64; 12], usize),
+    ) -> [f64; 12] {
+        let dt_s = r.dt_s;
+        let mut sums = [0.0f64; 12];
+        let mut i = 0;
+        while i < self.cores.len() {
+            let eval = &mut self.scratch[i];
+            let (activity, static_scale, busy_frac, powered, bytes, inst, cycles, misses) =
+                match self.cores[i] {
+                    CoreWork::Idle => (0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+                    CoreWork::Sleep { .. } => (
+                        0.0,
+                        self.cfg.cstate_static_frac,
+                        0.0,
+                        r.sleep_powered,
+                        0.0,
+                        self.cfg.sleep_inst_per_sec * dt_s,
+                        0.0,
+                        0.0,
+                    ),
+                    CoreWork::Spin => {
+                        let cyc = r.f_eff_hz * dt_s;
+                        (1.0, 1.0, 1.0, 1.0, 0.0, self.cfg.spin_ipc * cyc, cyc, 0.0)
+                    }
+                    CoreWork::Compute(ps) => {
+                        let CoreScratch { t_comp, t_mem, .. } = *eval;
+                        let t_total = t_comp + t_mem;
+                        debug_assert!(
+                            t_total > dt_s * k as f64,
+                            "macro step may not contain a completion"
+                        );
+                        let rho = dt_s / t_total;
+                        eval.rho = rho;
+                        let u_comp = t_comp / t_total;
+                        let u_mem = t_mem / t_total;
+                        let misses_serviced = ps.misses_left * rho;
+                        let busy = (u_comp + u_mem).min(1.0);
+                        let activity = u_comp + u_mem * self.cfg.stall_dyn_frac;
+                        (
+                            activity.min(1.0),
+                            1.0,
+                            busy,
+                            1.0,
+                            misses_serviced * self.cfg.uncore.bytes_per_miss,
+                            ps.inst_left * rho,
+                            r.f_eff_hz * busy * dt_s,
+                            misses_serviced,
+                        )
+                    }
+                };
+            let dyn_w = r.dyn_w * activity;
+            let inc = [
+                bytes,
+                inst,
+                cycles,
+                misses,
+                dyn_w,
+                r.static_w * static_scale,
+                dyn_w + r.static_w * (static_scale * r.leak0),
+                activity,
+                busy_frac,
+                powered,
+                r.f_eff_hz * busy_frac * dt_s,
+                r.fmax_hz * busy_frac * dt_s,
+            ];
+            add(&mut sums, &inc, eval.run);
+            i += eval.run;
+            self.work.run_evals += 1;
+        }
+        sums
+    }
+
     /// The closed form's state update over `kf` quanta. Each computing
     /// run's packet is shrunk once, at its first core only; the followers
     /// are left stale until [`Node::sync_followers`]. Each sleeping run
@@ -930,8 +981,8 @@ impl Node {
     /// The runs stay valid for the next macro-step unless a sleeping run
     /// woke or a computing run's packet ran out of misses (which changes
     /// its pressure weight). Runs that are no longer maximal are harmless:
-    /// cores with bit-identical inputs produce bit-identical per-core
-    /// additions in the same core order, so splitting a run changes no sum.
+    /// the sums then add a run's cores in parts, which can move them by an
+    /// ulp, and the same inputs always give the same parts.
     fn advance_runs(&mut self, kf: f64, end: Nanos) {
         let Self {
             cores,
@@ -1184,8 +1235,14 @@ impl Node {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::bandwidth::UncoreLevel;
+    use crate::difftests::Mix;
+    use crate::freq::PState;
     use crate::msr::{encode_perf_ctl, IA32_APERF, IA32_MPERF};
+    use crate::thermal::ThermalConfig;
     use crate::time::{MS, SEC};
 
     fn run_quanta(node: &mut Node, n: usize) -> Vec<StepOutcome> {
@@ -1437,5 +1494,91 @@ mod tests {
             measured_mhz < 3300.0 && measured_mhz > 500.0,
             "APERF/MPERF-derived frequency {measured_mhz:.0} MHz implausible"
         );
+    }
+
+    /// The summation [`add_run`] replaced, kept as its oracle: a run's
+    /// increments added once per core, so every sum sees the per-core
+    /// additions in core order.
+    fn add_per_core(sums: &mut [f64; 12], inc: &[f64; 12], n: usize) {
+        for _ in 0..n {
+            for (sum, inc) in sums.iter_mut().zip(inc) {
+                *sum += inc;
+            }
+        }
+    }
+
+    /// Work of any kind that stays in flight for tens of milliseconds at
+    /// least, so a macro-step of several quanta covers every run.
+    fn lasting_work(rng: &mut Mix, now: Nanos) -> CoreWork {
+        match rng.next() % 4 {
+            0 => CoreWork::Idle,
+            1 => CoreWork::Spin,
+            2 => CoreWork::Sleep {
+                until: now + rng.range(2e7, 2e8) as Nanos,
+            },
+            _ => {
+                let cycles = rng.range(1e8, 1e10);
+                CoreWork::Compute(
+                    WorkPacket {
+                        cycles,
+                        misses: cycles * rng.range(0.0, 2e-3),
+                        instructions: cycles * rng.range(0.4, 2.4),
+                        mlp: rng.range(0.15, 1.0),
+                        mem_weight: rng.range(0.0, 1.0),
+                    }
+                    .into(),
+                )
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Each of the twelve per-quantum sums a macro-step takes from
+        /// [`add_run`] stays within 1e-12 relative of the per-core
+        /// summation, over random layouts of runs of 1–24 cores of every
+        /// kind, random actuations, C-state fractions and thermal models.
+        #[test]
+        fn run_sums_track_the_per_core_summation(
+            seed in any::<u64>(),
+            runs in proptest::collection::vec(1usize..=24, 1..8),
+            thermal in any::<bool>(),
+        ) {
+            let mut rng = Mix(seed);
+            let cfg = NodeConfig {
+                cores: runs.iter().sum(),
+                cstate_static_frac: rng.range(0.0, 1.0),
+                thermal: thermal.then(ThermalConfig::default),
+                ..NodeConfig::default()
+            };
+            let mut node = Node::new(cfg);
+            let mut core = 0;
+            for &n in &runs {
+                let work = lasting_work(&mut rng, 0);
+                for _ in 0..n {
+                    node.assign(core, work);
+                    core += 1;
+                }
+            }
+            // One exact step takes the first RAPL decision; then any
+            // actuation the controller might pick.
+            node.step();
+            node.actuation = Actuation {
+                pstate: PState(rng.next() as usize % node.cfg.ladder.len()),
+                duty: DutyCycle::new(1 + (rng.next() % 16) as u8),
+                uncore: UncoreLevel(rng.next() as usize % node.cfg.uncore.levels),
+            };
+            let k = node.macro_quanta(node.now() + 10 * MS);
+            prop_assert!(k >= 2, "no macro-step to take (k = {})", k);
+            let (rates, ..) = node.quantum_rates();
+            let got = node.quantum_sums(k, &rates, add_run);
+            let want = node.quantum_sums(k, &rates, add_per_core);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(g.is_finite() && w.is_finite(), "sum {} not finite", i);
+                let drift = (g - w).abs() / g.abs().max(w.abs()).max(f64::MIN_POSITIVE);
+                prop_assert!(drift <= 1e-12, "sum {}: {} vs per-core {} (drift {:e})", i, g, w, drift);
+            }
+        }
     }
 }

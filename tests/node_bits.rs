@@ -113,7 +113,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
         [
             0x407182981789bfc0,
             0x4024efc28a9a77e1,
-            0x422c308227fc44aa,
+            0x422c308227fc44c5,
             0x4246013777880872,
             0x41e6f51fdc920c9a,
         ],
@@ -216,7 +216,7 @@ fn direct_node_run_is_pinned_bit_for_bit() {
 
     let mut pins = Pins::default();
     pins.bits("now", node.now(), 0x17d78400);
-    pins.f64("energy", node.total_energy(), 0x403fea13f1325fc7);
+    pins.f64("energy", node.total_energy(), 0x403fea13f1325fc6);
     pins.f64(
         "instructions",
         node.counters().instructions,
@@ -466,7 +466,7 @@ fn latched_cap_node_run_is_pinned_bit_for_bit() {
     let mut pins = Pins::default();
     pins.bits("now", node.now(), 0x11e1a300);
     pins.bits("event order", order, 0xc2fe983d8d5df7d0);
-    pins.f64("energy", node.total_energy(), 0x4039396ccbdad46f);
+    pins.f64("energy", node.total_energy(), 0x4039396ccbdad46e);
     pins.f64(
         "avg power 10 ms",
         node.average_power(10 * MS),
