@@ -35,9 +35,10 @@
 //! writes one CSV per artefact (plus raw series for the figures).
 //!
 //! Exit codes: 0 on success, 2 on an operator mistake (an unknown
-//! experiment name or flag, a bad flag value, a flag no selected
-//! experiment reads, an invalid configuration; the usage line goes to
-//! stderr), 1 when an output file or directory cannot be written.
+//! experiment name or flag, a bad flag value, a flag given twice, a
+//! flag no selected experiment reads, an invalid configuration; the
+//! usage line goes to stderr), 1 when an output file or directory
+//! cannot be written.
 
 use std::fs;
 use std::num::NonZeroUsize;

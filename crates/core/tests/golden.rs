@@ -13,7 +13,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-/// An empty directory for one run's CSVs under cargo's test scratch.
+/// An empty directory for one run's CSVs under `CARGO_TARGET_TMPDIR`.
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     if dir.exists() {
@@ -24,15 +24,19 @@ fn fresh_dir(name: &str) -> PathBuf {
 
 /// Run `repro <args> --out <out>` and require it to succeed.
 fn repro(args: &[&str], out: &Path) {
-    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+    let run = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .arg("--out")
         .arg(out)
         .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
+        .output()
         .expect("repro runs");
-    assert!(status.success(), "repro {args:?} exited with {status}");
+    assert!(
+        run.status.success(),
+        "repro {args:?} exited with {}:\n{}",
+        run.status,
+        String::from_utf8_lossy(&run.stderr)
+    );
 }
 
 /// The file names in `dir`, sorted.
