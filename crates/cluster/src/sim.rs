@@ -33,6 +33,7 @@ use progress::imbalance::{self, ImbalanceReport};
 use simnode::config::NodeConfig;
 use simnode::faults::FaultPlan;
 use simnode::hw::BackendKind;
+use simnode::node::WorkCounts;
 use simnode::time::{secs, Nanos};
 use std::sync::Arc;
 
@@ -231,6 +232,9 @@ pub struct ClusterOutcome {
     pub rack_trace: Option<GrantTrace>,
     /// Final grants in force, W.
     pub final_grants_w: Vec<f64>,
+    /// The members' node work counts, summed (see
+    /// [`Node::work_counts`](simnode::node::Node::work_counts)).
+    pub node_work: WorkCounts,
 }
 
 impl ClusterOutcome {
@@ -471,14 +475,13 @@ fn run_cluster_sharded(cfg: &ClusterConfig, want: usize) -> Result<ClusterOutcom
     }
 
     let makespan_s = iterations.last().map(|i| i.barrier_at_s).unwrap_or(0.0);
-    let energy_j = shards
-        .iter()
-        .flat_map(|s| s.members().iter())
-        .map(ClusterNode::total_energy)
-        .sum();
+    let members = || shards.iter().flat_map(|s| s.members().iter());
+    let energy_j = members().map(ClusterNode::total_energy).sum();
+    let node_work = members().map(|m| m.node().work_counts()).sum();
     Ok(ClusterOutcome {
         makespan_s,
         energy_j,
+        node_work,
         iterations,
         final_grants_w: arbiter.grants().to_vec(),
         rack_trace: arbiter.rack_trace().cloned(),
@@ -658,6 +661,14 @@ mod tests {
     fn assert_outcomes_bit_identical(a: &ClusterOutcome, b: &ClusterOutcome) {
         assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits(), "makespan");
         assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits(), "energy");
+        // The sharded driver's parking queries (`next_event_hint`) reach
+        // the MSR backend, so only `msr_calls` may differ between drivers.
+        let stepping = |w: WorkCounts| WorkCounts { msr_calls: 0, ..w };
+        assert_eq!(
+            stepping(a.node_work),
+            stepping(b.node_work),
+            "node work counts"
+        );
         assert_eq!(a.final_grants_w.len(), b.final_grants_w.len());
         for (x, y) in a.final_grants_w.iter().zip(&b.final_grants_w) {
             assert_eq!(x.to_bits(), y.to_bits(), "final grants");
@@ -770,9 +781,11 @@ mod tests {
 
         let makespan_s = iterations.last().map(|i| i.barrier_at_s).unwrap_or(0.0);
         let energy_j = members.iter().map(ClusterNode::total_energy).sum();
+        let node_work = members.iter().map(|m| m.node().work_counts()).sum();
         Ok(ClusterOutcome {
             makespan_s,
             energy_j,
+            node_work,
             iterations,
             final_grants_w: arbiter.grants().to_vec(),
             rack_trace: arbiter.rack_trace().cloned(),
