@@ -259,11 +259,9 @@ impl ClusterNode {
     /// returns the compute time, s.
     pub fn compute_iteration(&mut self) -> f64 {
         let packet = self.shape.packet(self.weight);
-        for c in 0..self.node.cores() {
-            self.node.assign(c, CoreWork::Compute(packet.into()));
-        }
+        self.node.assign_all(CoreWork::Compute(packet.into()));
         let t0 = self.node.now();
-        while !(0..self.node.cores()).all(|c| self.node.is_available(c)) {
+        while !self.node.all_idle() {
             self.advance_toward(Nanos::MAX);
         }
         self.last_compute_s = secs(self.node.now() - t0);
@@ -276,15 +274,11 @@ impl ClusterNode {
         if self.node.now() >= barrier_at {
             return;
         }
-        for c in 0..self.node.cores() {
-            self.node.assign(c, CoreWork::Spin);
-        }
+        self.node.assign_all(CoreWork::Spin);
         while self.node.now() < barrier_at {
             self.advance_toward(barrier_at);
         }
-        for c in 0..self.node.cores() {
-            self.node.assign(c, CoreWork::Idle);
-        }
+        self.node.assign_all(CoreWork::Idle);
     }
 
     /// Report this epoch's telemetry to the arbiter, or `None` when the
