@@ -1,11 +1,14 @@
 //! Microbenchmarks of the hot paths: the node's per-quantum step and
 //! macro-step, the RAPL control decision, the hardened daemon's control
-//! tick, the progress bus, the 1 Hz aggregator, the Eq. 7 evaluation and
-//! one cluster barrier's exchange pricing. These are what bound
+//! tick, the progress bus, the 1 Hz aggregator, the Eq. 7 evaluation,
+//! one cluster barrier's exchange pricing and a pass over a thousand
+//! cluster members. These are what bound
 //! full-experiment wall time, so regressions here matter directly for
 //! `repro all`.
 
-use cluster::{exchange, ramp_weights, CommConfig, CommPattern, Topology};
+use cluster::{
+    exchange, ramp_weights, ClusterNode, CommConfig, CommPattern, Topology, WorkloadShape,
+};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nrm::resilience::{ResilienceConfig, ResilientDaemon};
 use nrm::scheme::StepFunction;
@@ -218,8 +221,9 @@ fn bench_model(c: &mut Criterion) {
 
 /// Pricing one barrier's exchange at the `cluster_hier_halo_4096`
 /// geometry: 4096 ramp-weighted ranks, a 1 MiB-per-unit halo (8192
-/// flows) over racks of 32 with 25 GB/s uplinks.
-fn bench_exchange(c: &mut Criterion) {
+/// flows) over racks of 32 with 25 GB/s uplinks; then the members'
+/// phases.
+fn bench_cluster(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro/cluster");
     let n = 4096;
     let cfg = CommConfig {
@@ -242,6 +246,31 @@ fn bench_exchange(c: &mut Criterion) {
     g.bench_function("exchange_4096n_racktree_halo", |b| {
         b.iter(|| black_box(exchange(&cfg, &ready, &weights, &drain)).barrier_s)
     });
+
+    // One compute phase and one barrier spin of each of 1024 reference
+    // members in turn, at the `cluster_hier_halo_4096` member shape. The
+    // node benches above step one node whose state stays in cache; here
+    // every member's state is cold by the time its turn comes again.
+    let n = 1024;
+    let mut members: Vec<ClusterNode> = ramp_weights(n, 1.0, 2.6)
+        .into_iter()
+        .enumerate()
+        .map(|(id, w)| {
+            let shape = WorkloadShape::default().scaled(0.1);
+            let mut m = ClusterNode::new(id, simnode::presets::reference(), w, shape, 10 * MS);
+            m.set_grant(65.0);
+            m
+        })
+        .collect();
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_function("member_phases_1024", |b| {
+        b.iter(|| {
+            for m in &mut members {
+                black_box(m.compute_iteration());
+                m.spin_until(m.now() + 5 * MS);
+            }
+        })
+    });
     g.finish();
 }
 
@@ -253,6 +282,6 @@ criterion_group!(
     bench_bus,
     bench_aggregator,
     bench_model,
-    bench_exchange
+    bench_cluster
 );
 criterion_main!(benches);

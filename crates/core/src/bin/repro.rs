@@ -328,10 +328,10 @@ fn run_backends(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The flat-policy and the hierarchy artefacts. Each configuration is
-/// validated before it runs, so an infeasible `--budget` or `--nodes`
-/// names the field and the constraint instead of panicking deep inside
-/// the run.
+/// The flat-policy and the hierarchy artefacts. Every configuration is
+/// validated before the first one runs, so an infeasible `--budget` or
+/// `--nodes` names the field and the constraint, and prints and writes
+/// nothing, instead of failing after some artefacts are out.
 fn run_cluster(o: &Opts) -> Result<(), String> {
     let mut cfg = pick(o, cluster::Config::quick);
     if let Some(n) = o.nodes {
@@ -343,9 +343,6 @@ fn run_cluster(o: &Opts) -> Result<(), String> {
     cfg.cluster_config(cfg.policies()[0])
         .validate()
         .map_err(|e| e.to_string())?;
-    let r = cluster::run(&cfg).map_err(|e| e.to_string())?;
-    emit(&r.table(), o, "cluster_policies");
-    emit(&r.budget_trace_table(), o, "cluster_budget_trace");
 
     let mut hcfg = pick(o, hierarchy::Config::quick);
     if let Some(n) = o.nodes {
@@ -365,6 +362,10 @@ fn run_cluster(o: &Opts) -> Result<(), String> {
             .validate()
             .map_err(|e| e.to_string())?;
     }
+
+    let r = cluster::run(&cfg).map_err(|e| e.to_string())?;
+    emit(&r.table(), o, "cluster_policies");
+    emit(&r.budget_trace_table(), o, "cluster_budget_trace");
     let h = hierarchy::run(&hcfg).map_err(|e| e.to_string())?;
     emit(&h.table(), o, "cluster_hierarchy");
     emit(&h.rack_trace_table(), o, "cluster_hierarchy_rack_trace");

@@ -183,6 +183,8 @@ pub struct PolicyCell {
 /// The experiment result: one cell per policy.
 #[derive(Debug, Clone)]
 pub struct Cluster {
+    /// How many nodes each run had.
+    pub nodes: usize,
     /// One cell per policy, in [`Config::policies`] order.
     pub cells: Vec<PolicyCell>,
 }
@@ -201,7 +203,10 @@ pub fn run(cfg: &Config) -> Result<Cluster, ClusterError> {
     })
     .into_iter()
     .collect::<Result<Vec<_>, ClusterError>>()?;
-    Ok(Cluster { cells })
+    Ok(Cluster {
+        nodes: cfg.nodes,
+        cells,
+    })
 }
 
 impl Cluster {
@@ -213,7 +218,10 @@ impl Cluster {
     /// Policy comparison table.
     pub fn table(&self) -> TextTable {
         let mut t = TextTable::new(
-            "Cluster: power-budget arbitration policies on an imbalanced 8-node BSP workload",
+            format!(
+                "Cluster: power-budget arbitration policies on an imbalanced {}-node BSP workload",
+                self.nodes
+            ),
             &[
                 "Policy",
                 "makespan (s)",

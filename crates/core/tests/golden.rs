@@ -7,7 +7,8 @@
 //! 2–6 decimals, so ulp-level drift is `tests/node_bits.rs`'s to catch.
 //!
 //! The scheduler's whole pipeline (trace, admission, arbiter ticks) must
-//! also replay bit for bit under a fixed seed.
+//! also replay bit for bit under a fixed seed, and a `repro cluster` whose
+//! configuration is rejected must leave its output directory empty.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -100,4 +101,26 @@ fn repro_sched_replays_bit_for_bit_under_a_fixed_seed() {
     repro(&["sched", "--quick", "--seed", "11"], &b);
     assert!(!names(&a).is_empty(), "repro sched wrote no CSV");
     assert_same_files(&a, &b);
+}
+
+#[test]
+fn repro_cluster_rejects_a_bad_rack_width_before_any_run() {
+    // 6 nodes make a valid flat cluster but not whole racks of 4, so the
+    // hierarchy's check fails; it must fail before the flat runs print or
+    // write anything.
+    let out = fresh_dir("cluster_bad_nodes");
+    let run = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["cluster", "--quick", "--nodes", "6", "--out"])
+        .arg(&out)
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("rack width"), "stderr:\n{stderr}");
+    assert!(run.stdout.is_empty(), "printed a table before failing");
+    assert_eq!(
+        names(&out),
+        Vec::<String>::new(),
+        "wrote CSVs before failing"
+    );
 }
