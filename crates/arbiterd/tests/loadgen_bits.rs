@@ -172,3 +172,35 @@ fn sharded_batched_hostile_run_with_one_shard_crashed_is_pinned() {
     });
     check(&r, 15242765260180711658, 3040720052214765774);
 }
+
+#[test]
+fn durable_singleton_run_and_its_snapshot_file_are_pinned() {
+    // The durable benchmark's shape: thousands of singleton producers on
+    // one service, a write-ahead snapshot every tick. Pins the Σ-grant
+    // fingerprint beside an FNV-1a digest of the snapshot file's bytes
+    // as the last tick left it.
+    let dir = SnapDir::new("durable");
+    let r = run_loadgen(&LoadgenConfig {
+        clients: 4096,
+        ticks: 3,
+        seed: 19,
+        service: ServiceConfig {
+            snapshot_every: 1,
+            ..ServiceConfig::default()
+        },
+        snapshot_path: Some(dir.path()),
+        record_grants: false,
+        ..LoadgenConfig::default()
+    });
+    assert!(r.invariant_ok);
+    let bytes = std::fs::read(dir.path()).expect("the run wrote a snapshot");
+    let file = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    assert_eq!(
+        (r.sum_fingerprint, file, bytes.len()),
+        (13434521073224662403, 3998581341647181386, 82110),
+        "pinned bits moved: service {:?}",
+        r.service
+    );
+}
