@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use cluster::{BudgetArbiter, NodeTelemetry, RackWindow, Subtree};
 
 use crate::proto::Msg;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, SnapshotRef};
 
 /// Service tuning knobs (see EXPERIMENTS.md for the operational guide).
 #[derive(Debug, Clone)]
@@ -384,11 +384,11 @@ impl ArbiterService {
         let Some(path) = &self.snapshot_path else {
             return;
         };
-        let snap = Snapshot {
+        let snap = SnapshotRef {
             tick: self.tick,
             budget_w: self.arbiter.budget(),
-            grants_w: self.arbiter.grants().to_vec(),
-            leases: self.leases.clone(),
+            grants_w: self.arbiter.grants(),
+            leases: &self.leases,
             window: Some((self.window.sums(), self.window.count())),
         };
         // A failed write is survivable (the previous snapshot stays);
