@@ -661,14 +661,7 @@ mod tests {
     fn assert_outcomes_bit_identical(a: &ClusterOutcome, b: &ClusterOutcome) {
         assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits(), "makespan");
         assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits(), "energy");
-        // The sharded driver's parking queries (`next_event_hint`) reach
-        // the MSR backend, so only `msr_calls` may differ between drivers.
-        let stepping = |w: WorkCounts| WorkCounts { msr_calls: 0, ..w };
-        assert_eq!(
-            stepping(a.node_work),
-            stepping(b.node_work),
-            "node work counts"
-        );
+        assert_eq!(a.node_work, b.node_work, "node work counts");
         assert_eq!(a.final_grants_w.len(), b.final_grants_w.len());
         for (x, y) in a.final_grants_w.iter().zip(&b.final_grants_w) {
             assert_eq!(x.to_bits(), y.to_bits(), "final grants");

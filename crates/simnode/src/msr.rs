@@ -141,8 +141,11 @@ impl MsrDevice {
     /// How many register-file and clock calls the device has forwarded
     /// to its backend since it was built: every method below except the
     /// [`capabilities`](Self::capabilities), [`fault_stats`](Self::fault_stats)
-    /// and [`bus_stats`](Self::bus_stats) reports. Each is a virtual
-    /// call, so this counts the traffic across the hardware boundary.
+    /// and [`bus_stats`](Self::bus_stats) reports and the read-only
+    /// [`next_event_hint`](Self::next_event_hint) scheduling query, so a
+    /// caller that only asks when the node next needs stepping moves no
+    /// count. Each is a virtual call, so this counts the traffic across
+    /// the hardware boundary.
     pub fn calls(&self) -> u64 {
         self.calls.get()
     }
@@ -169,7 +172,7 @@ impl MsrDevice {
     /// latched cap writes applying) — an event horizon for the node's
     /// macro-step fast path. `None` when nothing is pending.
     pub fn next_event_hint(&self, now: Nanos) -> Option<Nanos> {
-        self.backend().next_event_hint(now)
+        self.backend.next_event_hint(now)
     }
 
     /// Injection counters, when a fault plan is installed.

@@ -105,7 +105,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x424b8c8efbe34eb1,
             0x4190074e893e6ef4,
         ],
-        [2999, 0, 3030, 259, 161, 3030, 0, 13181],
+        [2999, 0, 3030, 259, 161, 3030, 0, 9892],
     );
     pin_run(
         &mut pins,
@@ -118,7 +118,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4246013777880872,
             0x41e6f51fdc920c9a,
         ],
-        [2999, 2000, 3059, 307, 158, 3059, 8117, 13489],
+        [2999, 2000, 3059, 307, 158, 3059, 8117, 10123],
     );
     pin_run(
         &mut pins,
@@ -135,7 +135,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4251867cfc364cc6,
             0x41e17f9b5126a635,
         ],
-        [3999, 3000, 4003, 27, 19, 4003, 9047, 16153],
+        [3999, 3000, 4003, 27, 19, 4003, 9047, 12123],
     );
     pin_run(
         &mut pins,
@@ -150,7 +150,7 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4247afb20e7ecff1,
             0x418b93b3cdd09ba2,
         ],
-        [2999, 1998, 3034, 226, 139, 3034, 8531, 13065],
+        [2999, 1998, 3034, 226, 139, 3034, 8531, 9805],
     );
     pins.finish();
 }
@@ -248,7 +248,7 @@ fn direct_node_run_is_pinned_bit_for_bit() {
     pins.counts(
         "direct",
         node.work_counts(),
-        [399, 399, 612, 1303, 689, 11016, 1558, 8320],
+        [399, 399, 612, 1303, 689, 11016, 1558, 6405],
     );
     pins.finish();
 }
@@ -382,7 +382,7 @@ fn blocked_node_run_is_pinned_bit_for_bit() {
     pins.counts(
         "blocked",
         node.work_counts(),
-        [299, 299, 455, 662, 392, 2643, 1082, 5049],
+        [299, 299, 455, 662, 392, 2643, 1082, 3932],
     );
     pins.finish();
 }
@@ -503,7 +503,7 @@ fn latched_cap_node_run_is_pinned_bit_for_bit() {
     pins.counts(
         "latched",
         node.work_counts(),
-        [299, 225, 456, 489, 326, 2280, 946, 4103],
+        [299, 225, 456, 489, 326, 2280, 946, 3158],
     );
     pins.finish();
 }
@@ -596,7 +596,7 @@ fn hierarchical_cluster_run_is_pinned_bit_for_bit() {
     pins.counts(
         "cluster",
         out.node_work,
-        [8000, 8000, 8233, 542, 0, 8233, 27192, 42652],
+        [8000, 8000, 8233, 542, 0, 8233, 27192, 33685],
     );
     pins.finish();
 }
