@@ -263,7 +263,7 @@ struct QuantumRates {
 /// Folds a run's per-core increments into the sums for all `n` of its
 /// cores with one multiply-add per sum. Against adding them once per core
 /// this drifts by a few ulps at most, and only when `n > 1`.
-fn add_run(sums: &mut [f64; 12], inc: &[f64; 12], n: usize) {
+fn add_run(sums: &mut [f64; 11], inc: &[f64; 11], n: usize) {
     let n = n as f64;
     for (sum, inc) in sums.iter_mut().zip(inc) {
         *sum += n * inc;
@@ -362,7 +362,6 @@ pub struct Node {
     energy: EnergyMeter,
     telemetry: QuantumTelemetry,
     /// Activity accumulated since the last RAPL control decision.
-    acc_compute_weight: f64,
     acc_busy_weight: f64,
     acc_powered: f64,
     acc_bytes: f64,
@@ -503,7 +502,6 @@ impl Node {
             cores,
             counters: Counters::default(),
             telemetry: QuantumTelemetry::default(),
-            acc_compute_weight: 0.0,
             acc_busy_weight: 0.0,
             acc_powered: 0.0,
             acc_bytes: 0.0,
@@ -862,7 +860,7 @@ impl Node {
         let sums = self.quantum_sums(k, &rates, add_run);
         // core_dyn_w and core_static_w (sans leak factor) feed the thermal path.
         let [bytes_q, inst_q, cycles_q, misses_q, core_dyn_w, core_static_w, rest @ ..] = sums;
-        let [core_w0, compute_weight, busy_weight, powered, aperf_q, mperf_q] = rest;
+        let [core_w0, busy_weight, powered, aperf_q, mperf_q] = rest;
 
         let achieved_bw = bytes_q / dt_s;
         let uncore_w = self.tables.uncore_power(uncore_level, achieved_bw);
@@ -930,7 +928,6 @@ impl Node {
             achieved_bw,
         };
 
-        self.acc_compute_weight += compute_weight * kf;
         self.acc_busy_weight += busy_weight * kf;
         self.acc_powered += powered * kf;
         self.acc_bytes += bytes_q * kf;
@@ -969,7 +966,7 @@ impl Node {
 
     /// Pass 1 of [`Node::macro_step`]: the per-quantum sums over all cores
     /// of bytes, instructions, cycles, misses, dynamic W, static W, core W
-    /// at `leak0`, activity, busy fraction, powered cores, APERF and
+    /// at `leak0`, busy fraction, powered cores, APERF and
     /// MPERF. While no horizon is crossed every quantum of the macro step
     /// contributes identical increments: packet state decays
     /// multiplicatively, so remaining-work ratios (and hence utilisations,
@@ -983,10 +980,10 @@ impl Node {
         &mut self,
         k: u64,
         r: &QuantumRates,
-        add: impl Fn(&mut [f64; 12], &[f64; 12], usize),
-    ) -> [f64; 12] {
+        add: impl Fn(&mut [f64; 11], &[f64; 11], usize),
+    ) -> [f64; 11] {
         let dt_s = r.dt_s;
-        let mut sums = [0.0f64; 12];
+        let mut sums = [0.0f64; 11];
         let mut i = 0;
         while i < self.cores.len() {
             let eval = &mut self.scratch[i];
@@ -1042,7 +1039,6 @@ impl Node {
                 dyn_w,
                 r.static_w * static_scale,
                 dyn_w + r.static_w * (static_scale * r.leak0),
-                activity,
                 busy_frac,
                 powered,
                 r.f_eff_hz * busy_frac * dt_s,
@@ -1166,7 +1162,6 @@ impl Node {
         let sleep_powered = self.sleep_powered();
         let mut core_w = 0.0;
         let mut bytes_moved = 0.0;
-        let mut compute_weight = 0.0;
         let mut busy_weight = 0.0;
         let mut powered = 0.0;
         let mut aperf = 0.0;
@@ -1259,7 +1254,6 @@ impl Node {
                 self.counters.l3_misses += misses;
                 bytes_moved += bytes;
                 core_w += core_w_inc;
-                compute_weight += activity;
                 busy_weight += busy_frac;
                 powered += powered_core;
                 aperf += aperf_inc;
@@ -1291,7 +1285,6 @@ impl Node {
             achieved_bw,
         };
 
-        self.acc_compute_weight += compute_weight;
         self.acc_busy_weight += busy_weight;
         self.acc_powered += powered;
         self.acc_bytes += bytes_moved;
@@ -1324,7 +1317,6 @@ impl Node {
             let quanta = self.acc_quanta.max(1) as f64;
             let period_s = secs(self.cfg.quantum) * quanta;
             let snapshot = ActivitySnapshot {
-                compute_weight: self.acc_compute_weight / quanta,
                 busy_weight: self.acc_busy_weight / quanta,
                 powered_cores: (self.acc_powered / quanta).max(1.0),
                 achieved_bw: self.acc_bytes / period_s,
@@ -1339,7 +1331,6 @@ impl Node {
             // Uncapped, the decision reads neither activity nor power.
             self.rapl.uncapped(&self.cfg)
         };
-        self.acc_compute_weight = 0.0;
         self.acc_busy_weight = 0.0;
         self.acc_powered = 0.0;
         self.acc_bytes = 0.0;
@@ -1627,7 +1618,7 @@ mod tests {
     /// The summation [`add_run`] replaced, kept as its oracle: a run's
     /// increments added once per core, so every sum sees the per-core
     /// additions in core order.
-    fn add_per_core(sums: &mut [f64; 12], inc: &[f64; 12], n: usize) {
+    fn add_per_core(sums: &mut [f64; 11], inc: &[f64; 11], n: usize) {
         for _ in 0..n {
             for (sum, inc) in sums.iter_mut().zip(inc) {
                 *sum += inc;
@@ -1807,7 +1798,7 @@ mod tests {
             }
         }
 
-        /// Each of the twelve per-quantum sums a macro-step takes from
+        /// Each of the eleven per-quantum sums a macro-step takes from
         /// [`add_run`] stays within 1e-12 relative of the per-core
         /// summation, over random layouts of runs of 1–24 cores of every
         /// kind, random actuations, C-state fractions and thermal models.

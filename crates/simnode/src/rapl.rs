@@ -38,8 +38,6 @@ use crate::search::partition_from;
 /// controller to estimate core/uncore power demand.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ActivitySnapshot {
-    /// Sum over cores of the dynamic-activity factor (1.0 = fully active).
-    pub compute_weight: f64,
     /// Sum over cores of the *busy* (unhalted) fraction — compute and
     /// memory-stall time both count. The controller budgets against this
     /// pessimistic weight: a stalled core is unhalted and can turn fully
@@ -57,7 +55,6 @@ impl ActivitySnapshot {
     /// A snapshot representing a completely idle node.
     pub fn idle(cores: usize) -> Self {
         Self {
-            compute_weight: 0.0,
             busy_weight: 0.0,
             powered_cores: cores as f64,
             achieved_bw: 0.0,
@@ -308,7 +305,6 @@ mod tests {
 
     fn compute_bound(cores: usize) -> ActivitySnapshot {
         ActivitySnapshot {
-            compute_weight: cores as f64,
             busy_weight: cores as f64,
             powered_cores: cores as f64,
             achieved_bw: 3.0e9,
@@ -318,7 +314,6 @@ mod tests {
     fn memory_bound(cores: usize) -> ActivitySnapshot {
         // Cores 100% busy (37% compute, 63% stall), pushing 95 GB/s.
         ActivitySnapshot {
-            compute_weight: cores as f64 * 0.72,
             busy_weight: cores as f64,
             powered_cores: cores as f64,
             achieved_bw: 95.0e9,
@@ -582,7 +577,6 @@ mod tests {
             },
             0 => ActivitySnapshot::idle(cfg.cores),
             1 => ActivitySnapshot {
-                compute_weight: 0.0,
                 busy_weight: 0.0,
                 powered_cores: 0.0,
                 achieved_bw: 0.0,
@@ -590,7 +584,6 @@ mod tests {
             2..=19 => {
                 let drift = |g: &mut Mix, x: f64, hi: f64| (x * g.uniform(0.97, 1.03)).min(hi);
                 ActivitySnapshot {
-                    compute_weight: drift(g, last.compute_weight, cores),
                     busy_weight: drift(g, last.busy_weight, cores),
                     powered_cores: drift(g, last.powered_cores, cores),
                     achieved_bw: drift(g, last.achieved_bw, 1.5 * cfg.uncore.peak_bw),
@@ -599,7 +592,6 @@ mod tests {
             _ => {
                 let busy = g.uniform(0.0, cores);
                 ActivitySnapshot {
-                    compute_weight: g.uniform(0.0, busy),
                     busy_weight: busy,
                     powered_cores: g.uniform(busy, cores),
                     achieved_bw: g.uniform(0.0, 1.5 * cfg.uncore.peak_bw),
@@ -626,7 +618,6 @@ mod tests {
     fn race(g: &mut Mix, cfg: &NodeConfig, steps: usize) -> Vec<Actuation> {
         let tables = NodeTables::new(cfg);
         let full = ActivitySnapshot {
-            compute_weight: cfg.cores as f64,
             busy_weight: cfg.cores as f64,
             powered_cores: cfg.cores as f64,
             achieved_bw: cfg.uncore.peak_bw,
