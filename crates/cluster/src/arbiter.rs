@@ -519,9 +519,12 @@ impl PowerArbiter {
             }
         }
         if changed {
-            let refit =
-                policy::waterfill(&self.grants, self.cfg.budget_w, &self.min_v, &self.max_v);
-            self.grants.copy_from_slice(&refit);
+            self.scratch.refit(
+                &mut self.grants,
+                self.cfg.budget_w,
+                &self.min_v,
+                &self.max_v,
+            );
         }
         self.assert_invariants();
         self
@@ -637,8 +640,8 @@ impl PowerArbiter {
             self.cfg.min_cap_w
         );
         self.cfg.budget_w = budget_w;
-        let refit = policy::waterfill(&self.grants, budget_w, &self.min_v, &self.max_v);
-        self.grants.copy_from_slice(&refit);
+        self.scratch
+            .refit(&mut self.grants, budget_w, &self.min_v, &self.max_v);
         self.assert_invariants();
     }
 

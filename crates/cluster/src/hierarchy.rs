@@ -316,7 +316,8 @@ pub struct OuterSolver {
     /// the first epoch marks every child dirty.
     last_desired: Vec<f64>,
     /// Fallback engine scratch for windows with silent children (the
-    /// frozen semantics need the general reporting-subset path).
+    /// frozen semantics need the general reporting-subset path), and the
+    /// fill buffer of [`OuterSolver::refit`].
     scratch: RebalanceScratch,
     /// Reused per-epoch buffers (no per-epoch allocation).
     reports: Vec<Option<NodeTelemetry>>,
@@ -455,8 +456,8 @@ impl OuterSolver {
             pool_w >= floor - EPS_W,
             "budget {pool_w} W cannot fund the {floor} W sum of child floors"
         );
-        let refit = policy::waterfill(&self.sub_budgets, pool_w, &self.min, &self.max);
-        self.sub_budgets.copy_from_slice(&refit);
+        self.scratch
+            .refit(&mut self.sub_budgets, pool_w, &self.min, &self.max);
         self.push_down(pool_w, children);
     }
 
