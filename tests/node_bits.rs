@@ -17,6 +17,8 @@
 
 use std::sync::Arc;
 
+use powerprog::core::experiments::faults;
+use powerprog::nrm::daemon::DaemonSample;
 use powerprog::prelude::*;
 use simnode::hw::{
     BackendKind, PowerLimit, IA32_APERF, IA32_MPERF, MSR_PKG_ENERGY_STATUS, MSR_PKG_POWER_LIMIT,
@@ -152,6 +154,71 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
         ],
         [2999, 1998, 3034, 226, 139, 3034, 8531, 9805],
     );
+    pins.finish();
+}
+
+/// FNV-1a over every field of every [`DaemonSample`] a run recorded.
+fn fold_samples(samples: &[DaemonSample]) -> u64 {
+    samples.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, s| {
+        [
+            s.at,
+            u64::from(s.cap_w.is_some()),
+            s.cap_w.map_or(0, f64::to_bits),
+            s.avg_power_w.to_bits(),
+            u64::from(s.actuation_failed),
+            u64::from(s.fallback_used),
+            u64::from(s.retries),
+            s.verified.map_or(2, u64::from),
+            u64::from(s.safe_mode),
+        ]
+        .into_iter()
+        .fold(h, fnv1a_fold)
+    })
+}
+
+#[test]
+fn daemon_samples_are_pinned_bit_for_bit() {
+    // The faults experiment's cells at quick scale (LAMMPS, an 80 W
+    // budget after a lead-in), under each of its fault plans and under
+    // none, once with the naive loop and once with the hardened one.
+    let quick = faults::Config::quick();
+    let plans = std::iter::once(("no faults", None)).chain(
+        faults::Scenario::all()
+            .into_iter()
+            .map(|s| (s.name(), Some(s.plan(&quick)))),
+    );
+    // `[naive, hardened]` per plan. The naive loop reads the node's own
+    // meter, not the MSR energy counter, so telemetry dropout leaves its
+    // samples as they are with no faults.
+    let want: [[u64; 2]; 4] = [
+        [0x912701a1e452c2fe, 0x052642b041bf3d5b],
+        [0xe09bb3ca247bf877, 0x7882dee81b9de6cb],
+        [0x27bb3818dbd4ec59, 0xb0e33b913f7ff42f],
+        [0x912701a1e452c2fe, 0xbd4b99e1c1c02f94],
+    ];
+    let mut pins = Pins::default();
+    for ((name, plan), want) in plans.zip(want) {
+        let mut cfg =
+            RunConfig::new(AppId::Lammps, quick.duration).with_schedule(ScheduleSpec::StepAfter {
+                lead_in: quick.duration / 5,
+                cap_w: quick.budget_w,
+            });
+        if let Some(plan) = plan {
+            cfg = cfg.with_faults(plan);
+        }
+        let naive = run_app(&cfg);
+        let hardened = run_app(&cfg.with_resilience(ResilienceConfig::default()));
+        pins.bits(
+            &format!("{name} naive samples"),
+            fold_samples(&naive.daemon_samples),
+            want[0],
+        );
+        pins.bits(
+            &format!("{name} hardened samples"),
+            fold_samples(&hardened.daemon_samples),
+            want[1],
+        );
+    }
     pins.finish();
 }
 
