@@ -13,7 +13,8 @@ use cluster::{
     exchange, ramp_weights, ClusterNode, CommConfig, CommPattern, Topology, WorkloadShape,
 };
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use nrm::resilience::{ResilienceConfig, ResilientDaemon};
+use nrm::daemon::NrmDaemon;
+use nrm::resilience::ResilienceConfig;
 use nrm::scheme::StepFunction;
 use nrm::ActuatorKind;
 use powermodel::predict::ProgressModel;
@@ -141,7 +142,7 @@ fn bench_nrm(c: &mut Criterion) {
             period: 2 * period,
             high_fraction: 0.5,
         };
-        let mut daemon = ResilientDaemon::new(
+        let mut daemon = NrmDaemon::hardened(
             Box::new(schedule),
             ActuatorKind::Rapl,
             ResilienceConfig::default(),

@@ -5,18 +5,18 @@
 //! optional fault plan and a per-member MSR backend tier (the
 //! [`NodeSpec::backend`](crate::sim::NodeSpec::backend) selection rides
 //! in on the member's [`NodeConfig`], so a cluster can mix closed-form
-//! and emulated-bus register files), a hardened [`ResilientDaemon`]
-//! applying the
-//! arbiter's grant through the [`GrantSchedule`] channel, and an
+//! and emulated-bus register files), a hardened [`NrmDaemon`] applying
+//! the arbiter's grant through the [`GrantSchedule`] channel, and an
 //! [`MsrPowerSensor`] playing the role of the job manager's telemetry
-//! collector (user-space MSR reads, so the PR-1 fault layer can take it
+//! collector (user-space MSR reads, so the fault layer can take it
 //! out). The cluster driver calls [`ClusterNode::compute_iteration`] /
 //! [`ClusterNode::spin_until`] to advance the member between barriers;
 //! the daemon is ticked inline on its own control period, exactly like
 //! the single-node SPMD driver does.
 
 use nrm::actuator::ActuatorKind;
-use nrm::resilience::{MsrPowerSensor, ResilienceConfig, ResilientDaemon};
+use nrm::daemon::NrmDaemon;
+use nrm::resilience::{MsrPowerSensor, ResilienceConfig};
 use simnode::agent::SimAgent;
 use simnode::config::NodeConfig;
 use simnode::node::{CoreWork, Node};
@@ -51,7 +51,7 @@ pub struct ClusterNode {
     /// arbitration is hierarchical).
     rack: usize,
     node: Node,
-    daemon: ResilientDaemon,
+    daemon: NrmDaemon,
     grant: GrantCell,
     /// Next daemon tick, absolute node time.
     next_tick: Nanos,
@@ -88,7 +88,7 @@ impl ClusterNode {
             "daemon period must be a positive multiple of the quantum"
         );
         let grant = GrantCell::default();
-        let daemon = ResilientDaemon::new(
+        let daemon = NrmDaemon::hardened(
             Box::new(GrantSchedule(grant.clone())),
             ActuatorKind::Rapl,
             cluster_resilience(),
@@ -187,7 +187,7 @@ impl ClusterNode {
     }
 
     /// The member's NRM daemon (health counters, safe-mode state).
-    pub fn daemon(&self) -> &ResilientDaemon {
+    pub fn daemon(&self) -> &NrmDaemon {
         &self.daemon
     }
 

@@ -5,10 +5,10 @@
 //! On production nodes neither holds — msr-safe accesses fail transiently,
 //! PKG_ENERGY_STATUS counters stick or jump, and cap writes can latch
 //! late. This experiment drives the same workload through three seeded
-//! fault scenarios, once with the naive 1 Hz loop ([`nrm::NrmDaemon`]) and
-//! once with the hardened loop ([`nrm::ResilientDaemon`]: retry, read-back
-//! verification, fallback actuators, safe mode), and compares budget
-//! overshoot and progress.
+//! fault scenarios through the one NRM daemon, once built as the naive
+//! 1 Hz loop ([`nrm::NrmDaemon::new`]) and once hardened
+//! ([`nrm::NrmDaemon::hardened`]: retry, read-back verification, fallback
+//! actuators, safe mode), and compares budget overshoot and progress.
 //!
 //! Scenarios:
 //!

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use nrm::actuator::ActuatorKind;
 use nrm::daemon::{DaemonSample, NrmDaemon};
-use nrm::resilience::{ResilienceConfig, ResilientDaemon};
+use nrm::resilience::ResilienceConfig;
 use nrm::scheme::{
     CapSchedule, ConstantCap, JaggedEdge, LinearDecay, PriorityPreemption, StepFunction, Uncapped,
 };
@@ -154,8 +154,8 @@ pub struct RunConfig {
     /// behaviour. `Arc`-shared: sweeps clone the `RunConfig` per run
     /// without deep-copying the plan.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Run the hardened control loop ([`ResilientDaemon`]) instead of the
-    /// naive [`NrmDaemon`].
+    /// Run the hardened control loop ([`NrmDaemon::hardened`]) with this
+    /// tuning; `None` runs the paper's naive loop ([`NrmDaemon::new`]).
     pub resilience: Option<ResilienceConfig>,
     /// Which MSR backend tier the node runs on ([`BackendKind::Sim`] by
     /// default — bit-identical to the seed).
@@ -213,7 +213,7 @@ impl RunConfig {
         self
     }
 
-    /// Replace the naive daemon with the hardened control loop.
+    /// Run the hardened control loop instead of the naive one.
     pub fn with_resilience(mut self, cfg: ResilienceConfig) -> Self {
         self.resilience = Some(cfg);
         self
@@ -457,26 +457,16 @@ pub fn run_app(cfg: &RunConfig) -> RunArtifacts {
         .collect();
 
     let mut telemetry = TelemetryAgent::new(cfg.window);
-    // Either the naive 1 Hz loop or the hardened one — never both.
-    let mut naive: Option<NrmDaemon> = None;
-    let mut hardened: Option<ResilientDaemon> = None;
-    match &cfg.resilience {
+    let mut daemon = match &cfg.resilience {
         Some(rc) => {
-            hardened = Some(
-                ResilientDaemon::new(cfg.schedule.build(), cfg.actuator, rc.clone()).with_history(),
-            );
+            NrmDaemon::hardened(cfg.schedule.build(), cfg.actuator, rc.clone()).with_history()
         }
-        None => naive = Some(NrmDaemon::new(cfg.schedule.build(), cfg.actuator)),
-    }
+        None => NrmDaemon::new(cfg.schedule.build(), cfg.actuator),
+    };
 
     {
         let mut agents: Vec<&mut dyn SimAgent> = Vec::with_capacity(2 + monitors.len());
-        if let Some(d) = &mut naive {
-            agents.push(d as &mut dyn SimAgent);
-        }
-        if let Some(d) = &mut hardened {
-            agents.push(d as &mut dyn SimAgent);
-        }
+        agents.push(&mut daemon as &mut dyn SimAgent);
         agents.push(&mut telemetry as &mut dyn SimAgent);
         for m in &mut monitors {
             agents.push(m as &mut dyn SimAgent);
@@ -506,11 +496,7 @@ pub fn run_app(cfg: &RunConfig) -> RunArtifacts {
             progress,
             channel_stats,
             telemetry,
-            daemon_samples: match (&naive, &hardened) {
-                (Some(d), _) => d.samples.clone(),
-                (_, Some(d)) => d.samples.clone(),
-                _ => unreachable!("one daemon always runs"),
-            },
+            daemon_samples: daemon.samples.clone(),
             counters: node.counters().clone(),
             duration_s: simnode::time::secs(end),
             total_energy_j: node.total_energy(),

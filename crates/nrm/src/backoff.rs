@@ -1,20 +1,21 @@
 //! Exponential-backoff retry policy, shared by the per-node daemon and
 //! the arbiter-daemon client.
 //!
-//! Two consumers, one curve. [`crate::resilience::ResilientDaemon`]
-//! re-probes a failed primary actuator after
-//! `min(2^failures, cap)` control ticks — local, deterministic, no
-//! jitter needed because each node probes its own hardware. The
-//! `arbiterd` `GrantClient` reconnects to a *shared* daemon, where a
-//! whole cluster retrying in lockstep after a daemon restart is a
-//! thundering herd; [`Backoff`] therefore adds seeded half-jitter on
-//! top of the same [`delay_after`] curve, so reconnect storms decorrelate
-//! while every run stays bit-reproducible from its seed.
+//! Two consumers, one curve. The hardened
+//! [`NrmDaemon`](crate::daemon::NrmDaemon) re-probes a failed primary
+//! actuator after `min(2^failures, cap)` control ticks — local,
+//! deterministic, no jitter needed because each node probes its own
+//! hardware. The `arbiterd` `GrantClient` reconnects to a *shared*
+//! daemon, where a whole cluster retrying in lockstep after a daemon
+//! restart is a thundering herd; [`Backoff`] therefore adds seeded
+//! half-jitter on top of the same [`delay_after`] curve, so reconnect
+//! storms decorrelate while every run stays bit-reproducible from its
+//! seed.
 
 /// The deterministic retry curve: the wait after the `failures`-th
 /// consecutive failure, capped at `cap_ticks`.
 ///
-/// Matches the resilient daemon's historical behaviour exactly:
+/// Matches the hardened daemon's historical behaviour exactly:
 /// `min(2^min(failures, 16), cap)`, so the doubling saturates before the
 /// shift can overflow and the cap bounds the probe interval.
 pub fn delay_after(failures: u32, cap_ticks: u32) -> u32 {
@@ -82,7 +83,7 @@ mod tests {
 
     #[test]
     fn curve_matches_the_resilient_daemon() {
-        // The exact expression resilience.rs used inline.
+        // The exact expression the hardened daemon used inline.
         for failures in [1u32, 2, 3, 5, 16, 17, 40] {
             for cap in [1u32, 8, 32, 1 << 20] {
                 assert_eq!(

@@ -9,7 +9,11 @@
 //!   decreasing, step-function and jagged-edge — plus constants/uncapped;
 //! - [`actuator`]: the control knobs: RAPL package caps, direct DVFS
 //!   (used for the paper's Fig. 5 comparison) and DDCM-only;
-//! - [`daemon`]: the 1 Hz control loop as a [`simnode::SimAgent`];
+//! - [`daemon`]: the 1 Hz control loop as a [`simnode::SimAgent`], built
+//!   either as the paper's naive loop or hardened against MSR faults;
+//! - [`resilience`]: what hardens it: its tuning and its MSR power sensor;
+//! - [`backoff`]: the exponential retry curve the hardened loop re-probes
+//!   a failed actuator on, shared with the arbiter-daemon client;
 //! - [`policies`]: the paper's *envisioned* NRM policies (§II): pick the
 //!   technique with the least predicted progress impact under a shrinking
 //!   budget, using the `powermodel` predictor;
@@ -30,7 +34,7 @@ pub use backoff::Backoff;
 pub use composition::CompositeProgress;
 pub use daemon::NrmDaemon;
 pub use policies::{choose_strategy, ramp_plan, FreqPowerPoint, RateCurve, Strategy};
-pub use resilience::{MsrPowerSensor, ResilienceConfig, ResilientDaemon};
+pub use resilience::{MsrPowerSensor, ResilienceConfig};
 pub use scheme::{
     CapSchedule, ConstantCap, JaggedEdge, LinearDecay, PriorityPreemption, StepFunction, Uncapped,
 };

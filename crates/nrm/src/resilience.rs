@@ -1,41 +1,23 @@
-//! Hardened NRM control loop: retry, read-back, fallback, safe mode.
+//! What hardens the NRM loop: its tuning ([`ResilienceConfig`]) and its
+//! power sensor ([`MsrPowerSensor`]).
 //!
-//! [`crate::daemon::NrmDaemon`] assumes the hardware always cooperates:
-//! every MSR write lands, every cap latches instantly, the energy counter
-//! always advances. Under injected faults (see [`simnode::faults`]) those
-//! assumptions break and the naive loop silently loses control of the
-//! power budget. [`ResilientDaemon`] is the hardened counterpart:
+//! The loop itself is [`NrmDaemon`]: the naive loop
+//! ([`NrmDaemon::new`]) uses neither, the hardened one
+//! ([`NrmDaemon::hardened`]) both. See the [`crate::daemon`] module docs
+//! for what each mechanism does under injected faults.
 //!
-//! - **retry with backoff** — failed knob writes are retried within the
-//!   tick, and a repeatedly failing primary actuator is re-probed on an
-//!   exponential tick schedule rather than hammered;
-//! - **read-back verification** — after programming a RAPL cap, the
-//!   daemon reads `MSR_PKG_POWER_LIMIT` back and checks the cap actually
-//!   latched, catching writes that report success but are dropped or
-//!   deferred;
-//! - **fallback actuator chain** — when RAPL is unusable the daemon
-//!   degrades to direct DVFS, then DDCM, recovering to the primary once
-//!   the fault clears;
-//! - **safe-mode floor** — sustained budget overshoot (every actuator
-//!   failing, or caps not biting) engages a conservative floor cap below
-//!   the scheduled budget until measurements come back in line;
-//! - **MSR-based power sensing** — power is measured the way a real
-//!   daemon measures it, from the wrapping `MSR_PKG_ENERGY_STATUS`
-//!   counter, with wrap handling and plausibility filtering so stuck or
-//!   jumping counters degrade the estimate instead of poisoning it.
+//! [`NrmDaemon`]: crate::daemon::NrmDaemon
+//! [`NrmDaemon::new`]: crate::daemon::NrmDaemon::new
+//! [`NrmDaemon::hardened`]: crate::daemon::NrmDaemon::hardened
 
-use simnode::agent::SimAgent;
-use simnode::hw::{
-    PowerLimit, RaplUnits, MSR_PKG_ENERGY_STATUS, MSR_PKG_POWER_LIMIT, MSR_RAPL_POWER_UNIT,
-};
+use simnode::hw::{RaplUnits, MSR_PKG_ENERGY_STATUS, MSR_RAPL_POWER_UNIT};
 use simnode::node::Node;
-use simnode::time::{Nanos, SEC};
+use simnode::time::Nanos;
 
-use crate::actuator::{Actuator, ActuatorKind};
-use crate::daemon::DaemonSample;
-use crate::scheme::CapSchedule;
+use crate::actuator::ActuatorKind;
 
-/// Tuning for the hardened control loop.
+/// Tuning for the hardened control loop
+/// ([`NrmDaemon::hardened`](crate::daemon::NrmDaemon::hardened)).
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Immediate write retries per actuator per tick.
@@ -105,6 +87,19 @@ impl MsrPowerSensor {
         Self::default()
     }
 
+    /// The RAPL units, read once through the allow-list and cached;
+    /// `None` while `MSR_RAPL_POWER_UNIT` is unreadable.
+    pub(crate) fn units(&mut self, node: &Node) -> Option<RaplUnits> {
+        if self.units.is_none() {
+            self.units = node
+                .msr()
+                .read(MSR_RAPL_POWER_UNIT)
+                .ok()
+                .map(RaplUnits::decode);
+        }
+        self.units
+    }
+
     /// Sample average power since the previous good sample, W. Returns
     /// `None` on the first call, on MSR read failure, or when the reading
     /// fails the `[min_plausible_w, max_plausible_w]` filter.
@@ -115,16 +110,10 @@ impl MsrPowerSensor {
         min_plausible_w: f64,
         max_plausible_w: f64,
     ) -> Option<f64> {
-        if self.units.is_none() {
-            match node.msr().read(MSR_RAPL_POWER_UNIT) {
-                Ok(raw) => self.units = Some(RaplUnits::decode(raw)),
-                Err(_) => {
-                    self.read_errors += 1;
-                    return None;
-                }
-            }
-        }
-        let units = self.units?;
+        let Some(units) = self.units(node) else {
+            self.read_errors += 1;
+            return None;
+        };
         let cur = match node.msr().read(MSR_PKG_ENERGY_STATUS) {
             Ok(v) => v,
             Err(_) => {
@@ -149,282 +138,17 @@ impl MsrPowerSensor {
     }
 }
 
-/// The hardened 1 Hz control loop. Drop-in replacement for
-/// [`crate::daemon::NrmDaemon`] as a [`SimAgent`].
-pub struct ResilientDaemon {
-    schedule: Box<dyn CapSchedule>,
-    cfg: ResilienceConfig,
-    /// `[primary, fallbacks...]` in engagement order.
-    chain: Vec<Actuator>,
-    /// Index of the actuator currently in charge.
-    active: usize,
-    /// Consecutive failed primary attempts (drives the backoff).
-    primary_failures: u32,
-    /// Ticks until the primary is probed again while a fallback is active.
-    primary_probe_in: u32,
-    overshoot_streak: u32,
-    healthy_streak: u32,
-    safe_mode: bool,
-    /// Last plausible power measurement, carried across sensor outages.
-    last_power_w: f64,
-    sensor: MsrPowerSensor,
-    period: Nanos,
-    start: Option<Nanos>,
-    /// The latest observation, kept whether or not `samples` is.
-    last: Option<DaemonSample>,
-    /// Whether `samples` keeps every tick's observation.
-    history: bool,
-    /// Observations, one per tick, when built [`ResilientDaemon::with_history`];
-    /// empty otherwise.
-    pub samples: Vec<DaemonSample>,
-}
-
-impl ResilientDaemon {
-    /// A hardened daemon applying `schedule`, preferring `primary` and
-    /// degrading along `cfg.fallbacks`.
-    pub fn new(
-        schedule: Box<dyn CapSchedule>,
-        primary: ActuatorKind,
-        cfg: ResilienceConfig,
-    ) -> Self {
-        let mut chain = vec![Actuator::new(primary)];
-        chain.extend(
-            cfg.fallbacks
-                .iter()
-                .filter(|&&k| k != primary)
-                .map(|&k| Actuator::new(k)),
-        );
-        Self {
-            schedule,
-            cfg,
-            chain,
-            active: 0,
-            primary_failures: 0,
-            primary_probe_in: 0,
-            overshoot_streak: 0,
-            healthy_streak: 0,
-            safe_mode: false,
-            last_power_w: 0.0,
-            sensor: MsrPowerSensor::new(),
-            period: SEC,
-            start: None,
-            last: None,
-            history: false,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Keep every tick's observation in `samples`. Without it the daemon
-    /// keeps only the latest ([`ResilientDaemon::last_sample`]), so a
-    /// long run holds no history that nobody reads.
-    pub fn with_history(mut self) -> Self {
-        self.history = true;
-        self
-    }
-
-    /// Override the control period (tests).
-    pub fn with_period(mut self, period: Nanos) -> Self {
-        assert!(period > 0);
-        self.period = period;
-        self
-    }
-
-    /// The actuator currently in charge.
-    pub fn active_kind(&self) -> ActuatorKind {
-        self.chain[self.active].kind()
-    }
-
-    /// Whether the safe-mode floor is currently engaged.
-    pub fn in_safe_mode(&self) -> bool {
-        self.safe_mode
-    }
-
-    /// The power sensor (exposes read-error / implausibility counters).
-    pub fn sensor(&self) -> &MsrPowerSensor {
-        &self.sensor
-    }
-
-    /// The most recent observation, if the daemon has ticked at all.
-    pub fn last_sample(&self) -> Option<&DaemonSample> {
-        self.last.as_ref()
-    }
-
-    /// Attempt `chain[idx]` with immediate retries; returns
-    /// `(succeeded, retries_spent, readback_verdict)`.
-    fn attempt(
-        &mut self,
-        idx: usize,
-        node: &mut Node,
-        target: Option<f64>,
-    ) -> (bool, u32, Option<bool>) {
-        let mut retries = 0;
-        for attempt in 0..=self.cfg.max_retries {
-            retries = attempt;
-            if self.chain[idx].apply(node, target).is_err() {
-                continue;
-            }
-            // Write landed (or claims to have). For RAPL, verify the cap
-            // actually holds the requested value.
-            if self.cfg.readback && self.chain[idx].kind() == ActuatorKind::Rapl {
-                match self.readback_cap(node, target) {
-                    Some(true) => return (true, retries, Some(true)),
-                    Some(false) => continue, // latched wrong: retry, then fall back
-                    None => return (true, retries, None), // unverifiable: accept
-                }
-            }
-            return (true, retries, None);
-        }
-        // All attempts failed (or read-back kept refuting them).
-        let verdict = if self.cfg.readback && self.chain[idx].kind() == ActuatorKind::Rapl {
-            self.readback_cap(node, target)
-        } else {
-            None
-        };
-        (false, retries, verdict)
-    }
-
-    /// Read `MSR_PKG_POWER_LIMIT` back and compare against the requested
-    /// cap. `None` when the register (or the unit register) is unreadable.
-    fn readback_cap(&mut self, node: &Node, target: Option<f64>) -> Option<bool> {
-        if self.sensor.units.is_none() {
-            self.sensor.units = node
-                .msr()
-                .read(MSR_RAPL_POWER_UNIT)
-                .ok()
-                .map(RaplUnits::decode);
-        }
-        let units = self.sensor.units?;
-        let raw = node.msr().read(MSR_PKG_POWER_LIMIT).ok()?;
-        let latched = PowerLimit::decode(raw, units).watts;
-        Some(match (target, latched) {
-            (None, None) => true,
-            // 1/8 W quantization tolerance.
-            (Some(t), Some(l)) => (t - l).abs() <= 0.25,
-            _ => false,
-        })
-    }
-}
-
-impl SimAgent for ResilientDaemon {
-    fn period(&self) -> Nanos {
-        self.period
-    }
-
-    fn on_tick(&mut self, node: &mut Node, now: Nanos) {
-        let start = *self.start.get_or_insert(now);
-        let elapsed = now - start;
-        let budget = self.schedule.cap_at(elapsed);
-
-        // Measure through the MSR path, like a real daemon. Hold the last
-        // plausible value across outages so control keeps a basis.
-        let measured = self.sensor.sample(
-            node,
-            now,
-            self.cfg.min_plausible_w,
-            self.cfg.max_plausible_w,
-        );
-        if let Some(w) = measured {
-            self.last_power_w = w;
-        }
-
-        // Safe mode pulls the target below the scheduled budget.
-        let target = if self.safe_mode {
-            budget.map(|b| (b - self.cfg.safe_margin_w).max(self.cfg.min_floor_w))
-        } else {
-            budget
-        };
-
-        // Decide the engagement order: normally the active actuator and
-        // everything after it; when the backoff timer expires, probe the
-        // primary first again.
-        let probe_primary = self.active > 0 && self.primary_probe_in == 0;
-        if self.active > 0 && self.primary_probe_in > 0 {
-            self.primary_probe_in -= 1;
-        }
-        let order = probe_primary
-            .then_some(0)
-            .into_iter()
-            .chain(self.active..self.chain.len());
-
-        let mut total_retries = 0;
-        let mut verified = None;
-        let mut succeeded_at = None;
-        for idx in order {
-            let (ok, retries, verdict) = self.attempt(idx, node, target);
-            total_retries += retries;
-            if verdict.is_some() {
-                verified = verdict;
-            }
-            if idx == 0 {
-                if ok {
-                    self.primary_failures = 0;
-                } else {
-                    self.primary_failures += 1;
-                    self.primary_probe_in = crate::backoff::delay_after(
-                        self.primary_failures,
-                        self.cfg.backoff_cap_ticks,
-                    );
-                }
-            }
-            if ok {
-                succeeded_at = Some(idx);
-                break;
-            }
-        }
-        let actuation_failed = succeeded_at.is_none();
-        if let Some(idx) = succeeded_at {
-            self.active = idx;
-        }
-        let fallback_used = self.active > 0 && !actuation_failed;
-
-        // Budget-overshoot bookkeeping on the measured (user-space) power.
-        if let Some(b) = budget {
-            let w = measured.unwrap_or(self.last_power_w);
-            if w > b + self.cfg.overshoot_tolerance_w {
-                self.overshoot_streak += 1;
-                self.healthy_streak = 0;
-            } else {
-                self.healthy_streak += 1;
-                self.overshoot_streak = 0;
-            }
-            if self.overshoot_streak >= self.cfg.safe_mode_after {
-                self.safe_mode = true;
-            }
-            if self.safe_mode && self.healthy_streak >= self.cfg.recover_after {
-                self.safe_mode = false;
-            }
-        } else {
-            // No budget, nothing to overshoot.
-            self.overshoot_streak = 0;
-            self.healthy_streak = 0;
-            self.safe_mode = false;
-        }
-
-        let sample = DaemonSample {
-            at: now,
-            cap_w: target,
-            avg_power_w: measured.unwrap_or(self.last_power_w),
-            actuation_failed,
-            fallback_used,
-            retries: total_retries,
-            verified,
-            safe_mode: self.safe_mode,
-        };
-        if self.history {
-            self.samples.push(sample);
-        }
-        self.last = Some(sample);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::NrmDaemon;
     use crate::scheme::ConstantCap;
+    use simnode::agent::SimAgent;
     use simnode::config::NodeConfig;
     use simnode::faults::{FaultPlan, FaultWindow};
-    use simnode::hw::{IA32_CLOCK_MODULATION, IA32_PERF_CTL};
+    use simnode::hw::{IA32_CLOCK_MODULATION, IA32_PERF_CTL, MSR_PKG_POWER_LIMIT};
     use simnode::node::{CoreWork, Node, WorkPacket};
+    use simnode::time::SEC;
 
     fn busy_node(faults: Option<FaultPlan>) -> Node {
         let cfg = NodeConfig {
@@ -450,7 +174,7 @@ mod tests {
         node
     }
 
-    fn run(daemon: &mut ResilientDaemon, node: &mut Node, seconds: u64) {
+    fn run(daemon: &mut NrmDaemon, node: &mut Node, seconds: u64) {
         let quanta = (SEC / node.config().quantum) as usize;
         for _ in 0..seconds {
             for _ in 0..quanta {
@@ -461,8 +185,8 @@ mod tests {
         }
     }
 
-    fn resilient(cap: f64) -> ResilientDaemon {
-        ResilientDaemon::new(
+    fn resilient(cap: f64) -> NrmDaemon {
+        NrmDaemon::hardened(
             Box::new(ConstantCap(cap)),
             ActuatorKind::Rapl,
             ResilienceConfig::default(),

@@ -52,7 +52,7 @@ pub mod prelude {
     pub use nrm::actuator::ActuatorKind;
     pub use nrm::composition::CompositeProgress;
     pub use nrm::daemon::NrmDaemon;
-    pub use nrm::resilience::{MsrPowerSensor, ResilienceConfig, ResilientDaemon};
+    pub use nrm::resilience::{MsrPowerSensor, ResilienceConfig};
     pub use nrm::scheme::{
         CapSchedule, ConstantCap, JaggedEdge, LinearDecay, StepFunction, Uncapped,
     };
