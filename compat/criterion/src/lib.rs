@@ -12,15 +12,12 @@
 //!
 //! - `CRITERION_SAMPLES` — timed samples per bench (default 3). When
 //!   set it is authoritative: in-bench `sample_size` calls are ignored,
-//!   so the bench-regression gate can raise the count for a stable
-//!   min-of-samples floor;
-//! - `CRITERION_JSON` — when set to a path, each bench also appends one
-//!   JSON line `{"name","median_s","mean_s","min_s","samples"}` to that
-//!   file — the machine-readable feed `scripts/bench_snapshot.sh` and
-//!   the CI bench-regression gate consume.
+//!   so a profiling run (`scripts/profile.sh`) can raise the count past
+//!   a group's smoke-run setting and sample the bench body for longer;
+//! - `CRITERION_FILTER` — run only the benches whose `group/id` name
+//!   contains this substring.
 
 use std::fmt::Display;
-use std::io::Write;
 use std::time::Instant;
 
 /// Throughput annotation (printed alongside timing when set).
@@ -98,9 +95,8 @@ impl Bencher {
     }
 }
 
-/// Median of a sample set (mean of the middle pair for even counts);
-/// the statistic the bench-regression gate compares, as it shrugs off
-/// the occasional scheduler hiccup that drags the mean.
+/// Median of a sample set (mean of the middle pair for even counts); it
+/// shrugs off the occasional scheduler hiccup that drags the mean.
 fn median(samples: &[f64]) -> f64 {
     if samples.is_empty() {
         return f64::INFINITY;
@@ -129,11 +125,6 @@ fn report(group: &str, id: &str, b: &Bencher, throughput: Option<Throughput>) {
     } else {
         format!("{group}/{id}")
     };
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if !path.is_empty() {
-            append_json_line(&path, &name, med, mean, min, b.last_per_iter_s.len());
-        }
-    }
     let extra = match throughput {
         Some(Throughput::Elements(e)) if mean > 0.0 => {
             format!("  {:>12.0} elem/s", e as f64 / mean)
@@ -149,27 +140,6 @@ fn report(group: &str, id: &str, b: &Bencher, throughput: Option<Throughput>) {
         fmt_s(mean),
         fmt_s(min)
     );
-}
-
-/// Append one machine-readable result line to the `CRITERION_JSON` file.
-/// Best-effort: an unwritable path must not fail the bench run itself.
-fn append_json_line(path: &str, name: &str, med: f64, mean: f64, min: f64, samples: usize) {
-    let line = format!(
-        "{{\"name\":\"{}\",\"median_s\":{:.9},\"mean_s\":{:.9},\"min_s\":{:.9},\"samples\":{}}}\n",
-        name.replace('\\', "\\\\").replace('"', "\\\""),
-        med,
-        mean,
-        min,
-        samples
-    );
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("criterion stub: cannot append to {path}: {e}");
-    }
 }
 
 fn fmt_s(s: f64) -> String {
@@ -210,8 +180,8 @@ impl Default for Criterion {
     fn default() -> Self {
         // Keep smoke runs quick; CRITERION_SAMPLES overrides — and when
         // set it is authoritative, winning over in-bench `sample_size`
-        // calls, so operators (the bench-regression check) can raise the
-        // sample count past a group's smoke-run setting.
+        // calls, so a profiling run can raise the sample count past a
+        // group's smoke-run setting.
         let env = std::env::var("CRITERION_SAMPLES")
             .ok()
             .and_then(|s| s.parse().ok());
@@ -392,21 +362,5 @@ mod tests {
             matches_filter("cluster/flat_1024n", Some("")),
             "empty runs all"
         );
-    }
-
-    #[test]
-    fn json_lines_append_and_escape() {
-        let path = std::env::temp_dir().join("criterion_stub_json_test.jsonl");
-        let path = path.to_str().expect("utf-8 temp path");
-        let _ = std::fs::remove_file(path);
-        append_json_line(path, "g/one", 1e-3, 1.1e-3, 0.9e-3, 3);
-        append_json_line(path, "g/\"two\"", 2e-3, 2.0e-3, 2.0e-3, 1);
-        let text = std::fs::read_to_string(path).expect("file written");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "one JSON line per bench");
-        assert!(lines[0].contains("\"name\":\"g/one\""));
-        assert!(lines[0].contains("\"median_s\":0.001000000"));
-        assert!(lines[1].contains("\\\"two\\\""), "quotes escaped");
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: formatting, lints, docs, vendored-dependency audit, build,
-# tests, and (optionally) the bench-regression check.
+# tests, and (optionally) a chaos soak.
 #
-# Usage: scripts/ci.sh [--no-test] [--bench-check] [--soak] [--help]
+# Usage: scripts/ci.sh [--no-test] [--soak] [--help]
 #
 #   --no-test      skip the test suite and bench smoke run (lints+build)
 #   --soak         run ~60 s (SOAK_SECONDS overrides) of seeded chaos
@@ -18,19 +18,6 @@
 #                  sum_fp column carries the whole machine-wide Σ-grants
 #                  trace, so the diff catches any nondeterminism in the
 #                  sharded path.
-#   --bench-check  additionally compare fresh cluster-bench minima
-#                  against the committed BENCH_cluster.json baseline and
-#                  fail on regressions beyond BENCH_TOLERANCE (default
-#                  0.5 = 50 %). Minima (not medians): a real regression
-#                  slows every sample, while background load only
-#                  inflates some — min-of-samples is the load-robust
-#                  estimator now that the macro-step fast path has the
-#                  benches down in the single-digit-ms range. The
-#                  generous default is deliberate: on shared or
-#                  virtualized runners wall-clock varies 1.5x run to
-#                  run, and the gate's job is catching the
-#                  order-of-magnitude regression class (losing the
-#                  macro-step win), not 10 % drifts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,12 +26,10 @@ usage() {
 }
 
 run_tests=1
-bench_check=0
 soak=0
 for arg in "$@"; do
     case "$arg" in
     --no-test) run_tests=0 ;;
-    --bench-check) bench_check=1 ;;
     --soak) soak=1 ;;
     -h | --help)
         usage
@@ -148,77 +133,6 @@ if [[ "$soak" -eq 1 ]]; then
         seed=$((seed + 1))
     done
     echo "soak passed: $((seed - 1)) chaos runs, every invariant held"
-fi
-
-if [[ "$bench_check" -eq 1 ]]; then
-    echo "== bench-regression check (tolerance ${BENCH_TOLERANCE:-0.5})"
-    baseline="BENCH_cluster.json"
-    if [[ ! -f "$baseline" ]]; then
-        echo "ci.sh: missing $baseline — run scripts/bench_snapshot.sh and commit it" >&2
-        exit 1
-    fi
-    fresh="$(mktemp)"
-    trap 'rm -f "$fresh"' EXIT
-    # CRITERION_FILTER is explicitly cleared: a filter leaked from the
-    # environment would skip benches, and every skipped bench would read
-    # as GONE below — a confusing way to fail a correct tree.
-    CRITERION_FILTER="" CRITERION_JSON="$fresh" \
-        CRITERION_SAMPLES="${CRITERION_SAMPLES:-15}" \
-        cargo bench -q -p powerprog-bench --bench cluster
-    if [[ ! -s "$fresh" ]]; then
-        echo "ci.sh: bench run produced no results — harness problem" >&2
-        exit 1
-    fi
-    # Compare per-bench minima: fail when fresh > baseline * (1 + tol).
-    # A bench present in the baseline but absent from the run is GONE
-    # and fails outright: deleting (or renaming) a bench must force a
-    # deliberate re-snapshot, never silently shrink the gate.
-    # Both files carry one {"name":...,"min_s":...} object per bench
-    # (the baseline wraps them in a JSON array; the field layout is ours,
-    # so field-anchored extraction is reliable).
-    awk -v tol="${BENCH_TOLERANCE:-0.5}" '
-        function fields(line) {
-            match(line, /"name":"[^"]*"/)
-            name = substr(line, RSTART + 8, RLENGTH - 9)
-            match(line, /"min_s":[0-9.eE+-]+/)
-            low = substr(line, RSTART + 8, RLENGTH - 8) + 0
-        }
-        FNR == NR {
-            if ($0 ~ /"name"/) { fields($0); base[name] = low }
-            next
-        }
-        /"name"/ {
-            fields($0)
-            if (!(name in base)) {
-                printf "NEW   %-48s min %.6fs (no baseline)\n", name, low
-                next
-            }
-            ratio = low / base[name]
-            status = (ratio > 1 + tol) ? "FAIL" : "ok"
-            printf "%-5s %-48s min %.6fs vs %.6fs (x%.2f)\n", \
-                status, name, low, base[name], ratio
-            if (ratio > 1 + tol) bad = 1
-            seen[name] = 1
-        }
-        END {
-            gone = 0
-            for (n in base) {
-                if (!(n in seen)) {
-                    printf "GONE  %-48s benched in baseline only\n", n
-                    gone++
-                    bad = 1
-                }
-            }
-            if (gone) {
-                printf "%d baseline bench(es) missing from the run — ", gone
-                print "re-snapshot deliberately or restore them"
-            }
-            exit bad ? 1 : 0
-        }
-    ' "$baseline" "$fresh" || {
-        echo "ci.sh: bench regression beyond ${BENCH_TOLERANCE:-0.5}, or a baseline bench missing from the run" >&2
-        exit 1
-    }
 fi
 
 echo "CI gate passed."
