@@ -92,7 +92,7 @@ impl MsrBackend for EmulatedBackend {
         self.bus_ns.set(self.bus_ns.get() + self.access_cost);
         // Reads see the register file, not the latch queue: a write that
         // has not latched yet is invisible to read-back — exactly the
-        // failure mode the resilient daemon's verification exists for.
+        // failure mode the hardened NRM daemon's verification exists for.
         self.file.read(addr)
     }
 

@@ -15,7 +15,7 @@
 //!
 //! Everything that fails probing degrades to [`MsrError::Unsupported`]
 //! rather than erroring at access time with something opaque — the
-//! resilient daemon's fallback chain treats an unsupported knob exactly
+//! hardened NRM daemon's fallback chain treats an unsupported knob exactly
 //! like a faulted one and walks to the next actuator. No hardware is
 //! required to *build* this backend (CI compiles and lints it); actually
 //! constructing one needs a Linux machine with the `msr` module loaded

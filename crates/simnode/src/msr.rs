@@ -62,7 +62,7 @@ pub enum MsrError {
     /// The backend cannot serve this register at all: the capability was
     /// probed absent on real hardware, or ([`MSR_ANY`]) the backend
     /// itself is unavailable in this build or on this machine. The
-    /// resilient daemon treats it like any other actuation failure and
+    /// hardened NRM daemon treats it like any other actuation failure and
     /// falls back.
     Unsupported(u32),
 }
