@@ -36,37 +36,20 @@ use nrm::Backoff;
 /// Route table: node id → the write half of its most recent Hello.
 type Routes = Arc<Mutex<HashMap<u32, Arc<Mutex<TcpWire>>>>>;
 
-/// Socket/threading knobs, distinct from the deterministic
-/// [`crate::service::ServiceConfig`]: nothing here can change *what* the
-/// service grants, only how promptly bytes move.
-#[derive(Debug, Clone)]
-pub struct DaemonConfig {
-    /// Arbitration heartbeat.
-    pub tick_period: Duration,
-    /// How long a reader parks in `read(2)` before re-checking the stop
-    /// flag. Bounds shutdown latency; idle connections cost no CPU.
-    pub read_timeout: Duration,
-    /// How long a send may park before the peer is declared dead.
-    pub write_timeout: Duration,
-    /// Per-connection staged-message cap; overflow drops the newest
-    /// message (producers resend telemetry every tick, so a drop heals
-    /// on the next report, exactly like a lost datagram).
-    pub inbox_depth: usize,
-    /// Cap (in 500 µs quanta) for the acceptor's idle backoff.
-    pub accept_backoff_cap: u32,
-}
+/// How long a reader parks in `read(2)` before re-checking the stop
+/// flag. Bounds shutdown latency; idle connections cost no CPU.
+const READ_TIMEOUT: Duration = Duration::from_millis(20);
 
-impl Default for DaemonConfig {
-    fn default() -> Self {
-        DaemonConfig {
-            tick_period: Duration::from_millis(5),
-            read_timeout: Duration::from_millis(20),
-            write_timeout: Duration::from_millis(250),
-            inbox_depth: 8192,
-            accept_backoff_cap: 8,
-        }
-    }
-}
+/// How long a send may park before the peer is declared dead.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Per-connection staged-message cap; overflow drops the newest message
+/// (producers resend telemetry every tick, so a drop heals on the next
+/// report, exactly like a lost datagram).
+const INBOX_DEPTH: usize = 8192;
+
+/// Cap (in [`ACCEPT_QUANTUM`]s) for the acceptor's idle backoff.
+const ACCEPT_BACKOFF_CAP: u32 = 8;
 
 /// The acceptor sleeps `quantum × Backoff::record_failure()` when no
 /// connection is pending, so an idle listener decays toward ~4 ms polls
@@ -100,23 +83,17 @@ impl Daemon {
         service: ArbiterService,
         tick_period: Duration,
     ) -> std::io::Result<Daemon> {
-        Daemon::spawn_shared(
-            listener,
-            Arc::new(Mutex::new(service)),
-            DaemonConfig {
-                tick_period,
-                ..DaemonConfig::default()
-            },
-        )
+        Daemon::spawn_shared(listener, Arc::new(Mutex::new(service)), tick_period)
     }
 
-    /// Serve an externally-owned service handle. A sharded deployment
-    /// uses this to keep the coordinator's grip on each shard's service
-    /// while the daemon moves its bytes.
+    /// Serve an externally-owned service handle, ticking every
+    /// `tick_period`. A sharded deployment uses this to keep the
+    /// coordinator's grip on each shard's service while the daemon moves
+    /// its bytes.
     pub fn spawn_shared(
         listener: TcpListener,
         service: Arc<Mutex<ArbiterService>>,
-        cfg: DaemonConfig,
+        tick_period: Duration,
     ) -> std::io::Result<Daemon> {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -132,7 +109,6 @@ impl Daemon {
             let service = service.clone();
             let routes = routes.clone();
             let conns = conns.clone();
-            let tick_period = cfg.tick_period;
             threads.push(std::thread::spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     std::thread::sleep(tick_period);
@@ -183,10 +159,7 @@ impl Daemon {
             let routes = routes.clone();
             let conns = conns.clone();
             let dropped = dropped.clone();
-            let read_timeout = cfg.read_timeout;
-            let write_timeout = cfg.write_timeout;
-            let inbox_depth = cfg.inbox_depth;
-            let mut backoff = Backoff::new(cfg.accept_backoff_cap.max(1), addr.port() as u64);
+            let mut backoff = Backoff::new(ACCEPT_BACKOFF_CAP, addr.port() as u64);
             threads.push(std::thread::spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     match listener.accept() {
@@ -198,9 +171,6 @@ impl Daemon {
                                 routes.clone(),
                                 conns.clone(),
                                 dropped.clone(),
-                                read_timeout,
-                                write_timeout,
-                                inbox_depth,
                             );
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -320,21 +290,17 @@ fn route_replies(routes: &Routes, replies: &[Msg]) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn spawn_reader(
     stream: TcpStream,
     stop: Arc<AtomicBool>,
     routes: Routes,
     conns: Conns,
     dropped: Arc<AtomicU64>,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    inbox_depth: usize,
 ) {
     // The reader exclusively owns the blocking read half; the write
     // half goes behind a mutex shared with the ticker. Timeouts live on
     // the shared socket, so the split preserves them.
-    let Ok(mut rd) = TcpWire::new_blocking(stream, read_timeout, write_timeout) else {
+    let Ok(mut rd) = TcpWire::new_blocking(stream, READ_TIMEOUT, WRITE_TIMEOUT) else {
         return;
     };
     let Ok(wr) = rd.split() else {
@@ -355,7 +321,7 @@ fn spawn_reader(
                 Ok(Some(msg)) => {
                     register_hellos(&msg, &routes, &wire, &mut my_nodes);
                     let mut q = inbox.lock().unwrap();
-                    if q.len() < inbox_depth {
+                    if q.len() < INBOX_DEPTH {
                         q.push(msg);
                     } else {
                         dropped.fetch_add(1, Ordering::SeqCst);

@@ -52,7 +52,7 @@ pub mod snapshot;
 pub mod wire;
 
 pub use client::{ClientStats, GrantClient};
-pub use daemon::{Daemon, DaemonConfig};
+pub use daemon::Daemon;
 pub use loadgen::{
     run_concurrent_loadgen, run_loadgen, ConcurrentConfig, ConcurrentReport, FaultKnobs,
     LoadgenConfig, LoadgenReport,

@@ -650,7 +650,9 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
 }
 
 /// A wall-clock scenario for [`run_concurrent_loadgen`]: thread-pooled
-/// TCP producer groups against live [`ShardedDaemon`] sockets.
+/// TCP producer groups against live [`ShardedDaemon`] sockets. The
+/// budget, grant clamps and outer re-split period are
+/// [`LoadgenConfig::default`]'s.
 #[derive(Debug, Clone)]
 pub struct ConcurrentConfig {
     /// Daemon shards (each on its own listener).
@@ -663,18 +665,6 @@ pub struct ConcurrentConfig {
     pub threads: usize,
     /// Telemetry rounds each group sends.
     pub rounds: u64,
-    /// Jitter seed (micro-sleep schedule per worker).
-    pub seed: u64,
-    /// Budget per producer, W.
-    pub budget_per_client_w: f64,
-    /// Per-node grant floor, W.
-    pub min_cap_w: f64,
-    /// Per-node grant ceiling, W.
-    pub max_cap_w: f64,
-    /// Daemon arbitration period.
-    pub tick_period: Duration,
-    /// Outer re-split period, daemon ticks.
-    pub outer_period: u64,
 }
 
 impl Default for ConcurrentConfig {
@@ -685,15 +675,15 @@ impl Default for ConcurrentConfig {
             batch: 8,
             threads: 4,
             rounds: 20,
-            seed: 1,
-            budget_per_client_w: 100.0,
-            min_cap_w: 40.0,
-            max_cap_w: 130.0,
-            tick_period: Duration::from_millis(2),
-            outer_period: 4,
         }
     }
 }
+
+/// Daemon arbitration period of a concurrent run.
+const CONCURRENT_TICK: Duration = Duration::from_millis(2);
+
+/// Seed of the concurrent run's per-worker micro-sleep schedule.
+const JITTER_SEED: u64 = 1;
 
 /// What the concurrent run measured. No bitwise claims here — lockstep
 /// mode is the reference path; this one exists to put real threads,
@@ -734,10 +724,11 @@ pub fn run_concurrent_loadgen(cfg: &ConcurrentConfig) -> ConcurrentReport {
         "bad scale knobs"
     );
 
+    let defaults = LoadgenConfig::default();
     let machine = ArbiterConfig {
-        budget_w: cfg.budget_per_client_w * cfg.producers as f64,
-        min_cap_w: cfg.min_cap_w,
-        max_cap_w: cfg.max_cap_w,
+        budget_w: defaults.budget_per_client_w * cfg.producers as f64,
+        min_cap_w: defaults.min_cap_w,
+        max_cap_w: defaults.max_cap_w,
         policy: Policy::ProgressFeedback { gain: 1.0 },
     };
     // Generous service limits: this run measures transport throughput,
@@ -759,11 +750,8 @@ pub fn run_concurrent_loadgen(cfg: &ConcurrentConfig) -> ConcurrentReport {
         &machine,
         cfg.producers,
         cfg.shards,
-        cfg.outer_period,
-        crate::daemon::DaemonConfig {
-            tick_period: cfg.tick_period,
-            ..crate::daemon::DaemonConfig::default()
-        },
+        defaults.outer_period,
+        CONCURRENT_TICK,
         &mut make,
     )
     .expect("sharded daemon must spawn");
@@ -782,7 +770,7 @@ pub fn run_concurrent_loadgen(cfg: &ConcurrentConfig) -> ConcurrentReport {
             .collect();
         let addrs = addrs.clone();
         let rounds = cfg.rounds;
-        let mut jitter = mix(cfg.seed, 0x7778_0000 ^ w as u64);
+        let mut jitter = mix(JITTER_SEED, 0x7778_0000 ^ w as u64);
         workers.push(std::thread::spawn(move || {
             let mut clients: Vec<GrantClient> = my_groups
                 .into_iter()
@@ -979,7 +967,6 @@ mod tests {
             batch: 8,
             threads: 2,
             rounds: 10,
-            ..ConcurrentConfig::default()
         });
         assert!(r.invariant_ok, "Σ ≤ budget over live sockets: {r:?}");
         assert_eq!(r.telemetry_sent, 32 * 10);

@@ -32,10 +32,11 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use cluster::{ArbiterConfig, OuterSolver};
 
-use crate::daemon::{Daemon, DaemonConfig};
+use crate::daemon::Daemon;
 use crate::proto::Msg;
 use crate::service::{ArbiterService, ServiceStats};
 
@@ -253,15 +254,15 @@ pub struct ShardedDaemon {
 
 impl ShardedDaemon {
     /// Bind `shards` listeners on `127.0.0.1:0`, spawn one daemon per
-    /// shard over a shared service handle, and start the coordinator.
-    /// `cfg` is machine-level; shards are built by `make` exactly as in
-    /// [`ShardedService::new`].
+    /// shard over a shared service handle ticking every `tick_period`,
+    /// and start the coordinator. `cfg` is machine-level; shards are
+    /// built by `make` exactly as in [`ShardedService::new`].
     pub fn spawn(
         cfg: &ArbiterConfig,
         nodes: usize,
         shards: usize,
         outer_period: u64,
-        dcfg: DaemonConfig,
+        tick_period: Duration,
         make: &mut MakeShard,
     ) -> std::io::Result<ShardedDaemon> {
         let ShardedService {
@@ -278,7 +279,7 @@ impl ShardedDaemon {
         let mut addrs = Vec::with_capacity(shards);
         for svc in &services {
             let listener = TcpListener::bind("127.0.0.1:0")?;
-            let d = Daemon::spawn_shared(listener, svc.clone(), dcfg.clone())?;
+            let d = Daemon::spawn_shared(listener, svc.clone(), tick_period)?;
             addrs.push(d.addr());
             daemons.push(d);
         }
@@ -292,7 +293,7 @@ impl ShardedDaemon {
             let max_sum_bits = max_sum_bits.clone();
             let invariant_ok = invariant_ok.clone();
             let budget_w = cfg.budget_w;
-            let period = dcfg.tick_period * outer_period.max(1) as u32;
+            let period = tick_period * outer_period.max(1) as u32;
             Some(std::thread::spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     std::thread::sleep(period);
@@ -605,10 +606,7 @@ mod tests {
             n,
             2,
             2,
-            DaemonConfig {
-                tick_period: Duration::from_millis(5),
-                ..DaemonConfig::default()
-            },
+            Duration::from_millis(5),
             &mut plain_make(no_snap()),
         )
         .unwrap();

@@ -26,10 +26,6 @@ use crate::arbiter::NodeTelemetry;
 use crate::grant::{GrantCell, GrantSchedule, GrantSource};
 use crate::workload::WorkloadShape;
 
-/// Telemetry plausibility window for the cluster collector, W.
-const MIN_PLAUSIBLE_W: f64 = 1.0;
-const MAX_PLAUSIBLE_W: f64 = 400.0;
-
 /// Resilience tuning for cluster daemons. Arbiter grants step at every
 /// barrier, so a tick measured under the *previous* (higher) grant can
 /// transiently read over the new budget; a wider tolerance and a longer
@@ -116,9 +112,7 @@ impl ClusterNode {
         // Prime the collector: the first MSR sample only establishes the
         // (time, counter) baseline and never yields a power reading.
         let now = member.node.now();
-        member
-            .sensor
-            .sample(&member.node, now, MIN_PLAUSIBLE_W, MAX_PLAUSIBLE_W);
+        member.sensor.sample(&member.node, now);
         member
     }
 
@@ -184,11 +178,6 @@ impl ClusterNode {
     /// This rank's work multiplier.
     pub fn weight(&self) -> f64 {
         self.weight
-    }
-
-    /// The member's NRM daemon (health counters, safe-mode state).
-    pub fn daemon(&self) -> &NrmDaemon {
-        &self.daemon
     }
 
     /// The underlying node (read-only; the driver advances it through the
@@ -286,9 +275,7 @@ impl ClusterNode {
     /// member then keeps its last grant and sits out redistribution.
     pub fn take_report(&mut self) -> Option<NodeTelemetry> {
         let now = self.node.now();
-        let power_w = self
-            .sensor
-            .sample(&self.node, now, MIN_PLAUSIBLE_W, MAX_PLAUSIBLE_W)?;
+        let power_w = self.sensor.sample(&self.node, now)?;
         if self.last_compute_s <= 0.0 {
             return None;
         }

@@ -42,6 +42,19 @@ use crate::actuator::{Actuator, ActuatorKind};
 use crate::resilience::{MsrPowerSensor, ResilienceConfig};
 use crate::scheme::CapSchedule;
 
+/// Ceiling for the exponential primary re-probe interval, ticks.
+const BACKOFF_CAP_TICKS: u32 = 32;
+
+/// Safe mode programs the budget less this margin, W, instead of the
+/// scheduled cap.
+const SAFE_MARGIN_W: f64 = 10.0;
+
+/// Lowest cap safe mode will ever program, W.
+const MIN_FLOOR_W: f64 = 30.0;
+
+/// Consecutive in-budget ticks before safe mode disengages.
+const RECOVER_AFTER: u32 = 5;
+
 /// One daemon observation per tick, including per-tick health counters so
 /// experiments can audit how the control loop coped with faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -254,7 +267,7 @@ impl NrmDaemon {
         if self.overshoot_streak >= self.cfg.safe_mode_after {
             self.safe_mode = true;
         }
-        if self.safe_mode && self.healthy_streak >= self.cfg.recover_after {
+        if self.safe_mode && self.healthy_streak >= RECOVER_AFTER {
             self.safe_mode = false;
         }
     }
@@ -275,12 +288,7 @@ impl SimAgent for NrmDaemon {
         // control keeps a basis. The naive loop reads the node's meter,
         // which no fault plan touches.
         let measured = if self.hardened {
-            self.sensor.sample(
-                node,
-                now,
-                self.cfg.min_plausible_w,
-                self.cfg.max_plausible_w,
-            )
+            self.sensor.sample(node, now)
         } else {
             Some(node.average_power(self.period))
         };
@@ -290,7 +298,7 @@ impl SimAgent for NrmDaemon {
 
         // Safe mode pulls the target below the scheduled budget.
         let target = if self.safe_mode {
-            budget.map(|b| (b - self.cfg.safe_margin_w).max(self.cfg.min_floor_w))
+            budget.map(|b| (b - SAFE_MARGIN_W).max(MIN_FLOOR_W))
         } else {
             budget
         };
@@ -321,10 +329,8 @@ impl SimAgent for NrmDaemon {
                     self.primary_failures = 0;
                 } else {
                     self.primary_failures += 1;
-                    self.primary_probe_in = crate::backoff::delay_after(
-                        self.primary_failures,
-                        self.cfg.backoff_cap_ticks,
-                    );
+                    self.primary_probe_in =
+                        crate::backoff::delay_after(self.primary_failures, BACKOFF_CAP_TICKS);
                 }
             }
             if ok {

@@ -26,26 +26,11 @@ pub struct ResilienceConfig {
     pub readback: bool,
     /// Actuators to fall back to, in order, after the primary.
     pub fallbacks: Vec<ActuatorKind>,
-    /// Ceiling for the exponential primary re-probe interval, ticks.
-    pub backoff_cap_ticks: u32,
     /// Measured power may exceed the budget by this much before a tick
     /// counts as an overshoot, W.
     pub overshoot_tolerance_w: f64,
     /// Consecutive overshoot ticks before safe mode engages.
     pub safe_mode_after: u32,
-    /// Safe mode programs `budget - safe_margin_w` (floored at
-    /// `min_floor_w`) instead of the scheduled cap.
-    pub safe_margin_w: f64,
-    /// Lowest cap safe mode will ever program, W.
-    pub min_floor_w: f64,
-    /// Consecutive in-budget ticks before safe mode disengages.
-    pub recover_after: u32,
-    /// Power readings above this are discarded as implausible (counter
-    /// jumps), W.
-    pub max_plausible_w: f64,
-    /// Power readings below this are discarded as implausible (stuck
-    /// counters; a powered package always burns static power), W.
-    pub min_plausible_w: f64,
 }
 
 impl Default for ResilienceConfig {
@@ -54,17 +39,19 @@ impl Default for ResilienceConfig {
             max_retries: 2,
             readback: true,
             fallbacks: vec![ActuatorKind::DirectDvfs, ActuatorKind::Ddcm],
-            backoff_cap_ticks: 32,
             overshoot_tolerance_w: 5.0,
             safe_mode_after: 3,
-            safe_margin_w: 10.0,
-            min_floor_w: 30.0,
-            recover_after: 5,
-            max_plausible_w: 400.0,
-            min_plausible_w: 1.0,
         }
     }
 }
+
+/// Power readings below this are discarded as implausible (stuck
+/// counters; a powered package always burns static power), W.
+const MIN_PLAUSIBLE_W: f64 = 1.0;
+
+/// Power readings above this are discarded as implausible (counter
+/// jumps), W.
+const MAX_PLAUSIBLE_W: f64 = 400.0;
 
 /// Package power measured the way user-space tooling measures it: from
 /// the wrapping 32-bit `MSR_PKG_ENERGY_STATUS` counter.
@@ -102,14 +89,8 @@ impl MsrPowerSensor {
 
     /// Sample average power since the previous good sample, W. Returns
     /// `None` on the first call, on MSR read failure, or when the reading
-    /// fails the `[min_plausible_w, max_plausible_w]` filter.
-    pub fn sample(
-        &mut self,
-        node: &Node,
-        now: Nanos,
-        min_plausible_w: f64,
-        max_plausible_w: f64,
-    ) -> Option<f64> {
+    /// falls outside the plausibility window, 1 W to 400 W inclusive.
+    pub fn sample(&mut self, node: &Node, now: Nanos) -> Option<f64> {
         let Some(units) = self.units(node) else {
             self.read_errors += 1;
             return None;
@@ -130,7 +111,7 @@ impl MsrPowerSensor {
         // 32-bit wrap-aware delta.
         let ticks = cur.wrapping_sub(c0) & 0xFFFF_FFFF;
         let watts = ticks as f64 * units.energy_j / dt_s;
-        if !(min_plausible_w..=max_plausible_w).contains(&watts) {
+        if !(MIN_PLAUSIBLE_W..=MAX_PLAUSIBLE_W).contains(&watts) {
             self.implausible += 1;
             return None;
         }
@@ -321,6 +302,30 @@ mod tests {
             d.samples.iter().all(|s| !s.safe_mode),
             "a low-reading fault must not trip the overshoot logic"
         );
+    }
+
+    #[test]
+    fn plausibility_window_bounds_are_inclusive() {
+        // One energy tick is 2^-14 J, so over exactly 1 s a delta of
+        // 400 * 2^14 ticks reads exactly 400 W and 2^14 ticks exactly 1 W.
+        let mut node = Node::new(NodeConfig::default());
+        let mut sensor = MsrPowerSensor::new();
+        let mut counter = 0;
+        // (ticks counted this second, reading, implausible so far)
+        let seconds = [
+            (0, None, 0), // baseline
+            (400 << 14, Some(400.0), 0),
+            ((400 << 14) + 1, None, 1), // one tick above 400 W
+            (1 << 14, Some(1.0), 1),
+            ((1 << 14) - 1, None, 2), // one tick below 1 W
+        ];
+        for (t, (ticks, reading, implausible)) in (0..).zip(seconds) {
+            counter += ticks;
+            node.msr_mut().hw_write(MSR_PKG_ENERGY_STATUS, counter);
+            assert_eq!(sensor.sample(&node, t * SEC), reading, "second {t}");
+            assert_eq!(sensor.implausible, implausible, "second {t}");
+        }
+        assert_eq!(sensor.read_errors, 0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! Every access path here is bit-identical to the pre-trait device: the
 //! conformance suite pins it against a frozen copy of the old
-//! implementation, and `scripts/ci.sh` diffs the seeded `repro all
-//! --quick` CSVs against the golden ones in `tests/golden/all_quick`.
+//! implementation, and `crates/core/tests/golden.rs` diffs the seeded
+//! `repro all --quick` CSVs against the golden ones in
+//! `tests/golden/all_quick`.
 
 use std::sync::Arc;
 

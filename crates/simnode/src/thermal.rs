@@ -12,24 +12,29 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Thermal model parameters.
+/// Ambient / coolant temperature, °C.
+const AMBIENT_C: f64 = 40.0;
+
+/// Hysteresis below the trip point before throttling releases, °C.
+const HYSTERESIS_C: f64 = 3.0;
+
+/// Relative leakage increase per °C above [`LEAK_REF_C`] (+0.8 %/°C).
+const LEAK_TEMP_COEFF: f64 = 0.008;
+
+/// Reference temperature for the calibrated leakage value, °C.
+const LEAK_REF_C: f64 = 70.0;
+
+/// Thermal model parameters. The package sits in a 40 °C inlet, PROCHOT
+/// releases 3 °C below its trip point, and leakage grows 0.8 %/°C above
+/// the 70 °C it was calibrated at.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ThermalConfig {
-    /// Ambient / coolant temperature, °C.
-    pub ambient_c: f64,
     /// Junction-to-ambient thermal resistance, °C per W (package level).
     pub r_th_c_per_w: f64,
     /// First-order thermal time constant, seconds.
     pub tau_s: f64,
     /// PROCHOT throttle trip point, °C.
     pub throttle_c: f64,
-    /// Hysteresis below the trip point before throttling releases, °C.
-    pub hysteresis_c: f64,
-    /// Relative leakage increase per °C above `leak_ref_c` (e.g. 0.008 =
-    /// +0.8 %/°C).
-    pub leak_temp_coeff: f64,
-    /// Reference temperature for the calibrated leakage value, °C.
-    pub leak_ref_c: f64,
 }
 
 impl Default for ThermalConfig {
@@ -37,13 +42,9 @@ impl Default for ThermalConfig {
     /// time constant, 95 °C PROCHOT.
     fn default() -> Self {
         Self {
-            ambient_c: 40.0,
             r_th_c_per_w: 0.30,
             tau_s: 8.0,
             throttle_c: 95.0,
-            hysteresis_c: 3.0,
-            leak_temp_coeff: 0.008,
-            leak_ref_c: 70.0,
         }
     }
 }
@@ -55,24 +56,22 @@ impl ThermalConfig {
     /// Panics on non-physical parameters.
     pub fn validate(&self) {
         assert!(self.r_th_c_per_w > 0.0 && self.tau_s > 0.0);
-        assert!(self.throttle_c > self.ambient_c, "trip below ambient");
-        assert!(self.hysteresis_c >= 0.0);
-        assert!(self.leak_temp_coeff >= 0.0);
+        assert!(self.throttle_c > AMBIENT_C, "trip below ambient");
     }
 
     /// Steady-state junction temperature at constant package power.
     pub fn steady_state_c(&self, power_w: f64) -> f64 {
-        self.ambient_c + self.r_th_c_per_w * power_w
+        AMBIENT_C + self.r_th_c_per_w * power_w
     }
 
     /// The highest package power this cooling solution can sustain
     /// without ever asserting PROCHOT: the power whose steady-state
     /// temperature sits at the bottom of the hysteresis band
-    /// (`throttle_c - hysteresis_c`). Granting a node more than this is
+    /// (3 °C below `throttle_c`). Granting a node more than this is
     /// wasted — the thermal throttle claws the excess back — which is
     /// why the cluster arbiter clamps a node's grant ceiling here.
     pub fn sustainable_power_w(&self) -> f64 {
-        (self.throttle_c - self.hysteresis_c - self.ambient_c) / self.r_th_c_per_w
+        (self.throttle_c - HYSTERESIS_C - AMBIENT_C) / self.r_th_c_per_w
     }
 }
 
@@ -91,7 +90,7 @@ impl ThermalState {
     pub fn new(cfg: ThermalConfig) -> Self {
         cfg.validate();
         Self {
-            temp_c: cfg.ambient_c,
+            temp_c: AMBIENT_C,
             throttling: false,
             cfg,
         }
@@ -109,7 +108,7 @@ impl ThermalState {
 
     /// Leakage multiplier at the current temperature.
     pub fn leak_factor(&self) -> f64 {
-        1.0 + self.cfg.leak_temp_coeff * (self.temp_c - self.cfg.leak_ref_c)
+        1.0 + LEAK_TEMP_COEFF * (self.temp_c - LEAK_REF_C)
     }
 
     /// Integrate one step of `dt_s` seconds at package power `power_w`,
@@ -120,7 +119,7 @@ impl ThermalState {
         self.temp_c += alpha * (target - self.temp_c);
         if self.temp_c >= self.cfg.throttle_c {
             self.throttling = true;
-        } else if self.temp_c <= self.cfg.throttle_c - self.cfg.hysteresis_c {
+        } else if self.temp_c <= self.cfg.throttle_c - HYSTERESIS_C {
             self.throttling = false;
         }
     }
@@ -189,7 +188,7 @@ mod tests {
         let cfg = ThermalConfig::default();
         let mut s = ThermalState::new(cfg.clone());
         // Drive to the reference temperature exactly.
-        let p = (cfg.leak_ref_c - cfg.ambient_c) / cfg.r_th_c_per_w;
+        let p = (LEAK_REF_C - AMBIENT_C) / cfg.r_th_c_per_w;
         run_to_steady(&mut s, p, 80.0);
         assert!((s.leak_factor() - 1.0).abs() < 1e-3);
     }

@@ -81,11 +81,10 @@ if [[ "$run_tests" -eq 1 ]]; then
     # only when the benchmark runs. This also smoke-runs all four
     # workloads through their correctness gates.
     cargo test --offline --manifest-path powerbench/Cargo.toml
-    echo "== cluster bench (test mode)"
-    cargo bench -q -p powerprog-bench --bench cluster -- --test
-    echo "== micro bench (test mode)"
-    # Runs each micro bench once, the node's macro-step benches included.
-    cargo bench -q -p powerprog-bench --bench micro -- --test
+    echo "== criterion benches (test mode)"
+    # Smoke-runs every bench target: the paper-artefact benches, the
+    # micro benches (the node's macro-step benches included) and cluster.
+    cargo bench -q -p powerprog-bench -- --test
 fi
 
 if [[ "$soak" -eq 1 ]]; then
