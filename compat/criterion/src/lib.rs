@@ -1,23 +1,24 @@
 //! Offline stand-in for `criterion`.
 //!
-//! Implements the API subset this workspace's benches use — groups,
-//! `bench_function`, `bench_with_input`, `sample_size`, `throughput`,
-//! `BenchmarkId`, the `criterion_group!`/`criterion_main!` macros — as a
-//! small wall-clock harness: a fixed warm-up iteration, then `samples`
-//! timed iterations, reporting median/mean/min per-iteration time. No
-//! statistics engine, no HTML reports; enough to smoke-run every bench
-//! and eyeball regressions offline.
+//! Implements the API subset the `micro` bench uses — `benchmark_group`,
+//! `throughput(Throughput::Elements)`, `bench_function`, `iter` and the
+//! `criterion_group!`/`criterion_main!` macros — as a small wall-clock
+//! harness: a fixed warm-up iteration, then `samples` timed iterations,
+//! reporting median/mean/min per-iteration time. No statistics engine,
+//! no HTML reports and no stored baseline: timing claims go through
+//! powerbench, and this harness is for eyeballing a hot path.
+//!
+//! Given `--test` on the bench binary's command line (`cargo bench --
+//! --test`), it runs each closure exactly once and prints `ok` instead
+//! of timings, so a smoke run checks that every bench still runs.
 //!
 //! Environment knobs:
 //!
-//! - `CRITERION_SAMPLES` — timed samples per bench (default 3). When
-//!   set it is authoritative: in-bench `sample_size` calls are ignored,
-//!   so a profiling run (`scripts/profile.sh`) can raise the count past
-//!   a group's smoke-run setting and sample the bench body for longer;
+//! - `CRITERION_SAMPLES` — timed samples per bench (default 3), so a
+//!   profiling run (`scripts/profile.sh`) can sample a bench for longer;
 //! - `CRITERION_FILTER` — run only the benches whose `group/id` name
 //!   contains this substring.
 
-use std::fmt::Display;
 use std::time::Instant;
 
 /// Throughput annotation (printed alongside timing when set).
@@ -25,69 +26,23 @@ use std::time::Instant;
 pub enum Throughput {
     /// Elements processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
-}
-
-/// A parameterized benchmark identifier.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// `function_name/parameter` form.
-    pub fn new(function: impl Display, parameter: impl Display) -> Self {
-        Self {
-            id: format!("{function}/{parameter}"),
-        }
-    }
-
-    /// Parameter-only form (`from_parameter`).
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        Self {
-            id: parameter.to_string(),
-        }
-    }
-}
-
-/// Anything usable as a benchmark name.
-pub trait IntoBenchmarkId {
-    /// Render to the printed identifier.
-    fn into_id(self) -> String;
-}
-
-impl IntoBenchmarkId for BenchmarkId {
-    fn into_id(self) -> String {
-        self.id
-    }
-}
-
-impl IntoBenchmarkId for &str {
-    fn into_id(self) -> String {
-        self.to_string()
-    }
-}
-
-impl IntoBenchmarkId for String {
-    fn into_id(self) -> String {
-        self
-    }
 }
 
 /// Timing loop handle passed to bench closures.
 pub struct Bencher {
-    samples: usize,
+    /// Timed samples; `None` runs the closure once, untimed (`--test`).
+    samples: Option<usize>,
     /// Collected per-iteration seconds (filled by `iter`).
     last_per_iter_s: Vec<f64>,
 }
 
 impl Bencher {
-    /// Run `f` once as warm-up, then `samples` timed times.
+    /// Run `f` once as warm-up, then `samples` timed times; in test mode
+    /// run it once and time nothing.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         std::hint::black_box(f());
         self.last_per_iter_s.clear();
-        for _ in 0..self.samples {
+        for _ in 0..self.samples.unwrap_or(0) {
             let t0 = Instant::now();
             std::hint::black_box(f());
             self.last_per_iter_s.push(t0.elapsed().as_secs_f64());
@@ -111,7 +66,11 @@ fn median(samples: &[f64]) -> f64 {
     }
 }
 
-fn report(group: &str, id: &str, b: &Bencher, throughput: Option<Throughput>) {
+fn report(name: &str, b: &Bencher, throughput: Option<Throughput>) {
+    if b.samples.is_none() {
+        println!("bench {name} ... ok");
+        return;
+    }
     let n = b.last_per_iter_s.len().max(1) as f64;
     let mean = b.last_per_iter_s.iter().sum::<f64>() / n;
     let min = b
@@ -120,17 +79,9 @@ fn report(group: &str, id: &str, b: &Bencher, throughput: Option<Throughput>) {
         .copied()
         .fold(f64::INFINITY, f64::min);
     let med = median(&b.last_per_iter_s);
-    let name = if group.is_empty() {
-        id.to_string()
-    } else {
-        format!("{group}/{id}")
-    };
     let extra = match throughput {
         Some(Throughput::Elements(e)) if mean > 0.0 => {
             format!("  {:>12.0} elem/s", e as f64 / mean)
-        }
-        Some(Throughput::Bytes(by)) if mean > 0.0 => {
-            format!("  {:>12.0} B/s", by as f64 / mean)
         }
         _ => String::new(),
     };
@@ -172,22 +123,22 @@ fn matches_filter(name: &str, filter: Option<&str>) -> bool {
 
 /// The harness entry point.
 pub struct Criterion {
-    default_samples: usize,
-    samples_forced: bool,
+    /// Timed samples per bench; `None` in test mode.
+    samples: Option<usize>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        // Keep smoke runs quick; CRITERION_SAMPLES overrides — and when
-        // set it is authoritative, winning over in-bench `sample_size`
-        // calls, so a profiling run can raise the sample count past a
-        // group's smoke-run setting.
-        let env = std::env::var("CRITERION_SAMPLES")
+        if std::env::args().skip(1).any(|a| a == "--test") {
+            return Self { samples: None };
+        }
+        // Keep runs quick; CRITERION_SAMPLES overrides.
+        let samples = std::env::var("CRITERION_SAMPLES")
             .ok()
-            .and_then(|s| s.parse().ok());
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(3);
         Self {
-            default_samples: env.unwrap_or(3),
-            samples_forced: env.is_some(),
+            samples: Some(samples),
         }
     }
 }
@@ -196,54 +147,21 @@ impl Criterion {
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            _c: self,
+            c: self,
             name: name.into(),
-            samples: self.default_samples,
             throughput: None,
         }
     }
-
-    /// Benchmark a single function outside any group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(
-        &mut self,
-        id: impl IntoBenchmarkId,
-        mut f: F,
-    ) -> &mut Self {
-        let id = id.into_id();
-        if !passes_filter(&id) {
-            return self;
-        }
-        let mut b = Bencher {
-            samples: self.default_samples,
-            last_per_iter_s: Vec::new(),
-        };
-        f(&mut b);
-        report("", &id, &b, None);
-        self
-    }
 }
 
-/// A group of related benchmarks sharing sample-count and throughput
-/// settings.
+/// A group of related benchmarks sharing a throughput setting.
 pub struct BenchmarkGroup<'a> {
-    _c: &'a Criterion,
+    c: &'a Criterion,
     name: String,
-    samples: usize,
     throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Set the number of timed samples per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        // Criterion floors at 10; the stub keeps runs short instead, but
-        // still scales down when callers ask for fewer samples. An
-        // explicit CRITERION_SAMPLES wins outright.
-        if !self._c.samples_forced {
-            self.samples = n.min(self.samples.max(1)).max(1);
-        }
-        self
-    }
-
     /// Annotate throughput for subsequent benchmarks.
     pub fn throughput(&mut self, t: Throughput) -> &mut Self {
         self.throughput = Some(t);
@@ -251,40 +169,17 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Benchmark a closure.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(
-        &mut self,
-        id: impl IntoBenchmarkId,
-        mut f: F,
-    ) -> &mut Self {
-        let id = id.into_id();
-        if !passes_filter(&format!("{}/{}", self.name, id)) {
+    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
+        let name = format!("{}/{id}", self.name);
+        if !passes_filter(&name) {
             return self;
         }
         let mut b = Bencher {
-            samples: self.samples,
+            samples: self.c.samples,
             last_per_iter_s: Vec::new(),
         };
         f(&mut b);
-        report(&self.name, &id, &b, self.throughput);
-        self
-    }
-
-    /// Benchmark a closure against an explicit input.
-    pub fn bench_with_input<I: ?Sized, F: FnMut(&mut Bencher, &I)>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self {
-        if !passes_filter(&format!("{}/{}", self.name, id.id)) {
-            return self;
-        }
-        let mut b = Bencher {
-            samples: self.samples,
-            last_per_iter_s: Vec::new(),
-        };
-        f(&mut b, input);
-        report(&self.name, &id.id, &b, self.throughput);
+        report(&name, &b, self.throughput);
         self
     }
 
@@ -317,28 +212,29 @@ macro_rules! criterion_main {
 mod tests {
     use super::*;
 
-    #[test]
-    fn group_runs_and_reports() {
-        let mut c = Criterion::default();
+    fn count_runs(c: &mut Criterion) -> u32 {
         let mut g = c.benchmark_group("t");
-        g.sample_size(2).throughput(Throughput::Elements(10));
+        g.throughput(Throughput::Elements(10));
         let mut runs = 0u32;
         g.bench_function("noop", |b| {
             b.iter(|| {
                 runs += 1;
             })
         });
-        g.bench_with_input(BenchmarkId::from_parameter(7), &7u32, |b, &x| {
-            b.iter(|| x * 2)
-        });
         g.finish();
-        assert!(runs >= 2, "closure must actually run");
+        runs
     }
 
     #[test]
-    fn bench_ids_render() {
-        assert_eq!(BenchmarkId::new("f", 3).id, "f/3");
-        assert_eq!(BenchmarkId::from_parameter("x").id, "x");
+    fn group_runs_a_warm_up_and_every_sample() {
+        let mut c = Criterion { samples: Some(2) };
+        assert_eq!(count_runs(&mut c), 3, "one warm-up plus two samples");
+    }
+
+    #[test]
+    fn test_mode_runs_each_closure_once() {
+        let mut c = Criterion { samples: None };
+        assert_eq!(count_runs(&mut c), 1);
     }
 
     #[test]
@@ -352,14 +248,17 @@ mod tests {
     fn filter_skips_non_matching_benches() {
         // Exercise the pure predicate: mutating CRITERION_FILTER here
         // would race the other tests in this binary, which run benches.
-        assert!(matches_filter("cluster/hier_4096n_halo", None));
+        assert!(matches_filter("micro/cluster/member_phases_1024", None));
         assert!(matches_filter(
-            "cluster/hier_4096n_halo",
-            Some("hier_4096n")
+            "micro/cluster/member_phases_1024",
+            Some("member_phases")
         ));
-        assert!(!matches_filter("cluster/flat_1024n", Some("hier_4096n")));
+        assert!(!matches_filter(
+            "micro/node/step_1s_24core_capped",
+            Some("member_phases")
+        ));
         assert!(
-            matches_filter("cluster/flat_1024n", Some("")),
+            matches_filter("micro/node/step_1s_24core_capped", Some("")),
             "empty runs all"
         );
     }

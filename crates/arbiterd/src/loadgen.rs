@@ -79,6 +79,12 @@ impl FaultKnobs {
     }
 }
 
+/// The most producers a run accepts: 100× the largest shipped cohort
+/// (100 k). The service keeps about 56 B of per-node state per shard,
+/// so a mistyped count (`--clients 100000000`) would abort in the
+/// allocator instead of failing validation.
+pub const MAX_CLIENTS: usize = 10_000_000;
+
 /// One load-generation scenario.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
@@ -159,6 +165,12 @@ impl LoadgenConfig {
             return Err(ConfigError::new(
                 "LoadgenConfig.clients",
                 "need at least one client",
+            ));
+        }
+        if self.clients > MAX_CLIENTS {
+            return Err(ConfigError::new(
+                "LoadgenConfig.clients",
+                format!("{} clients exceed the limit of {MAX_CLIENTS}", self.clients),
             ));
         }
         if self.shards == 0 {
@@ -899,6 +911,10 @@ mod tests {
                 ..LoadgenConfig::default()
             },
             LoadgenConfig {
+                clients: MAX_CLIENTS + 1,
+                ..LoadgenConfig::default()
+            },
+            LoadgenConfig {
                 shards: 0,
                 ..LoadgenConfig::default()
             },
@@ -922,6 +938,12 @@ mod tests {
             assert!(bad.validate().is_err(), "{bad:?} must be rejected");
         }
         assert!(LoadgenConfig::default().validate().is_ok());
+        let largest = LoadgenConfig {
+            clients: MAX_CLIENTS,
+            shards: 4,
+            ..LoadgenConfig::default()
+        };
+        assert!(largest.validate().is_ok(), "the limit itself is accepted");
     }
 
     #[test]

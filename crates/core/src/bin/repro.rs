@@ -30,6 +30,9 @@
 //! variants add racks of the default width, so N must be a multiple of
 //! it). This is the large-sweep knob: the scale-smoke CI tier runs
 //! `repro cluster --quick --nodes 1024` and diffs the CSVs bit for bit.
+//! Counts above [`MAX_NODES`] are rejected (exit 2) before anything is
+//! allocated, as are `--clients` counts above `loadgen`'s
+//! `MAX_CLIENTS`.
 //!
 //! Prints each artefact as an aligned text table; with `--out DIR` also
 //! writes one CSV per artefact (plus raw series for the figures).
@@ -49,6 +52,12 @@ use powerprog_core::experiments::{
     loadgen, sched, table1, table6, tables2to5,
 };
 use powerprog_core::report::TextTable;
+
+/// The largest `--nodes` accepted, 244× the largest shipped cluster
+/// shape (4096 nodes). The cluster artefacts build a roster of that
+/// many nodes before their configurations validate, so a mistyped
+/// count would otherwise run out of memory instead of failing to parse.
+const MAX_NODES: usize = 1_000_000;
 
 /// One experiment `repro` can run.
 struct Experiment {
@@ -153,6 +162,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             "--seed" => o.seed = Some(value(&mut args, "--seed requires an integer")?),
             "--nodes" => {
                 let n: NonZeroUsize = value(&mut args, "--nodes requires a positive node count")?;
+                if n.get() > MAX_NODES {
+                    return Err(format!("--nodes {n} exceeds the limit of {MAX_NODES}"));
+                }
                 o.nodes = Some(n.get());
             }
             // Zero is parsed, not rejected: `loadgen` maps it to a
@@ -471,6 +483,9 @@ mod tests {
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--budget", "lots"]).is_err());
         assert!(parse(&["--nodes", "0"]).is_err());
+        let err = parse(&["cluster", "--nodes", "1000001"]).unwrap_err();
+        assert!(err.contains("exceeds the limit"), "{err}");
+        assert!(parse(&["cluster", "--nodes", "1000000"]).is_ok());
         let Ok(Cli::Run(o)) = parse(&["loadgen", "--shards", "0"]) else {
             panic!("zero shards is loadgen's error to report");
         };

@@ -185,6 +185,7 @@ mod tests {
         assert!((2.3..3.2).contains(&m), "AMG mean {m:.2} out of band");
 
         // QMCPACK: three phases at distinguishable rates.
+        assert_eq!(r.qmcpack.phases.len(), 3, "VMC1, VMC2, DMC");
         let v1 = r.qmcpack_phase_rate("VMC1").expect("VMC1 rate");
         let v2 = r.qmcpack_phase_rate("VMC2").expect("VMC2 rate");
         let dmc = r.qmcpack_phase_rate("DMC").expect("DMC rate");

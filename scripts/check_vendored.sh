@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Vendored-dependency audit, in two parts:
 #
-#  1. every compat/ stub builds standalone (its own Cargo.toml, its own
-#     target dir), so a stub can never silently grow a dependency on the
-#     workspace or on a crates.io package the offline image lacks;
+#  1. every compat/ stub builds and passes its own unit tests standalone
+#     (its own Cargo.toml, its own target dir), so a stub can never
+#     silently grow a dependency on the workspace or on a crates.io
+#     package the offline image lacks;
 #  2. no manifest in the workspace depends on a crate that is neither a
 #     workspace member nor a vendored stub — the allowlist is derived
 #     from the directory layout, not maintained by hand.
@@ -12,11 +13,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== compat stubs build standalone"
+echo "== compat stubs build and test standalone"
 for stub in compat/*/; do
     name="$(basename "$stub")"
     echo "   -> $name"
-    cargo build -q \
+    cargo test -q \
         --manifest-path "$stub/Cargo.toml" \
         --target-dir target/compat-standalone
 done

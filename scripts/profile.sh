@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Profile the simulation hot path.
 #
-# With `perf` on the PATH this records the chosen bench binary and prints
+# With `perf` on the PATH this records the `micro` bench binary and prints
 # the symbol-level breakdown (plus a flamegraph SVG when the inferno or
 # flamegraph tools are installed). Without `perf` it runs the same bench
 # binary under scripts/ptrace_sample.py, a small sampler built from
@@ -16,25 +16,17 @@
 #   scripts/ptrace_sample.py -- powerbench/target/release/powerbench \
 #       --workload cluster_hier_halo_4096 --seconds 10
 #
-# Usage: scripts/profile.sh [bench-name] [filter]
-#        scripts/profile.sh [filter]
+# Usage: scripts/profile.sh [filter]
 #
-#   bench-name   bench target to profile (default: cluster)
-#   filter       substring selecting which benches inside the target run
-#                (CRITERION_FILTER); an argument that names no bench
-#                target is taken as a filter on the default target, so
-#                `scripts/profile.sh hier_4096n` profiles just the
-#                4096-node bench without editing anything.
+#   filter   substring selecting which benches of the `micro` target run
+#            (CRITERION_FILTER; default: all of them), so
+#            `scripts/profile.sh member_phases_1024` profiles just the
+#            1024-member phase bench.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-bench="${1:-cluster}"
-filter="${2:-}"
-# First argument that isn't a bench target ⇒ it's a filter on `cluster`.
-if [[ -n "${1:-}" && ! -f "crates/bench/benches/${bench}.rs" ]]; then
-    filter="$bench"
-    bench="cluster"
-fi
+bench="micro"
+filter="${1:-}"
 export CRITERION_FILTER="$filter"
 
 cargo bench -q -p powerprog-bench --bench "$bench" --no-run
