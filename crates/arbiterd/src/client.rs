@@ -2,14 +2,12 @@
 //! hold-last-grant degradation.
 //!
 //! [`GrantClient`] is the bridge between cluster members and the
-//! daemon: it pushes telemetry upstream and implements
-//! [`cluster::GrantSource`], so [`cluster::ClusterNode::pull_grant`]
-//! works identically whether grants come from an in-process arbiter
-//! slice or over a lossy wire. One client speaks for a contiguous group
-//! of `count ≥ 1` nodes over one connection: a single node sends
-//! singleton frames, a larger group one [`Msg::Batch`] each way per
-//! tick. Degradation is the design center, per Cerf et al.'s assumption
-//! that the runtime outlives its transport:
+//! daemon: it pushes telemetry upstream and keeps each member's newest
+//! grant ([`GrantClient::grants`]) across a lossy wire. One client
+//! speaks for a contiguous group of `count ≥ 1` nodes over one
+//! connection: a single node sends singleton frames, a larger group one
+//! [`Msg::Batch`] each way per tick. Degradation is the design center,
+//! per Cerf et al.'s assumption that the runtime outlives its transport:
 //!
 //! - **disconnected** → every member keeps the last grant it saw (a
 //!   stale cap is safe — the daemon froze the same value bitwise) and
@@ -27,7 +25,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::ops::Range;
 use std::time::Duration;
 
-use cluster::{GrantSource, NodeTelemetry};
+use cluster::NodeTelemetry;
 use nrm::Backoff;
 
 use crate::proto::Msg;
@@ -356,13 +354,6 @@ fn send_members(
     sent
 }
 
-impl GrantSource for GrantClient {
-    fn poll_grant(&mut self, _node: usize) -> Option<f64> {
-        self.advance();
-        self.last_grant()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,23 +461,6 @@ mod tests {
         assert_eq!(c.send_report(&report()), None, "still muted");
         c.advance();
         assert!(c.send_report(&report()).is_some(), "mute expires");
-    }
-
-    #[test]
-    fn poll_grant_is_the_grant_source_bridge() {
-        let (client_end, mut server_end) = PipeWire::pair();
-        let mut c = GrantClient::new(2, pipe_connector(vec![Some(client_end)]), 32, 2);
-        server_end.poll().unwrap();
-        server_end
-            .send(&Msg::Grant {
-                node: 2,
-                seq: 1,
-                tick: 4,
-                watts: 64.25,
-            })
-            .unwrap();
-        let src: &mut dyn GrantSource = &mut c;
-        assert_eq!(src.poll_grant(2), Some(64.25));
     }
 
     #[test]

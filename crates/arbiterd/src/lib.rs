@@ -30,13 +30,13 @@
 //!   of producers and a rack-style sub-budget, under a coordinator
 //!   that runs the in-process rack tree's own outer epoch
 //!   ([`cluster::OuterSolver::epoch`], with each service a
-//!   [`cluster::Subtree`]), so the machine budget splits exactly as the
-//!   rack tree splits it and the same level invariants are asserted.
+//!   [`cluster::Subtree`]): one `rebalance` solve per epoch, the engine
+//!   every node-level arbiter runs, so the machine budget splits exactly
+//!   as the rack tree splits it and the same level invariants are
+//!   asserted.
 //! - [`client`] — the member side, one client per group of nodes
 //!   sharing a connection: hold-last-grant degradation, jittered
-//!   exponential reconnect backoff, shed-hint compliance; it
-//!   implements [`cluster::GrantSource`], so cluster members consume
-//!   daemon grants exactly like in-process ones.
+//!   exponential reconnect backoff, shed-hint compliance.
 //! - [`loadgen`] — a lockstep in-process load generator driving
 //!   thousands of simulated producers through those clients, with
 //!   seeded faults and a mid-run crash/restore, reproducible

@@ -225,9 +225,10 @@ impl ShardedService {
 
     /// Crash-replace shard `i`: swap in a freshly built service (same
     /// shape, e.g. from the same `make` closure as construction) and
-    /// let it adopt its write-ahead snapshot. The solver — and with it
-    /// every other shard's sub-budget — lives in the coordinator and
-    /// survives the crash, so a restored shard resumes bit-identically.
+    /// let it adopt its write-ahead snapshot. The solver's only state
+    /// across epochs is the shard sub-budget vector, which lives in the
+    /// coordinator and survives the crash, so a restored shard resumes
+    /// bit-identically.
     /// Returns whether a snapshot was adopted.
     pub fn replace_shard(&mut self, i: usize, mut fresh: ArbiterService) -> bool {
         let adopted = fresh.restore();

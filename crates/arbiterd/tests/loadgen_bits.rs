@@ -170,7 +170,7 @@ fn sharded_batched_hostile_run_with_one_shard_crashed_is_pinned() {
         snapshot_path: Some(dir.path()),
         ..LoadgenConfig::default()
     });
-    check(&r, 15242765260180711658, 3040720052214765774);
+    check(&r, 7841194417691462959, 11766525439830657635);
 }
 
 #[test]

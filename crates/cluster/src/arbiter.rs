@@ -14,8 +14,8 @@
 //! [`crate::hierarchy::RackArbiter`] nests flat arbiters under a
 //! rack-level division of the same machine budget.
 //!
-//! Division policies (shared by every level through
-//! [`crate::policy::Allocator`]):
+//! Division policies (shared by every level through the
+//! [`crate::policy`] engine):
 //!
 //! - [`Policy::UniformStatic`] — the application-agnostic baseline:
 //!   `budget / n` once, never revisited;
@@ -35,7 +35,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ensure, ConfigError, TelemetryError};
-use crate::policy::{self, Allocator, RebalanceScratch};
+use crate::policy::{self, RebalanceScratch};
 
 /// Tolerance for floating-point invariant checks, W.
 pub(crate) const EPS_W: f64 = 1e-6;
@@ -63,8 +63,8 @@ pub(crate) fn conservation(
     Ok(())
 }
 
-/// Budget-division policy (the serde-facing configuration enum; its
-/// executable form is [`Policy::allocator`]).
+/// Budget-division policy: the serde-facing configuration enum, and the
+/// strategy the [`crate::policy`] engine asks for desired grants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Policy {
     /// `budget / n` for everyone, never redistributed.
@@ -442,7 +442,6 @@ pub struct PowerArbiter {
     /// Per-node useful-progress weights for the feedback policy (`None`
     /// keeps the bit-exact iteration-time mode).
     weights: Option<Vec<f64>>,
-    alloc: Allocator,
     round: usize,
     trace: GrantTrace,
     /// Whether redistribution rounds are recorded into the trace. The
@@ -478,7 +477,6 @@ impl PowerArbiter {
             min_v: vec![cfg.min_cap_w; n],
             max_v: vec![cfg.max_cap_w; n],
             weights: None,
-            alloc: cfg.policy.allocator(),
             cfg,
             round: 0,
             trace: GrantTrace::new(cfg.policy.name()),
@@ -603,7 +601,7 @@ impl PowerArbiter {
     /// arithmetic, so both produce bit-identical grants.
     fn rebalance_validated(&mut self, reports: &[Option<NodeTelemetry>]) -> &[f64] {
         policy::rebalance(
-            self.alloc,
+            self.cfg.policy,
             self.cfg.budget_w,
             &mut self.grants,
             &self.min_v,

@@ -59,27 +59,6 @@ impl Default for GrantCell {
     }
 }
 
-/// Where a member's next grant comes from.
-///
-/// The in-process cluster driver pushes arbiter output straight into each
-/// member's [`GrantCell`]; a daemon-backed deployment instead *pulls*
-/// through this trait (the `arbiterd` `GrantClient` implements it over a
-/// framed wire). Returning `None` means "no fresh grant" — the member
-/// keeps whatever cap it last programmed, which is the hold-last-grant
-/// degradation the arbiter daemon's disconnected clients rely on.
-pub trait GrantSource {
-    /// The newest grant for `node`, W, or `None` to hold the last one.
-    fn poll_grant(&mut self, node: usize) -> Option<f64>;
-}
-
-/// The trivial in-process source: a slice of the arbiter's current
-/// grants, always fresh.
-impl GrantSource for &[f64] {
-    fn poll_grant(&mut self, node: usize) -> Option<f64> {
-        self.get(node).copied()
-    }
-}
-
 /// A [`CapSchedule`] that always programs the cell's current grant,
 /// ignoring elapsed time (the arbiter, not the clock, drives the cap).
 #[derive(Debug, Clone)]
@@ -118,13 +97,5 @@ mod tests {
     #[should_panic(expected = "finite positive")]
     fn non_finite_grant_rejected() {
         GrantCell::default().set(Some(f64::NAN));
-    }
-
-    #[test]
-    fn a_grant_slice_is_an_always_fresh_source() {
-        let grants = [70.0, 85.0];
-        let mut src: &[f64] = &grants;
-        assert_eq!(src.poll_grant(1), Some(85.0));
-        assert_eq!(src.poll_grant(7), None, "unknown node holds its cap");
     }
 }

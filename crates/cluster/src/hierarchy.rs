@@ -18,11 +18,11 @@
 //! Budgets flow downward through [`BudgetArbiter::set_budget`]; the two
 //! loops run at independent periods, which is the latency/stability
 //! trade the flat arbiter cannot express: a fast outer loop chases noise
-//! across racks, a slow one starves a rack whose imbalance moved. Both
-//! levels share one redistribution engine ([`crate::policy`]), so the
-//! sum-≤-budget and per-child clamp invariants hold at every level by
-//! construction: Σ sub-budgets ≤ machine budget, and within each rack
-//! Σ node grants ≤ its sub-budget.
+//! across racks, a slow one starves a rack whose imbalance moved. Each
+//! level's epoch is one solve of the shared redistribution engine
+//! ([`crate::policy`]), so the sum-≤-budget and per-child clamp
+//! invariants hold at every level by construction: Σ sub-budgets ≤
+//! machine budget, and within each rack Σ node grants ≤ its sub-budget.
 //!
 //! Degenerate shapes are exact: a tree of one rack containing every node
 //! is grant-for-grant bit-identical to the flat [`PowerArbiter`]
@@ -37,7 +37,7 @@ use crate::arbiter::{
     Policy, PowerArbiter, EPS_W,
 };
 use crate::error::{ensure, ConfigError, TelemetryError};
-use crate::policy::{self, Allocator, IncrementalFill, RebalanceScratch};
+use crate::policy::{self, RebalanceScratch};
 
 /// Tuning for the rack level of the tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -294,36 +294,24 @@ impl<T: Subtree + ?Sized> Subtree for &mut T {
 /// *distributed* deployment runs the same outer epoch: a coordinator
 /// splitting a machine budget across N `arbiterd` shards calls
 /// [`OuterSolver::epoch`] exactly as the in-process rack tree does —
-/// same incremental waterfill, same silent-child freeze, same push-down
+/// same `rebalance` solve, same silent-child freeze, same push-down
 /// order, same bit patterns. One child here is one rack (or one shard);
 /// leaves are somebody else's problem.
 ///
-/// Holds the solver state that must survive across epochs for the
-/// incremental path to stay bit-stable: current sub-budgets, each child's
-/// last desired allocation, and the cached fill sums.
+/// Each epoch is one call to the engine every [`PowerArbiter`] runs, so
+/// the only state carried between epochs is the sub-budget vector.
 #[derive(Debug, Clone)]
 pub struct OuterSolver {
-    alloc: Allocator,
+    policy: Policy,
     min: Vec<f64>,
     max: Vec<f64>,
     /// Current per-child sub-budgets, W (Σ ≤ pool at every solve).
     sub_budgets: Vec<f64>,
-    /// Incremental waterfill: caches each child's clamped desired
-    /// sub-budget and the fill sums, re-solving from deltas.
-    fill: IncrementalFill,
-    /// Each child's last desired sub-budget (bitwise), so a child whose
-    /// desire did not move is never re-clamped or re-summed. NaN until
-    /// the first epoch marks every child dirty.
-    last_desired: Vec<f64>,
-    /// Fallback engine scratch for windows with silent children (the
-    /// frozen semantics need the general reporting-subset path), and the
-    /// fill buffer of [`OuterSolver::refit`].
+    /// Engine working memory, reused every epoch and by
+    /// [`OuterSolver::refit`].
     scratch: RebalanceScratch,
-    /// Reused per-epoch buffers (no per-epoch allocation).
+    /// Reused per-epoch window reports (no per-epoch allocation).
     reports: Vec<Option<NodeTelemetry>>,
-    tel: Vec<NodeTelemetry>,
-    fill_tmp: Vec<f64>,
-    fill_desired: Vec<f64>,
 }
 
 impl OuterSolver {
@@ -353,16 +341,10 @@ impl OuterSolver {
             .map(|&k| cfg.budget_w * (k as f64 / n as f64))
             .collect();
         let sub_budgets = policy::waterfill(&shares, cfg.budget_w, &min, &max);
-        let n = min.len();
         Self {
-            alloc: policy.allocator(),
-            fill: IncrementalFill::new(&min, &max),
-            last_desired: vec![f64::NAN; n],
+            policy,
             scratch: RebalanceScratch::default(),
-            reports: Vec::with_capacity(n),
-            tel: Vec::with_capacity(n),
-            fill_tmp: Vec::new(),
-            fill_desired: Vec::new(),
+            reports: Vec::with_capacity(sizes.len()),
             sub_budgets,
             min,
             max,
@@ -398,50 +380,24 @@ impl OuterSolver {
     }
 
     /// Re-split `pool_w` from the drained window reports (`None` = silent
-    /// child, sub-budget frozen). When every child reported, the
-    /// incremental fill re-solves from desire deltas — a child whose
-    /// desired sub-budget did not move bitwise reuses its cached clamped
-    /// desire and costs nothing beyond the comparison; any silent child
-    /// falls back to the general engine, which owns the frozen-pool
-    /// semantics.
+    /// child, sub-budget frozen): one `rebalance` solve, the engine every
+    /// node-level arbiter runs.
     fn resolve(&mut self, pool_w: f64, reports: &[Option<NodeTelemetry>]) {
         assert_eq!(
             reports.len(),
             self.sub_budgets.len(),
             "one window report per child"
         );
-        if reports.iter().all(Option::is_some) {
-            self.tel.clear();
-            self.tel
-                .extend(reports.iter().map(|r| r.expect("all report")));
-            if self.alloc.desired_into(
-                &self.sub_budgets,
-                &self.tel,
-                pool_w,
-                None,
-                &mut self.fill_tmp,
-                &mut self.fill_desired,
-            ) {
-                for (r, &d) in self.fill_desired.iter().enumerate() {
-                    if d.to_bits() != self.last_desired[r].to_bits() {
-                        self.fill.update(r, d);
-                        self.last_desired[r] = d;
-                    }
-                }
-                self.sub_budgets.copy_from_slice(self.fill.solve(pool_w));
-            }
-        } else {
-            policy::rebalance(
-                self.alloc,
-                pool_w,
-                &mut self.sub_budgets,
-                &self.min,
-                &self.max,
-                reports,
-                None,
-                &mut self.scratch,
-            );
-        }
+        policy::rebalance(
+            self.policy,
+            pool_w,
+            &mut self.sub_budgets,
+            &self.min,
+            &self.max,
+            reports,
+            None,
+            &mut self.scratch,
+        );
     }
 
     /// Re-fit the current sub-budgets into a new pool and push them down
@@ -931,10 +887,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_outer_solve_matches_the_general_engine() {
-        // All racks report every barrier, so the outer epochs take the
-        // incremental-fill path. A shadow re-runs the same aggregates
-        // through the full engine; sub-budgets must agree to ≤1e-9.
+    fn outer_epoch_is_one_rebalance_solve_bit_for_bit() {
+        // A shadow re-runs the same rack aggregates through the shared
+        // engine; the tree's sub-budgets must equal it bit for bit. Rack 2
+        // is silent for the third epoch's window (rounds 5 and 6), so both
+        // of the engine's branches — every child reporting, and a frozen
+        // child — run at the outer level.
         let c = cfg(Policy::ProgressFeedback { gain: 1.0 });
         let h = HierarchyConfig {
             racks: vec![2, 2, 2],
@@ -953,8 +911,15 @@ mod tests {
             RackWindow::default(),
         ];
         for round in 1..=8usize {
+            let rack_2_silent = (5..=6).contains(&round);
             let reports: Vec<Option<NodeTelemetry>> = (0..6)
-                .map(|i| report(0.4 + 0.3 * ((i + round) % 5) as f64, 88.0 + i as f64))
+                .map(|i| {
+                    if rack_2_silent && i >= 4 {
+                        None
+                    } else {
+                        report(0.4 + 0.3 * ((i + round) % 5) as f64, 88.0 + i as f64)
+                    }
+                })
                 .collect();
             for (acc, pair) in accs.iter_mut().zip(reports.chunks(2)) {
                 for r in pair.iter().flatten() {
@@ -965,8 +930,9 @@ mod tests {
             if round.is_multiple_of(h.outer_period) {
                 let rack_reports: Vec<Option<NodeTelemetry>> =
                     accs.iter_mut().map(RackWindow::take).collect();
+                assert_eq!(rack_reports[2].is_none(), rack_2_silent);
                 policy::rebalance(
-                    h.rack_policy.allocator(),
+                    h.rack_policy,
                     c.budget_w,
                     &mut shadow,
                     &rack_min,
@@ -976,8 +942,11 @@ mod tests {
                     &mut scratch,
                 );
                 for (got, want) in tree.sub_budgets().iter().zip(&shadow) {
-                    let rel = (got - want).abs() / want.abs().max(1.0);
-                    assert!(rel <= 1e-9, "incremental {got} vs full {want}");
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "round {round}: {got} vs {want}"
+                    );
                 }
             }
         }

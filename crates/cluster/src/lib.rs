@@ -22,8 +22,9 @@
 //!   [`hierarchy::Subtree`] children, the same epoch `arbiterd`'s shard
 //!   coordinator runs;
 //! - [`policy`] — the shared allocation engine (waterfill + clamps +
-//!   dropout freezing) both arbiter levels dispatch through, plus the
-//!   registry-derived useful-progress weights;
+//!   dropout freezing): every level of the tree, node or rack, runs one
+//!   `rebalance` solve through it per epoch; plus the registry-derived
+//!   useful-progress weights;
 //! - [`partition::MachinePartition`] — many per-job arbiters under one
 //!   machine envelope (the batch scheduler's substrate), with
 //!   Σ(job budgets) ≤ envelope asserted after every mutation;
@@ -61,11 +62,11 @@ pub use arbiter::{
 };
 pub use comm::{exchange, CommConfig, CommPattern, ExchangeOutcome, Flow, NodePhase};
 pub use error::{ClusterError, ConfigError, TelemetryError};
-pub use grant::{GrantCell, GrantSchedule, GrantSource};
+pub use grant::{GrantCell, GrantSchedule};
 pub use hierarchy::{HierarchyConfig, OuterSolver, RackArbiter, RackWindow, Subtree};
 pub use member::{ClusterNode, DEFAULT_DAEMON_PERIOD};
 pub use partition::MachinePartition;
-pub use policy::{progress_weight, registry_progress_weights, Allocator};
+pub use policy::{progress_weight, registry_progress_weights};
 pub use sim::{run_cluster, ClusterConfig, ClusterOutcome, IterationRecord, NodeSpec, Preset};
 pub use topology::{LinkId, Route, Topology};
 pub use workload::{ramp_weights, WorkloadShape};

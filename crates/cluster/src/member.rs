@@ -23,7 +23,7 @@ use simnode::node::{CoreWork, Node};
 use simnode::time::{secs, Nanos, SEC};
 
 use crate::arbiter::NodeTelemetry;
-use crate::grant::{GrantCell, GrantSchedule, GrantSource};
+use crate::grant::{GrantCell, GrantSchedule};
 use crate::workload::WorkloadShape;
 
 /// Resilience tuning for cluster daemons. Arbiter grants step at every
@@ -216,16 +216,6 @@ impl ClusterNode {
         self.node
             .next_event_hint(horizon.min(self.next_tick))
             .max(self.node.now())
-    }
-
-    /// Pull the newest grant from `source` (an in-process grant slice, or
-    /// an `arbiterd` client polling its wire). When the source has
-    /// nothing fresh — disconnected client, silent arbiter — the member
-    /// holds its last programmed cap: degradation, not a panic.
-    pub fn pull_grant(&mut self, source: &mut dyn GrantSource) {
-        if let Some(w) = source.poll_grant(self.id) {
-            self.grant.set(Some(w));
-        }
     }
 
     /// Advance toward `target` in one [`Node::step_until`] segment — to the

@@ -1,17 +1,16 @@
-//! The budget-division strategy objects and the shared redistribution
-//! engine.
+//! The budget-division strategies and the shared redistribution engine.
 //!
-//! [`Policy`] stays the serde-facing configuration enum; an [`Allocator`]
-//! is its executable counterpart: it computes each reporting child's
-//! *desired* grant from the latest telemetry, and nothing else. All the
-//! invariant-bearing machinery — freezing silent children, clipping
-//! frozen grants to restore feasibility, clamping and waterfilling the
-//! desired grants into the pool — lives in the crate-private `rebalance`
-//! engine, which both the
-//! flat [`crate::arbiter::PowerArbiter`] (children = nodes) and the
-//! hierarchical [`crate::hierarchy::RackArbiter`] (children = racks) call.
-//! One engine, two levels: the sum-≤-budget and per-child clamp
-//! invariants cannot drift apart between them.
+//! [`Policy`] is both the serde-facing configuration enum and the
+//! strategy: its crate-private `desired_into` computes each reporting
+//! child's *desired* grant from the latest telemetry, and nothing else.
+//! All the invariant-bearing machinery — freezing silent children,
+//! clipping frozen grants to restore feasibility, clamping and
+//! waterfilling the desired grants into the pool — lives in the
+//! crate-private `rebalance` engine, which every level of the tree calls:
+//! the flat [`crate::arbiter::PowerArbiter`] (children = nodes) and the
+//! [`crate::hierarchy::OuterSolver`] (children = racks or `arbiterd`
+//! shards). One engine, one solve per level: the sum-≤-budget and
+//! per-child clamp invariants cannot drift apart between them.
 //!
 //! Clamps are per-child slices rather than scalars because the two levels
 //! need different shapes: every node of a flat arbiter shares one
@@ -21,35 +20,7 @@
 use crate::arbiter::{NodeTelemetry, Policy};
 use crate::error::ConfigError;
 
-/// The executable form of a [`Policy`]: computes desired grants for the
-/// reporting children. Construct with [`Policy::allocator`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Allocator {
-    /// Never move a grant ([`Policy::UniformStatic`]).
-    Hold,
-    /// Watts in proportion to measured draw
-    /// ([`Policy::DemandProportional`]).
-    DemandShare,
-    /// Proportional feedback on compute times, damped by each child's
-    /// compute fraction ([`Policy::ProgressFeedback`]).
-    Feedback {
-        /// Controller gain (see [`Policy::ProgressFeedback`]).
-        gain: f64,
-    },
-}
-
 impl Policy {
-    /// The strategy object executing this policy.
-    pub fn allocator(self) -> Allocator {
-        match self {
-            Policy::UniformStatic => Allocator::Hold,
-            Policy::DemandProportional => Allocator::DemandShare,
-            Policy::ProgressFeedback { gain } => Allocator::Feedback { gain },
-        }
-    }
-}
-
-impl Allocator {
     /// Desired grants for the reporting children, parallel to `grants`,
     /// written into `out` (cleared first). Returns `false` for "hold
     /// every grant exactly" (the immutable-by-design uniform-static
@@ -66,7 +37,7 @@ impl Allocator {
     /// *useful-progress rates*. `tmp` is caller-owned scratch reused
     /// across calls, so the hot path allocates nothing.
     pub(crate) fn desired_into(
-        &self,
+        self,
         grants: &[f64],
         telemetry: &[NodeTelemetry],
         pool: f64,
@@ -77,9 +48,9 @@ impl Allocator {
         debug_assert_eq!(grants.len(), telemetry.len(), "strategy input arity");
         tmp.clear();
         out.clear();
-        match *self {
-            Allocator::Hold => false,
-            Allocator::DemandShare => {
+        match self {
+            Policy::UniformStatic => false,
+            Policy::DemandProportional => {
                 tmp.extend(telemetry.iter().map(|t| t.power_w.max(0.0)));
                 let total: f64 = tmp.iter().sum();
                 if total <= 0.0 {
@@ -89,7 +60,7 @@ impl Allocator {
                 }
                 true
             }
-            Allocator::Feedback { gain } if weights.is_some() => {
+            Policy::ProgressFeedback { gain } if weights.is_some() => {
                 // Useful-progress mode: the error term compares each
                 // child's *science rate* u = rate × weight against the
                 // mean, so a node running a low-yield workload (its rate
@@ -122,7 +93,7 @@ impl Allocator {
                 );
                 true
             }
-            Allocator::Feedback { gain } => {
+            Policy::ProgressFeedback { gain } => {
                 tmp.extend(telemetry.iter().map(|t| t.compute_s.max(0.0)));
                 // Per-child compute times under a shared barrier, so the
                 // imbalance algebra applies as-is: critical child =
@@ -199,7 +170,7 @@ impl RebalanceScratch {
 
 /// One redistribution round over `grants.len()` children sharing
 /// `budget`: freeze silent children at their last grant, clip frozen
-/// grants toward their floors if feasibility demands it, ask `alloc` for
+/// grants toward their floors if feasibility demands it, ask `policy` for
 /// the reporting children's desired grants, and waterfill those into the
 /// remaining pool under the per-child `[min, max]` clamps.
 ///
@@ -210,7 +181,7 @@ impl RebalanceScratch {
 // site, so a params struct would add nothing but indirection.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rebalance(
-    alloc: Allocator,
+    policy: Policy,
     budget: f64,
     grants: &mut [f64],
     min: &[f64],
@@ -234,7 +205,7 @@ pub(crate) fn rebalance(
         // used in place instead of gathered. No child is frozen, so the
         // pool is the whole budget.
         let pool = budget;
-        if !alloc.desired_into(grants, &s.tel, pool, weights, &mut s.tmp, &mut s.desired) {
+        if !policy.desired_into(grants, &s.tel, pool, weights, &mut s.tmp, &mut s.desired) {
             return; // grants are immutable by design
         }
         waterfill_into(&s.desired, pool, min, max, &mut s.filled);
@@ -292,7 +263,7 @@ pub(crate) fn rebalance(
         }
         None => None,
     };
-    if !alloc.desired_into(&s.cur, &s.tel, pool, r_w, &mut s.tmp, &mut s.desired) {
+    if !policy.desired_into(&s.cur, &s.tel, pool, r_w, &mut s.tmp, &mut s.desired) {
         return; // grants are immutable by design
     }
     s.r_min.clear();
@@ -365,131 +336,6 @@ pub(crate) fn waterfill_into(
     }
 }
 
-/// Incremental waterfill: a persistent solver over a fixed child set that
-/// caches each child's clamped desire and the running sums the fill
-/// algebra needs, so a re-solve after `d` desire updates costs
-/// `O(d)` sum maintenance plus one `O(n)` output write — no per-call
-/// clamping or re-summation over clean children. Clean children (no
-/// [`IncrementalFill::update`] since the last solve) reuse their cached
-/// clamped desire untouched.
-///
-/// The running sums are maintained with Neumaier-compensated additions,
-/// so a long stream of incremental updates agrees with a fresh
-/// `waterfill` over the same desires to well under the `1e-9` relative
-/// tolerance the differential suite pins (bit-identical in the common
-/// all-clean and single-child cases). [`crate::hierarchy::RackArbiter`]
-/// runs this at the rack level: telemetry deltas mark dirty racks, and
-/// only their desires are re-clamped and re-summed each outer epoch.
-#[derive(Debug, Clone)]
-pub struct IncrementalFill {
-    min: Vec<f64>,
-    max: Vec<f64>,
-    /// Cached clamped desires, one per child.
-    clamped: Vec<f64>,
-    /// Neumaier-compensated running Σ clamped.
-    sum: f64,
-    comp: f64,
-    sum_min: f64,
-    sum_max: f64,
-    out: Vec<f64>,
-}
-
-impl IncrementalFill {
-    /// A solver over children clamped to `[min[i], max[i]]`, with every
-    /// desire initially at its floor.
-    ///
-    /// # Panics
-    /// Panics on arity mismatch or an empty child set.
-    pub fn new(min: &[f64], max: &[f64]) -> Self {
-        assert_eq!(min.len(), max.len(), "one clamp pair per child");
-        assert!(!min.is_empty(), "need at least one child");
-        Self {
-            clamped: min.to_vec(),
-            sum: min.iter().sum(),
-            comp: 0.0,
-            sum_min: min.iter().sum(),
-            sum_max: max.iter().sum(),
-            out: vec![0.0; min.len()],
-            min: min.to_vec(),
-            max: max.to_vec(),
-        }
-    }
-
-    /// Number of children.
-    pub fn len(&self) -> usize {
-        self.clamped.len()
-    }
-
-    /// Whether the solver has no children (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.clamped.is_empty()
-    }
-
-    /// The cached clamped desires (parallel to the child set).
-    pub fn clamped(&self) -> &[f64] {
-        &self.clamped
-    }
-
-    /// Mark child `i` dirty with a new desire: clamp it into the child's
-    /// range and fold the delta into the running sum. Clean children cost
-    /// nothing — only call this for children whose telemetry moved.
-    pub fn update(&mut self, i: usize, desired: f64) {
-        let c = desired.clamp(self.min[i], self.max[i]);
-        let old = std::mem::replace(&mut self.clamped[i], c);
-        // Neumaier-compensated add of the delta: plain `sum += c - old`
-        // drifts linearly with update count, which would eat the 1e-9
-        // differential budget on long runs.
-        let x = c - old;
-        let t = self.sum + x;
-        self.comp += if self.sum.abs() >= x.abs() {
-            (self.sum - t) + x
-        } else {
-            (x - t) + self.sum
-        };
-        self.sum = t;
-    }
-
-    /// Solve the fill for `pool` watts from the cached clamped desires:
-    /// the same clamped-proportional algebra as `waterfill`, driven by
-    /// the cached sums. Returns the per-child grants.
-    pub fn solve(&mut self, pool: f64) -> &[f64] {
-        let n = self.clamped.len();
-        if n == 1 {
-            // Bit-identical to the full solve's single-child special case.
-            self.out[0] = pool.clamp(self.min[0], self.max[0]);
-            return &self.out;
-        }
-        let sum = self.sum + self.comp;
-        if sum > pool {
-            let above = sum - self.sum_min;
-            let target = (pool - self.sum_min).max(0.0);
-            let s = if above > 0.0 { target / above } else { 0.0 };
-            for i in 0..n {
-                self.out[i] = self.min[i] + (self.clamped[i] - self.min[i]) * s;
-            }
-        } else {
-            let leftover = pool - sum;
-            let headroom = self.sum_max - sum;
-            if leftover > 0.0 && headroom > 0.0 {
-                let s = (leftover / headroom).min(1.0);
-                for i in 0..n {
-                    self.out[i] = self.clamped[i] + (self.max[i] - self.clamped[i]) * s;
-                }
-            } else {
-                self.out.copy_from_slice(&self.clamped);
-            }
-        }
-        &self.out
-    }
-
-    /// The reference solve over the same cached desires: a fresh
-    /// `waterfill` with no cached sums. The differential suite pins
-    /// [`IncrementalFill::solve`] to this within 1e-9 relative.
-    pub fn solve_full(&self, pool: f64) -> Vec<f64> {
-        waterfill(&self.clamped, pool, &self.min, &self.max)
-    }
-}
-
 /// The useful-progress weight of one registry application: how much
 /// science a unit of its online rate metric is worth, derived from the
 /// paper's Table IV/V semantics. An app with no online metric at all
@@ -540,7 +386,7 @@ mod tests {
     /// reference the all-reporting fast path must equal bit for bit.
     #[allow(clippy::too_many_arguments)]
     fn rebalance_gathered(
-        alloc: Allocator,
+        policy: Policy,
         budget: f64,
         grants: &mut [f64],
         min: &[f64],
@@ -587,7 +433,7 @@ mod tests {
         let tel: Vec<NodeTelemetry> = reporting.iter().map(|&i| reports[i].unwrap()).collect();
         let r_w: Option<Vec<f64>> = weights.map(|w| reporting.iter().map(|&i| w[i]).collect());
         let mut desired = Vec::new();
-        if !alloc.desired_into(
+        if !policy.desired_into(
             &cur,
             &tel,
             pool,
@@ -607,7 +453,7 @@ mod tests {
 
     /// One child: `(floor, headroom, grant position, compute_s, rate,
     /// power_w, weight)`. Zeros are drawn often enough to reach every
-    /// allocator's degenerate branch.
+    /// policy's degenerate branch.
     fn child() -> impl Strategy<Value = (f64, f64, f64, f64, f64, f64, f64)> {
         let time = prop_oneof![1 => Just(0.0f64), 6 => 0.01f64..4.0];
         let watts = prop_oneof![1 => Just(0.0f64), 6 => 1.0f64..200.0];
@@ -623,7 +469,7 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
         /// When every child reports, the engine's result is bit-identical
-        /// to the gathered reference, for every allocator, with and
+        /// to the gathered reference, for every policy, with and
         /// without weights, across pools from starved to slack.
         #[test]
         fn all_reporting_rebalance_equals_the_gathered_path(
@@ -633,10 +479,10 @@ mod tests {
             weighted in any::<bool>(),
             slack in 0.0f64..=1.0,
         ) {
-            let alloc = match kind {
-                0 => Allocator::Hold,
-                1 => Allocator::DemandShare,
-                _ => Allocator::Feedback { gain },
+            let policy = match kind {
+                0 => Policy::UniformStatic,
+                1 => Policy::DemandProportional,
+                _ => Policy::ProgressFeedback { gain },
             };
             let min: Vec<f64> = children.iter().map(|c| c.0).collect();
             let max: Vec<f64> = children.iter().map(|c| c.0 + c.1).collect();
@@ -654,25 +500,25 @@ mod tests {
             let mut scratch = RebalanceScratch::default();
             // Twice through one scratch: reuse carries nothing over.
             for _ in 0..2 {
-                rebalance(alloc, budget, &mut fast, &min, &max, &reports, weights, &mut scratch);
-                rebalance_gathered(alloc, budget, &mut reference, &min, &max, &reports, weights);
+                rebalance(policy, budget, &mut fast, &min, &max, &reports, weights, &mut scratch);
+                rebalance_gathered(policy, budget, &mut reference, &min, &max, &reports, weights);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&fast), bits(&reference));
             }
         }
     }
 
-    /// The allocating form of [`Allocator::desired_into`]: `None` for
+    /// The allocating form of [`Policy::desired_into`]: `None` for
     /// "hold every grant".
     fn desired(
-        alloc: Allocator,
+        policy: Policy,
         grants: &[f64],
         telemetry: &[NodeTelemetry],
         pool: f64,
         weights: Option<&[f64]>,
     ) -> Option<Vec<f64>> {
         let mut out = Vec::new();
-        alloc
+        policy
             .desired_into(grants, telemetry, pool, weights, &mut Vec::new(), &mut out)
             .then_some(out)
     }
@@ -723,34 +569,37 @@ mod tests {
     #[test]
     fn hold_allocator_never_produces_desires() {
         let t = NodeTelemetry::compute_only(1.0, 1.0, 90.0);
-        assert_eq!(desired(Allocator::Hold, &[80.0], &[t], 100.0, None), None);
+        assert_eq!(
+            desired(Policy::UniformStatic, &[80.0], &[t], 100.0, None),
+            None
+        );
     }
 
     #[test]
     fn demand_share_is_proportional_and_survives_zero_demand() {
-        let alloc = Policy::DemandProportional.allocator();
+        let policy = Policy::DemandProportional;
         let tel = [
             NodeTelemetry::compute_only(1.0, 1.0, 120.0),
             NodeTelemetry::compute_only(1.0, 1.0, 60.0),
         ];
-        let d = desired(alloc, &[80.0, 80.0], &tel, 180.0, None).expect("moves");
+        let d = desired(policy, &[80.0, 80.0], &tel, 180.0, None).expect("moves");
         assert!((d[0] - 120.0).abs() < 1e-9 && (d[1] - 60.0).abs() < 1e-9);
         let dark = [
             NodeTelemetry::compute_only(1.0, 1.0, 0.0),
             NodeTelemetry::compute_only(1.0, 1.0, 0.0),
         ];
-        let d = desired(alloc, &[80.0, 80.0], &dark, 180.0, None).expect("moves");
+        let d = desired(policy, &[80.0, 80.0], &dark, 180.0, None).expect("moves");
         assert_eq!(d, vec![90.0, 90.0]);
     }
 
     #[test]
     fn feedback_boosts_the_critical_child() {
-        let alloc = Policy::ProgressFeedback { gain: 1.0 }.allocator();
+        let policy = Policy::ProgressFeedback { gain: 1.0 };
         let tel = [
             NodeTelemetry::compute_only(0.5, 2.0, 90.0),
             NodeTelemetry::compute_only(1.5, 1.0 / 1.5, 90.0),
         ];
-        let d = desired(alloc, &[100.0, 100.0], &tel, 200.0, None).expect("moves");
+        let d = desired(policy, &[100.0, 100.0], &tel, 200.0, None).expect("moves");
         assert!(d[1] > 100.0 && d[0] < 100.0, "{d:?}");
     }
 
@@ -759,17 +608,17 @@ mod tests {
         // Equal iteration times and rates: the time mode sees perfect
         // balance and holds. With weights, the 0.5-weight child's science
         // rate is half the mean, so it reads as behind and is funded.
-        let alloc = Policy::ProgressFeedback { gain: 1.0 }.allocator();
+        let policy = Policy::ProgressFeedback { gain: 1.0 };
         let tel = [
             NodeTelemetry::compute_only(1.0, 1.0, 90.0),
             NodeTelemetry::compute_only(1.0, 1.0, 90.0),
         ];
-        let flat = desired(alloc, &[100.0, 100.0], &tel, 200.0, None).expect("moves");
+        let flat = desired(policy, &[100.0, 100.0], &tel, 200.0, None).expect("moves");
         assert!(
             (flat[0] - flat[1]).abs() < 1e-9,
             "time mode holds: {flat:?}"
         );
-        let d = desired(alloc, &[100.0, 100.0], &tel, 200.0, Some(&[1.0, 0.5])).expect("moves");
+        let d = desired(policy, &[100.0, 100.0], &tel, 200.0, Some(&[1.0, 0.5])).expect("moves");
         assert!(d[1] > 100.0 && d[0] < 100.0, "{d:?}");
     }
 
@@ -790,7 +639,7 @@ mod tests {
         let max = uniform(3, 130.0);
         let t = |s: f64| Some(NodeTelemetry::compute_only(s, 1.0 / s, 90.0));
         rebalance(
-            Policy::ProgressFeedback { gain: 1.0 }.allocator(),
+            Policy::ProgressFeedback { gain: 1.0 },
             300.0,
             &mut grants,
             &min,
@@ -814,14 +663,14 @@ mod tests {
             [t(0.5), None, t(1.5)],
             [t(1.2), t(1.2), t(1.2)],
         ];
-        let alloc = Policy::ProgressFeedback { gain: 1.0 }.allocator();
+        let policy = Policy::ProgressFeedback { gain: 1.0 };
         let (min, max) = (uniform(3, 40.0), uniform(3, 130.0));
         let mut shared = vec![100.0; 3];
         let mut scratch = RebalanceScratch::default();
         let mut fresh = vec![100.0; 3];
         for reports in &streams {
             rebalance(
-                alloc,
+                policy,
                 300.0,
                 &mut shared,
                 &min,
@@ -831,7 +680,7 @@ mod tests {
                 &mut scratch,
             );
             rebalance(
-                alloc,
+                policy,
                 300.0,
                 &mut fresh,
                 &min,
@@ -844,51 +693,5 @@ mod tests {
         for (a, b) in shared.iter().zip(&fresh) {
             assert_eq!(a.to_bits(), b.to_bits(), "{shared:?} vs {fresh:?}");
         }
-    }
-
-    #[test]
-    fn incremental_fill_matches_the_full_solve() {
-        let min = uniform(4, 40.0);
-        let max = uniform(4, 130.0);
-        let mut fill = IncrementalFill::new(&min, &max);
-        for (i, d) in [(0, 90.0), (1, 150.0), (2, 10.0), (3, 77.5)] {
-            fill.update(i, d);
-        }
-        for pool in [200.0, 320.0, 600.0] {
-            let full = fill.solve_full(pool);
-            let inc = fill.solve(pool).to_vec();
-            for (a, b) in inc.iter().zip(&full) {
-                assert!(
-                    (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                    "pool {pool}: {inc:?} vs {full:?}"
-                );
-            }
-            let total: f64 = inc.iter().sum();
-            assert!(total <= pool + 1e-6, "Σ {total} over pool {pool}");
-        }
-    }
-
-    #[test]
-    fn incremental_fill_clean_children_reuse_cached_desires() {
-        let mut fill = IncrementalFill::new(&uniform(3, 40.0), &uniform(3, 130.0));
-        fill.update(0, 80.0);
-        fill.update(1, 90.0);
-        fill.update(2, 100.0);
-        let before = fill.solve(400.0).to_vec();
-        // Only child 1 goes dirty; 0 and 2 keep their cached desires.
-        fill.update(1, 90.0);
-        let after = fill.solve(400.0).to_vec();
-        for (a, b) in before.iter().zip(&after) {
-            assert_eq!(a.to_bits(), b.to_bits(), "clean re-solve must hold");
-        }
-        assert_eq!(fill.clamped(), &[80.0, 90.0, 100.0]);
-    }
-
-    #[test]
-    fn incremental_fill_single_child_is_bit_exact() {
-        let mut fill = IncrementalFill::new(&[40.0], &[130.0]);
-        fill.update(0, 999.0);
-        assert_eq!(fill.solve(88.5)[0].to_bits(), 88.5f64.to_bits());
-        assert_eq!(fill.solve(500.0)[0].to_bits(), 130.0f64.to_bits());
     }
 }

@@ -20,7 +20,6 @@
 //!   (the property that keeps `run_cluster` deterministic under rayon);
 //! - **monotonicity** — throttling a NIC never speeds anyone up.
 
-use cluster::policy::IncrementalFill;
 use cluster::{
     exchange, ArbiterConfig, CommConfig, CommPattern, HierarchyConfig, LinkId, NodeTelemetry,
     Policy, PowerArbiter, RackArbiter, Topology,
@@ -388,159 +387,6 @@ proptest! {
                 ps.comm_s >= pf.comm_s - 1e-12,
                 "node {i} got faster when node {victim} was throttled"
             );
-        }
-    }
-}
-
-/// A bounded incremental-fill scenario: per-child clamps, a pool inside
-/// the feasible band, rounds of per-child desires where `None` models a
-/// telemetry dropout (the child stays clean that round).
-#[allow(clippy::type_complexity)]
-fn fill_scenario() -> impl Strategy<
-    Value = (
-        (Vec<f64>, Vec<f64>, f64), // min, headroom, pool frac
-        Vec<Vec<Option<f64>>>,     // desire rounds
-    ),
-> {
-    (2usize..10).prop_flat_map(|n| {
-        (
-            (
-                prop::collection::vec(20.0f64..60.0, n),
-                prop::collection::vec(10.0f64..100.0, n),
-                0.0f64..1.3,
-            ),
-            prop::collection::vec(
-                prop::collection::vec(
-                    prop_oneof![1 => Just(None), 4 => (0.0f64..500.0).prop_map(Some)],
-                    n,
-                ),
-                1..8,
-            ),
-        )
-    })
-}
-
-/// Drive one scenario through a persistent [`IncrementalFill`], checking
-/// after every round that the incremental solve agrees with the fresh
-/// full solve over the same cached desires to 1e-9 relative, and that
-/// the fill invariants (Σ ≤ pool, per-child clamps) hold.
-fn check_incremental_fill(min: &[f64], max: &[f64], pool: f64, rounds: &[Vec<Option<f64>>]) {
-    let n = min.len();
-    let mut fill = IncrementalFill::new(min, max);
-    for (round, desires) in rounds.iter().enumerate() {
-        let before: Vec<u64> = fill.clamped().iter().map(|c| c.to_bits()).collect();
-        for (i, d) in desires.iter().enumerate() {
-            if let Some(d) = *d {
-                fill.update(i, d);
-            }
-        }
-        // Dropouts leave the cached desire untouched, bit for bit —
-        // the property that lets the rack arbiter skip clean subtrees.
-        for (i, d) in desires.iter().enumerate() {
-            if d.is_none() {
-                prop_assert_eq!(
-                    fill.clamped()[i].to_bits(),
-                    before[i],
-                    "round {}: silent child {} moved",
-                    round,
-                    i
-                );
-            }
-        }
-        let full = fill.solve_full(pool);
-        let grants = fill.solve(pool).to_vec();
-        let mut total = 0.0;
-        for i in 0..n {
-            let tol = 1e-9 * full[i].abs().max(1.0);
-            prop_assert!(
-                (grants[i] - full[i]).abs() <= tol,
-                "round {}: child {} incremental {} vs full {}",
-                round,
-                i,
-                grants[i],
-                full[i]
-            );
-            total += grants[i];
-        }
-        if pool >= min.iter().sum::<f64>() {
-            prop_assert!(
-                total <= pool + 1e-6 * pool.abs().max(1.0),
-                "Σ {total} > pool {pool}"
-            );
-            for (i, &g) in grants.iter().enumerate() {
-                prop_assert!(
-                    g >= min[i] - 1e-9 && g <= max[i] + 1e-9,
-                    "round {}: grant {} outside [{}, {}]",
-                    round,
-                    g,
-                    min[i],
-                    max[i]
-                );
-            }
-        }
-        // Purity: re-solving with no intervening update is bitwise
-        // stable (what makes the arbiter's epoch caching safe).
-        let again = fill.solve(pool).to_vec();
-        for i in 0..n {
-            prop_assert_eq!(grants[i].to_bits(), again[i].to_bits(), "re-solve drifted");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 128,
-        ..ProptestConfig::default()
-    })]
-
-    /// The incremental waterfill equals the full solve for arbitrary
-    /// dirty-sets and dropout patterns: whatever subset of children is
-    /// updated each round, `solve` stays within 1e-9 relative of a fresh
-    /// `waterfill` over the same desires, and the fill invariants hold.
-    #[test]
-    fn incremental_fill_tracks_the_full_solve(scn in fill_scenario()) {
-        let ((min, headroom, pool_frac), rounds) = scn;
-        let max: Vec<f64> = min.iter().zip(&headroom).map(|(&lo, &h)| lo + h).collect();
-        let sum_min: f64 = min.iter().sum();
-        let sum_max: f64 = max.iter().sum();
-        let pool = sum_min + (sum_max - sum_min) * pool_frac;
-        check_incremental_fill(&min, &max, pool, &rounds);
-    }
-
-    /// A long all-dirty update stream (every child re-desired every
-    /// round) still agrees bitwise-or-1e-9 with the full solve: the
-    /// Neumaier-compensated running sums do not drift with update count.
-    #[test]
-    fn compensated_sums_survive_long_streams(
-        n in 2usize..6,
-        rounds in 32usize..96,
-        seed in 0u64..1_000,
-    ) {
-        let min = vec![40.0; n];
-        let max = vec![160.0; n];
-        let pool = 100.0 * n as f64;
-        let mut fill = IncrementalFill::new(&min, &max);
-        // A cheap LCG keeps the stream arbitrary-but-reproducible
-        // without threading proptest strategies through every round.
-        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        for round in 0..rounds {
-            for i in 0..n {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let d = (state >> 33) as f64 / (1u64 << 31) as f64 * 500.0;
-                fill.update(i, d);
-            }
-            let full = fill.solve_full(pool);
-            let grants = fill.solve(pool);
-            for i in 0..n {
-                let tol = 1e-9 * full[i].abs().max(1.0);
-                prop_assert!(
-                    (grants[i] - full[i]).abs() <= tol,
-                    "round {}: drift {} after {} updates",
-                    round,
-                    (grants[i] - full[i]).abs(),
-                    (round + 1) * n
-                );
-            }
         }
     }
 }

@@ -230,7 +230,8 @@ impl Loadgen {
                 "budget_w",
                 // FNV-1a over every tick's machine-wide Σ grants (raw
                 // f64 bits): two runs agree here iff their whole Σ
-                // traces agree, which is what the CI shard-soak diffs.
+                // traces agree, which is what the golden shard replay
+                // diffs.
                 "sum_fp",
                 "invariant",
             ],

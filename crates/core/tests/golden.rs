@@ -6,9 +6,10 @@
 //! arbiters, scheduler) shows up here as a changed file. The CSVs print
 //! 2–6 decimals, so ulp-level drift is `tests/node_bits.rs`'s to catch.
 //!
-//! The scheduler's whole pipeline (trace, admission, arbiter ticks) must
-//! also replay bit for bit under a fixed seed, and a `repro cluster` whose
-//! configuration is rejected must leave its output directory empty.
+//! The scheduler's whole pipeline (trace, admission, arbiter ticks) and a
+//! seeded 4-shard loadgen crash run must also replay bit for bit under a
+//! fixed seed, and a `repro cluster` whose configuration is rejected must
+//! leave its output directory empty.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -100,6 +101,22 @@ fn repro_sched_replays_bit_for_bit_under_a_fixed_seed() {
     repro(&["sched", "--quick", "--seed", "11"], &a);
     repro(&["sched", "--quick", "--seed", "11"], &b);
     assert!(!names(&a).is_empty(), "repro sched wrote no CSV");
+    assert_same_files(&a, &b);
+}
+
+#[test]
+fn repro_loadgen_shards_replay_bit_for_bit_under_a_fixed_seed() {
+    // One seeded 4-shard chaos run, one shard daemon crashed and restored
+    // from its snapshot mid-run. The CSV's sum_fp column fingerprints
+    // every tick's machine-wide Σ grants, so the diff is a bit-for-bit
+    // replay check of the whole run, not only of its summary counters.
+    let args = ["loadgen", "--quick", "--shards", "4", "--seed", "7"];
+    let a = fresh_dir("loadgen_shards_a");
+    let b = fresh_dir("loadgen_shards_b");
+    repro(&args, &a);
+    repro(&args, &b);
+    let csv = fs::read_to_string(a.join("loadgen.csv")).expect("repro loadgen wrote its CSV");
+    assert!(!csv.contains("VIOLATED"), "an invariant broke:\n{csv}");
     assert_same_files(&a, &b);
 }
 

@@ -13,17 +13,13 @@
 #                  restore each — under a fresh seed. Fails on any
 #                  panic, deadlock (via timeout), or Σ-grants>budget /
 #                  hold-last-grant breach (the table's invariant
-#                  column). Also runs the shard-soak step: one seeded
-#                  4-shard chaos run (one daemon kill-9'd and restored
-#                  mid-run) executed twice and diffed bit for bit — the
-#                  sum_fp column carries the whole machine-wide Σ-grants
-#                  trace, so the diff catches any nondeterminism in the
-#                  sharded path.
+#                  column). The seeded 4-shard crash-run replay runs in
+#                  the test suite (crates/core/tests/golden.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 run_tests=1
@@ -69,7 +65,8 @@ if [[ "$run_tests" -eq 1 ]]; then
     echo "== cargo test"
     # Includes crates/core/tests/golden.rs: `repro all --quick` diffed
     # against tests/golden/all_quick, and `repro sched --quick --seed 11`
-    # replayed twice and diffed, both bit for bit.
+    # and `repro loadgen --quick --shards 4 --seed 7` each replayed twice
+    # and diffed, all bit for bit.
     cargo test --workspace --release -q
     echo "== cargo test -p simnode --features rapl"
     # The rapl feature's probe path degrades to MsrError::Unsupported on
@@ -92,29 +89,6 @@ fi
 if [[ "$soak" -eq 1 ]]; then
     budget="${SOAK_SECONDS:-60}"
     cargo build -q --release -p powerprog-core
-
-    echo "== shard-soak (seeded 4-shard crash run, replayed and diffed bit for bit)"
-    shard_a="$(mktemp -d)"
-    shard_b="$(mktemp -d)"
-    for dir in "$shard_a" "$shard_b"; do
-        timeout 120 target/release/repro loadgen --quick --shards 4 --seed 7 --out "$dir" >/dev/null || {
-            echo "ci.sh: shard-soak run panicked, hung, or failed" >&2
-            exit 1
-        }
-    done
-    if grep -q "VIOLATED" "$shard_a/loadgen.csv"; then
-        echo "ci.sh: shard-soak breached an invariant" >&2
-        cat "$shard_a/loadgen.csv" >&2
-        exit 1
-    fi
-    # The CSV's sum_fp column fingerprints every tick's machine-wide
-    # Σ grants, so this diff is a bit-for-bit replay check of the whole
-    # sharded crash/recovery run, not just its summary counters.
-    diff -r "$shard_a" "$shard_b" || {
-        echo "ci.sh: sharded loadgen is not deterministic under a fixed seed" >&2
-        exit 1
-    }
-    rm -rf "$shard_a" "$shard_b"
 
     echo "== soak (${budget} s of seeded chaos loadgen)"
     deadline=$((SECONDS + budget))

@@ -658,7 +658,7 @@ fn hierarchical_cluster_run_is_pinned_bit_for_bit() {
     let mut pins = Pins::default();
     pins.f64("makespan", out.makespan_s, 0x3fc018609efc2f10);
     pins.f64("energy", out.energy_j, 0x4080a7cff1db00ea);
-    pins.bits("final grants", grants, 0x52bfc1835215cf32);
+    pins.bits("final grants", grants, 0x13940f3f8f46e780);
     pins.bits("iteration records", records, 0xb74046a0e1aa1914);
     pins.counts(
         "cluster",
