@@ -73,7 +73,11 @@ impl std::iter::Sum for ClientStats {
 /// Dials the daemon (or hands over a pre-connected test pipe): each
 /// call is one connection attempt, `None` while the daemon is
 /// unreachable.
-pub type Connector = Box<dyn FnMut() -> Option<Box<dyn Wire>> + Send>;
+///
+/// A connector is not `Send`, so neither is a [`GrantClient`]: a client
+/// lives on the thread that built it, whether its wires are in-process
+/// pipes or TCP sockets.
+pub type Connector = Box<dyn FnMut() -> Option<Box<dyn Wire>>>;
 
 /// A [`Connector`] dialing a daemon's TCP listener at `addr`, giving up
 /// on one attempt after `timeout`.

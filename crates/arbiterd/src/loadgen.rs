@@ -35,10 +35,11 @@
 //! Σ ≤ budget, but makes no bitwise claims — lockstep mode is the
 //! bitwise-reference path.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use cluster::{ArbiterConfig, BudgetArbiter, ConfigError, NodeTelemetry, Policy, PowerArbiter};
@@ -304,7 +305,7 @@ pub fn synth_telemetry(seed: u64, node: u32, seq: u64) -> NodeTelemetry {
 
 /// Server ends waiting to be "accepted" by the driver. The key is the
 /// connection's conn-id: its client's first shard-local node.
-type Registry = Arc<Mutex<Vec<(u32, PipeWire)>>>;
+type Registry = Rc<RefCell<Vec<(u32, PipeWire)>>>;
 
 fn machine_config(cfg: &LoadgenConfig) -> ArbiterConfig {
     ArbiterConfig {
@@ -384,7 +385,7 @@ fn make_client(
     let connector = Box::new(move || {
         attempt += 1;
         let (client_end, server_end) = PipeWire::pair();
-        registry.lock().unwrap().push((first, server_end));
+        registry.borrow_mut().push((first, server_end));
         let plan = fault_plan(&plan_cfg, global as u64, attempt);
         Some(Box::new(FaultyWire::new(client_end, plan)) as Box<dyn Wire>)
     });
@@ -417,9 +418,10 @@ fn client_groups(spans: &[Range<usize>], batch: usize) -> Vec<(usize, Range<u32>
 }
 
 /// Send one connection's consecutive grants as a single frame (one
-/// singleton, or one batch), draining `run` for reuse.
-fn flush_grants(conns: &mut BTreeMap<u32, PipeWire>, key: u32, run: &mut Vec<Msg>) {
-    if let Some(wire) = conns.get_mut(&key) {
+/// singleton, or one batch) on `wire`, if it is connected, draining
+/// `run` for reuse.
+fn flush_grants(wire: Option<&mut PipeWire>, run: &mut Vec<Msg>) {
+    if let Some(wire) = wire {
         if run.len() == 1 {
             wire.send(&run[0]).ok();
         } else {
@@ -436,13 +438,11 @@ fn flush_grants(conns: &mut BTreeMap<u32, PipeWire>, key: u32, run: &mut Vec<Msg
     run.clear();
 }
 
-/// The conn-id a grant for shard-local `node` routes to.
-fn conn_key(node: u32, batch: usize) -> u32 {
-    if batch <= 1 {
-        node
-    } else {
-        (node / batch as u32) * batch as u32
-    }
+/// The conn-table slot of shard-local `node`'s connection. A conn-id is
+/// its group's first node, a multiple of `batch`, so each conn-id has a
+/// slot of its own and slots follow conn-id order.
+fn conn_slot(node: u32, batch: usize) -> usize {
+    node as usize / batch
 }
 
 /// Run the scenario to completion.
@@ -477,12 +477,13 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
     );
     let spans = sharded.spans().to_vec();
 
-    let registries: Vec<Registry> = (0..cfg.shards)
-        .map(|_| Arc::new(Mutex::new(Vec::new())))
+    let registries: Vec<Registry> = (0..cfg.shards).map(|_| Registry::default()).collect();
+    // Per-shard conn table: one slot per client group, in conn-id order,
+    // holding the server wire of its latest Hello.
+    let mut conns: Vec<Vec<Option<PipeWire>>> = spans
+        .iter()
+        .map(|span| vec![None; span.len().div_ceil(cfg.batch)])
         .collect();
-    // Per-shard conn table: conn-id → server wire of its latest Hello
-    // (BTreeMap: deterministic iteration order, unlike HashMap).
-    let mut conns: Vec<BTreeMap<u32, PipeWire>> = vec![BTreeMap::new(); cfg.shards];
 
     // Producers: one client per group of `batch` nodes (batch = 1: one
     // per node, singleton frames), in global node order.
@@ -511,13 +512,12 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
         // write-ahead snapshot. Other shards keep serving.
         if cfg.crash_at == Some(t) {
             let k = cfg.crash_shard;
-            for (_, wire) in conns[k].iter() {
+            for wire in conns[k].iter_mut().filter_map(Option::take) {
                 wire.hang_up();
             }
-            for (_, wire) in registries[k].lock().unwrap().drain(..) {
+            for (_, wire) in registries[k].borrow_mut().drain(..) {
                 wire.hang_up();
             }
-            conns[k].clear();
             pre_crash_stats = sharded.shard(k).stats();
             let fresh = make_shard_service(
                 cfg,
@@ -538,8 +538,8 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
 
         // Accept pending connections (latest Hello wins the route).
         for (shard, registry) in registries.iter().enumerate() {
-            for (conn_id, wire) in registry.lock().unwrap().drain(..) {
-                conns[shard].insert(conn_id, wire);
+            for (conn_id, wire) in registry.borrow_mut().drain(..) {
+                conns[shard][conn_slot(conn_id, cfg.batch)] = Some(wire);
             }
         }
 
@@ -566,17 +566,18 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
 
         // Server: ingest everything that arrived, reply in place.
         for (shard, shard_conns) in conns.iter_mut().enumerate() {
-            let mut immediate: Vec<(u32, Vec<Msg>)> = Vec::new();
-            for (&conn_id, wire) in shard_conns.iter_mut() {
+            let mut immediate: Vec<(usize, Vec<Msg>)> = Vec::new();
+            for (slot, wire) in shard_conns.iter_mut().enumerate() {
+                let Some(wire) = wire else { continue };
                 while let Ok(Some(msg)) = wire.poll() {
                     let replies = sharded.ingest(shard, msg);
                     if !replies.is_empty() {
-                        immediate.push((conn_id, replies));
+                        immediate.push((slot, replies));
                     }
                 }
             }
-            for (conn_id, replies) in immediate {
-                if let Some(wire) = shard_conns.get_mut(&conn_id) {
+            for (slot, replies) in immediate {
+                if let Some(wire) = shard_conns[slot].as_mut() {
                     for r in &replies {
                         wire.send(r).ok();
                     }
@@ -592,7 +593,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
         let all_replies = sharded.tick();
         for (shard, replies) in all_replies.into_iter().enumerate() {
             let mut run = std::mem::take(&mut grant_run);
-            let mut run_key = 0u32;
+            let mut run_slot = 0usize;
             for msg in replies {
                 let Msg::Grant {
                     node, seq, watts, ..
@@ -609,15 +610,15 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
                         *flag = false;
                     }
                 }
-                let key = conn_key(node, cfg.batch);
-                if key != run_key && !run.is_empty() {
-                    flush_grants(&mut conns[shard], run_key, &mut run);
+                let slot = conn_slot(node, cfg.batch);
+                if slot != run_slot && !run.is_empty() {
+                    flush_grants(conns[shard][run_slot].as_mut(), &mut run);
                 }
-                run_key = key;
+                run_slot = slot;
                 run.push(msg);
             }
             if !run.is_empty() {
-                flush_grants(&mut conns[shard], run_key, &mut run);
+                flush_grants(conns[shard][run_slot].as_mut(), &mut run);
             }
             grant_run = run;
         }

@@ -207,9 +207,9 @@ impl Msg {
 
     /// [`Msg::frame_len`], after the checks [`Msg::encode_into`] makes:
     /// panics, with the same message, on a nested batch or a payload over
-    /// its cap. A caller that encodes under a lock calls this first, so a
-    /// construction bug panics before the lock is taken rather than
-    /// poisoning it with a partial frame written.
+    /// its cap. A caller that encodes into a shared buffer calls this
+    /// first, so a construction bug panics before anything is written
+    /// rather than leaving a partial frame behind.
     pub(crate) fn checked_frame_len(&self) -> usize {
         let Msg::Batch(msgs) = self else {
             return self.frame_len(); // fixed-size, always under MAX_FRAME

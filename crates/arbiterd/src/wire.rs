@@ -8,11 +8,11 @@
 //! socket, or a deliberately lossy [`FaultyWire`] — which is what makes
 //! the fault-free daemon path bit-comparable to the in-process arbiter.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use simnode::faults::FaultWindow;
 
@@ -40,7 +40,11 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// A non-blocking, framed, bidirectional message channel.
-pub trait Wire: Send {
+///
+/// `Wire` does not require `Send`: the in-process [`PipeWire`] is
+/// single-threaded by design, and a transport that must cross threads
+/// (the daemon's [`TcpWire`]s) is `Send` on its own.
+pub trait Wire {
     /// Queue `msg` for the peer. An error means the connection is dead.
     fn send(&mut self, msg: &Msg) -> Result<(), WireError>;
     /// One received message, or `None` when nothing is pending.
@@ -99,16 +103,26 @@ impl Lane {
 }
 
 /// Both directions of one pipe and its liveness flag, shared by the two
-/// endpoints.
+/// endpoints on one thread. A lane is borrowed only for the length of
+/// one `push` or `pop`, so the two endpoints never hold it at once.
 #[derive(Debug)]
 struct Pipe {
-    lanes: [Mutex<Lane>; 2],
-    alive: AtomicBool,
+    lanes: [RefCell<Lane>; 2],
+    alive: Cell<bool>,
 }
 
 /// In-process transport: two byte lanes and a liveness flag. Fully
 /// deterministic — no threads, no clocks — which is what the snapshot
 /// round-trip and chaos tests need to compare runs bit-for-bit.
+///
+/// Both endpoints share one `Rc`, so a pipe is not `Send`: it lives on
+/// the thread that made it, and its lanes need no lock. A transport
+/// that crosses threads is a [`TcpWire`].
+///
+/// ```compile_fail
+/// let (a, _b) = arbiterd::PipeWire::pair();
+/// std::thread::spawn(move || drop(a));
+/// ```
 ///
 /// A send encodes the frame straight onto the end of the peer's lane and
 /// a poll decodes the frame at the lane's read offset. A drained lane
@@ -118,7 +132,7 @@ struct Pipe {
 /// more than half of it, so it holds only its backlog.
 #[derive(Debug, Clone)]
 pub struct PipeWire {
-    pipe: Arc<Pipe>,
+    pipe: Rc<Pipe>,
     /// The lane this endpoint sends on; it polls the other one.
     side: usize,
 }
@@ -126,9 +140,9 @@ pub struct PipeWire {
 impl PipeWire {
     /// A connected pair of endpoints.
     pub fn pair() -> (PipeWire, PipeWire) {
-        let pipe = Arc::new(Pipe {
+        let pipe = Rc::new(Pipe {
             lanes: Default::default(),
-            alive: AtomicBool::new(true),
+            alive: Cell::new(true),
         });
         (
             PipeWire {
@@ -144,28 +158,28 @@ impl PipeWire {
     /// reports [`WireError::Disconnected`] (the daemon-crash primitive
     /// in the chaos tests).
     pub fn hang_up(&self) {
-        self.pipe.alive.store(false, Ordering::SeqCst);
+        self.pipe.alive.set(false);
     }
 }
 
 impl Wire for PipeWire {
     fn send(&mut self, msg: &Msg) -> Result<(), WireError> {
-        if !self.pipe.alive.load(Ordering::SeqCst) {
+        if !self.pipe.alive.get() {
             return Err(WireError::Disconnected);
         }
-        // Checked before locking: a nested or oversized message panics
-        // here, not mid-encode, so the lane is neither poisoned nor left
+        // Checked before borrowing the lane: a nested or oversized
+        // message panics here, not mid-encode, so the lane is never left
         // holding a partial frame.
         let len = msg.checked_frame_len();
-        self.pipe.lanes[self.side].lock().unwrap().push(msg, len);
+        self.pipe.lanes[self.side].borrow_mut().push(msg, len);
         Ok(())
     }
 
     fn poll(&mut self) -> Result<Option<Msg>, WireError> {
-        let frame = self.pipe.lanes[1 - self.side].lock().unwrap().pop();
+        let frame = self.pipe.lanes[1 - self.side].borrow_mut().pop();
         match frame {
             Some(msg) => msg.map(Some),
-            None if !self.pipe.alive.load(Ordering::SeqCst) => Err(WireError::Disconnected),
+            None if !self.pipe.alive.get() => Err(WireError::Disconnected),
             None => Ok(None),
         }
     }
@@ -493,6 +507,8 @@ mod tests {
     use crate::proto::MAX_BATCH_FRAME;
     use cluster::NodeTelemetry;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex};
 
     /// The pipe as first written: each direction a queue of whole encoded
     /// frames. The reference a [`PipeWire`] pair must match call for call.
@@ -633,7 +649,7 @@ mod tests {
             for &s in &steps {
                 step(s, &mut real, &mut oracle);
                 for lane in &real[0].pipe.lanes {
-                    let lane = lane.lock().unwrap();
+                    let lane = lane.borrow();
                     prop_assert!(lane.read < lane.bytes.len() || lane.bytes.is_empty());
                     if lane.bytes.is_empty() {
                         prop_assert!(lane.bytes.capacity() <= MAX_FRAME + 4, "drained lane kept {}", lane.bytes.capacity());
@@ -698,7 +714,7 @@ mod tests {
         for _ in 0..10_000 {
             a.send(&m).unwrap();
             assert_eq!(b.poll().unwrap(), Some(m.clone()));
-            let lane = a.pipe.lanes[0].lock().unwrap();
+            let lane = a.pipe.lanes[0].borrow();
             assert!(
                 lane.bytes.len() <= 3 * frame,
                 "lane grew to {}",
@@ -707,6 +723,15 @@ mod tests {
         }
         assert_eq!(b.poll().unwrap(), Some(m));
         assert_eq!(b.poll().unwrap(), None);
+    }
+
+    /// The daemon's reader and ticker threads share each connection's
+    /// write half as an `Arc<Mutex<TcpWire>>`: the one transport that
+    /// must cross threads, now that [`Wire`] does not require it.
+    #[test]
+    fn tcp_wire_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<TcpWire>();
     }
 
     #[test]
