@@ -81,7 +81,7 @@ pub enum Msg {
     Telemetry {
         /// Cluster-wide node id.
         node: u32,
-        /// Client-side sequence number.
+        /// Client-side sequence number, from 1; the daemon NACKs 0.
         seq: u64,
         /// The report itself.
         report: NodeTelemetry,

@@ -8,7 +8,8 @@
 //! recovery) is testable bit-reproducibly without touching the network.
 //!
 //! Robustness posture, in ingest order:
-//! 1. **unknown node id** → NACK (a grant for it cannot exist);
+//! 1. **unknown node id, or telemetry seq 0** → NACK (a grant for it
+//!    cannot exist; seq 0 is reserved for grants outside a round);
 //! 2. **duplicate/stale seq** → silently ignored (the fault layer
 //!    duplicates and reorders; the service must be idempotent);
 //! 3. **token bucket** per client → [`Msg::Busy`] with a retry hint;
@@ -115,19 +116,20 @@ pub struct ArbiterService {
     buckets: Vec<f64>,
     /// Per-client lease expiry tick (`None` = not leased).
     leases: Vec<Option<u64>>,
-    /// Highest telemetry seq accepted per client (duplicate filter).
+    /// Highest telemetry seq accepted per client (duplicate filter; 0 =
+    /// none yet, since seq 0 is never accepted). A report in `fresh`
+    /// was accepted last, so this is also its seq.
     last_seq: Vec<u64>,
-    /// Freshest report per client in the current round.
-    fresh: Vec<Option<(u64, NodeTelemetry)>>,
+    /// Freshest report per client in the current round, in the shape
+    /// [`BudgetArbiter::redistribute_trusted`] reads, so a round passes
+    /// it as it stands.
+    fresh: Vec<Option<NodeTelemetry>>,
     /// Accumulated telemetry sums since the last
     /// [`Subtree::take_window`]: the upward half of a sharded
     /// deployment, where a coordinator drains each shard's window on the
     /// outer period exactly as [`cluster::RackArbiter`] drains its
     /// racks'.
     window: RackWindow,
-    /// Reused per-tick staging for the redistribute call; kept across
-    /// ticks so a full round does not reallocate `node_count` options.
-    reports_scratch: Vec<Option<NodeTelemetry>>,
     tick: u64,
     snapshot_path: Option<PathBuf>,
     stats: ServiceStats,
@@ -147,7 +149,6 @@ impl ArbiterService {
             cfg,
             queued: 0,
             window: RackWindow::default(),
-            reports_scratch: Vec::with_capacity(n),
             tick: 0,
             snapshot_path: None,
             stats: ServiceStats::default(),
@@ -245,11 +246,13 @@ impl ArbiterService {
     }
 
     fn ingest_telemetry(&mut self, node: u32, seq: u64, report: NodeTelemetry) -> Vec<Msg> {
-        let Some(id) = self.known(node) else {
+        // Seq 0 is reserved for grants sent outside a telemetry round
+        // (the Hello reply), so telemetry carrying it is malformed.
+        let Some(id) = self.known(node).filter(|_| seq != 0) else {
             self.stats.nacked += 1;
             return vec![Msg::Nack { seq }];
         };
-        if seq <= self.last_seq[id] && self.last_seq[id] != 0 {
+        if seq <= self.last_seq[id] {
             self.stats.duplicates += 1;
             return Vec::new();
         }
@@ -273,12 +276,10 @@ impl ArbiterService {
         self.last_seq[id] = seq;
         self.renew_lease(id);
         self.queued += 1;
-        // Fold into the round immediately — same newest-seq-wins
-        // predicate the old deferred queue drain applied, minus a
-        // round-trip through a staging deque per message.
-        if self.fresh[id].as_ref().is_none_or(|(s, _)| *s < seq) {
-            self.fresh[id] = Some((seq, report));
-        }
+        // Fold into the round immediately: the duplicate filter above
+        // lets through only seqs above every one accepted before, so the
+        // newest seq always wins and arrival order is irrelevant.
+        self.fresh[id] = Some(report);
         Vec::new()
     }
 
@@ -329,31 +330,28 @@ impl ArbiterService {
         // the same fold order RackArbiter uses over a rack span, which
         // keeps a sharded run's window sums bit-identical to the
         // in-process tree's.
-        for (_, report) in self.fresh.iter().flatten() {
+        for report in self.fresh.iter().flatten() {
             self.window.add(report);
         }
     }
 
     /// Second half of a tick: redistribute (when the round saw
-    /// telemetry), snapshot write-ahead, and emit the round's grants.
+    /// telemetry) from the round's reports where ingest left them,
+    /// snapshot write-ahead, and emit the round's grants.
     pub fn finish_tick(&mut self) -> Vec<Msg> {
         // Redistribute only when the round saw telemetry: an idle tick
         // must not perturb grants (and bitwise-matches the in-process
         // arbiter, which is only called when reports exist).
         if self.fresh.iter().any(Option::is_some) {
-            let mut reports = std::mem::take(&mut self.reports_scratch);
-            reports.clear();
-            reports.extend(self.fresh.iter().map(|f| f.as_ref().map(|(_, r)| *r)));
             // Ingest already validated every queued report, so the
             // trusted path skips the redundant per-field scan (grants
             // are bit-identical either way); an error here is
             // unreachable in practice; treat it as a dropped round
             // rather than a reason to die.
-            match self.arbiter.redistribute_trusted(&reports) {
+            match self.arbiter.redistribute_trusted(&self.fresh) {
                 Ok(_) => self.stats.rounds += 1,
                 Err(_) => self.stats.nacked += 1,
             }
-            self.reports_scratch = reports;
         }
 
         // Write-ahead: persist the post-round state before any grant
@@ -363,20 +361,17 @@ impl ArbiterService {
         }
 
         let grants = self.arbiter.grants();
-        // Sized up front: filter_map gives collect no usable size hint,
-        // and on a full round this reallocates its way to node_count.
+        // Sized up front: filter gives collect no usable size hint, and
+        // on a full round this reallocates its way to node_count.
         let mut replies: Vec<Msg> = Vec::with_capacity(self.fresh.len());
-        replies.extend(self.fresh.iter().enumerate().filter_map(|(id, f)| {
-            f.as_ref().map(|(seq, _)| Msg::Grant {
-                node: id as u32,
-                seq: *seq,
-                tick: self.tick,
-                watts: grants[id],
-            })
+        let reported = self.fresh.iter().enumerate().filter(|(_, f)| f.is_some());
+        replies.extend(reported.map(|(id, _)| Msg::Grant {
+            node: id as u32,
+            seq: self.last_seq[id],
+            tick: self.tick,
+            watts: grants[id],
         }));
-        for f in &mut self.fresh {
-            *f = None;
-        }
+        self.fresh.fill(None);
         replies
     }
 
@@ -462,6 +457,7 @@ impl Subtree for ArbiterService {
 mod tests {
     use super::*;
     use cluster::{ArbiterConfig, Policy, PowerArbiter};
+    use proptest::prelude::*;
 
     fn arbiter(n: usize) -> Box<dyn BudgetArbiter> {
         Box::new(PowerArbiter::new(
@@ -588,6 +584,34 @@ mod tests {
         assert!(svc.ingest(telemetry(1, 1, 2.0)).is_empty());
         let replies = svc.tick();
         assert_eq!(replies.len(), 2);
+    }
+
+    #[test]
+    fn seq_zero_telemetry_is_nacked_not_accepted() {
+        // Seq 0 is what a grant outside a telemetry round carries, so as
+        // telemetry it is malformed: repeats of it spend no token, no
+        // queue slot, renew no lease and draw no `Grant { seq: 0 }`.
+        let mut svc = ArbiterService::new(arbiter(2), ServiceConfig::default());
+        for _ in 0..3 {
+            assert_eq!(svc.ingest(telemetry(0, 0, 1.0)), vec![Msg::Nack { seq: 0 }]);
+        }
+        assert!(!svc.leased(0), "a nacked report renews no lease");
+        assert!(svc.ingest(telemetry(0, 1, 1.0)).is_empty());
+        assert!(svc.ingest(telemetry(0, 1, 1.0)).is_empty(), "dup ignored");
+        assert_eq!(svc.stats().nacked, 3);
+        assert_eq!(svc.stats().duplicates, 1);
+        let replies = svc.tick();
+        assert!(
+            matches!(
+                replies[..],
+                [Msg::Grant {
+                    node: 0,
+                    seq: 1,
+                    ..
+                }]
+            ),
+            "{replies:?}"
+        );
     }
 
     #[test]
@@ -783,6 +807,227 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "window sums must be bitwise");
         }
         assert!(svc.take_window().is_none(), "drain empties the window");
+    }
+
+    /// The service as it staged a round before reports were kept in the
+    /// arbiter's shape: a `(seq, report)` table where the newest seq
+    /// wins, gathered into a fresh `Vec<Option<NodeTelemetry>>` for every
+    /// redistribution. The oracle the in-place round must equal.
+    struct Staged {
+        arbiter: Box<dyn BudgetArbiter>,
+        cfg: ServiceConfig,
+        queued: usize,
+        buckets: Vec<f64>,
+        leases: Vec<Option<u64>>,
+        last_seq: Vec<u64>,
+        fresh: Vec<Option<(u64, NodeTelemetry)>>,
+        window: RackWindow,
+        tick: u64,
+        stats: ServiceStats,
+    }
+
+    impl Staged {
+        fn new(arbiter: Box<dyn BudgetArbiter>, cfg: ServiceConfig) -> Self {
+            let n = arbiter.node_count();
+            Self {
+                arbiter,
+                buckets: vec![cfg.rate_capacity; n],
+                leases: vec![None; n],
+                last_seq: vec![0; n],
+                fresh: vec![None; n],
+                cfg,
+                queued: 0,
+                window: RackWindow::default(),
+                tick: 0,
+                stats: ServiceStats::default(),
+            }
+        }
+
+        fn ingest(&mut self, msg: Msg) -> Vec<Msg> {
+            let Msg::Batch(msgs) = msg else {
+                return self.ingest_one(msg);
+            };
+            let replies: Vec<Msg> = msgs.into_iter().flat_map(|m| self.ingest_one(m)).collect();
+            if replies.len() > 1 {
+                vec![Msg::Batch(replies)]
+            } else {
+                replies
+            }
+        }
+
+        fn ingest_one(&mut self, msg: Msg) -> Vec<Msg> {
+            let n = self.arbiter.node_count();
+            match msg {
+                Msg::Hello { node } if (node as usize) < n => {
+                    self.leases[node as usize] = Some(self.tick + self.cfg.lease_ticks);
+                    vec![Msg::Grant {
+                        node,
+                        seq: 0,
+                        tick: self.tick,
+                        watts: self.arbiter.grants()[node as usize],
+                    }]
+                }
+                Msg::Hello { .. } => vec![Msg::Nack { seq: 0 }],
+                Msg::Heartbeat { node } => {
+                    if (node as usize) < n {
+                        self.leases[node as usize] = Some(self.tick + self.cfg.lease_ticks);
+                    }
+                    Vec::new()
+                }
+                Msg::Telemetry { node, seq, report } => {
+                    let id = node as usize;
+                    if id >= n || seq == 0 {
+                        self.stats.nacked += 1;
+                        return vec![Msg::Nack { seq }];
+                    }
+                    if seq <= self.last_seq[id] && self.last_seq[id] != 0 {
+                        self.stats.duplicates += 1;
+                        return Vec::new();
+                    }
+                    let busy = vec![Msg::Busy {
+                        retry_after: self.cfg.retry_after,
+                    }];
+                    if self.buckets[id] < 1.0 {
+                        self.stats.rate_limited += 1;
+                        return busy;
+                    }
+                    if self.queued >= self.cfg.queue_depth {
+                        self.stats.shed += 1;
+                        return busy;
+                    }
+                    if report.validate(id).is_err() {
+                        self.stats.nacked += 1;
+                        return vec![Msg::Nack { seq }];
+                    }
+                    self.buckets[id] -= 1.0;
+                    self.last_seq[id] = seq;
+                    self.leases[id] = Some(self.tick + self.cfg.lease_ticks);
+                    self.queued += 1;
+                    if self.fresh[id].as_ref().is_none_or(|(s, _)| *s < seq) {
+                        self.fresh[id] = Some((seq, report));
+                    }
+                    Vec::new()
+                }
+                _ => Vec::new(),
+            }
+        }
+
+        fn tick(&mut self) -> Vec<Msg> {
+            self.tick += 1;
+            for b in &mut self.buckets {
+                *b = (*b + self.cfg.rate_refill).min(self.cfg.rate_capacity);
+            }
+            for id in 0..self.leases.len() {
+                if self.leases[id].is_some_and(|expiry| expiry <= self.tick) {
+                    self.leases[id] = None;
+                    self.arbiter.reclaim(id);
+                    self.stats.leases_expired += 1;
+                }
+            }
+            self.queued = 0;
+            for (_, report) in self.fresh.iter().flatten() {
+                self.window.add(report);
+            }
+            if self.fresh.iter().any(Option::is_some) {
+                let reports: Vec<Option<NodeTelemetry>> =
+                    self.fresh.iter().map(|f| f.map(|(_, r)| r)).collect();
+                match self.arbiter.redistribute_trusted(&reports) {
+                    Ok(_) => self.stats.rounds += 1,
+                    Err(_) => self.stats.nacked += 1,
+                }
+            }
+            let grants = self.arbiter.grants();
+            let replies = (self.fresh.iter().enumerate())
+                .filter_map(|(id, f)| {
+                    f.map(|(seq, _)| Msg::Grant {
+                        node: id as u32,
+                        seq,
+                        tick: self.tick,
+                        watts: grants[id],
+                    })
+                })
+                .collect();
+            self.fresh.fill(None);
+            replies
+        }
+    }
+
+    /// One client message: `(kind, node, seq, compute_s)`. Kinds 0–4 are
+    /// well-formed telemetry, 5 telemetry with a NaN field, 6 a Hello and
+    /// 7 a Heartbeat; nodes run one past the arbiter (unknown ids) and
+    /// seqs start at 0 (NACKed), so duplicates and reordering are common.
+    fn client_msg((kind, node, seq, t): (u8, u32, u64, f64)) -> Msg {
+        match kind {
+            0..=4 => telemetry(node, seq, t),
+            5 => Msg::Telemetry {
+                node,
+                seq,
+                report: NodeTelemetry::compute_only(t, f64::NAN, 90.0),
+            },
+            6 => Msg::Hello { node },
+            _ => Msg::Heartbeat { node },
+        }
+    }
+
+    fn window_bits(w: Option<NodeTelemetry>) -> Option<[u64; 5]> {
+        w.map(|t| [t.compute_s, t.comm_s, t.slack_s, t.rate, t.power_w].map(f64::to_bits))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// On random traffic (batches, duplicates, out-of-order and zero
+        /// seqs, unknown nodes, malformed reports, Hellos, Heartbeats,
+        /// rate limits, shedding and lease expiry), the in-place round
+        /// gives the staged oracle's replies, grant bits, counters and
+        /// window sums.
+        #[test]
+        fn the_in_place_round_equals_the_staged_round(
+            n in 1u32..7,
+            knobs in (1usize..12, 1.0f64..4.0, 0.25f64..2.0, 1u64..4),
+            batch in 1usize..5,
+            ticks in prop::collection::vec(
+                (
+                    prop::collection::vec((0u8..8, 0u32..8, 0u64..9, 0.05f64..3.0), 0..16),
+                    any::<bool>(),
+                ),
+                1..=6,
+            ),
+        ) {
+            let (queue_depth, rate_capacity, rate_refill, lease_ticks) = knobs;
+            let cfg = ServiceConfig {
+                queue_depth,
+                rate_capacity,
+                rate_refill,
+                lease_ticks,
+                ..ServiceConfig::default()
+            };
+            let mut svc = ArbiterService::new(arbiter(n as usize), cfg.clone());
+            let mut oracle = Staged::new(arbiter(n as usize), cfg);
+            let bits = |g: &[f64]| g.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            for (msgs, drain) in ticks {
+                let msgs: Vec<Msg> = msgs
+                    .into_iter()
+                    .map(|(k, node, seq, t)| client_msg((k, node % (n + 1), seq, t)))
+                    .collect();
+                for chunk in msgs.chunks(batch) {
+                    let msg = match chunk {
+                        [one] => one.clone(),
+                        many => Msg::Batch(many.to_vec()),
+                    };
+                    prop_assert_eq!(svc.ingest(msg.clone()), oracle.ingest(msg));
+                }
+                prop_assert_eq!(svc.tick(), oracle.tick());
+                prop_assert_eq!(bits(svc.grants()), bits(oracle.arbiter.grants()));
+                prop_assert_eq!(svc.stats(), oracle.stats);
+                if drain {
+                    prop_assert_eq!(
+                        window_bits(svc.take_window()),
+                        window_bits(oracle.window.take())
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use simnode::faults::FaultWindow;
 
-use crate::proto::{drain_frames, Msg, MAX_FRAME};
+use crate::proto::{drain_frames, Msg, ProtoError, MAX_FRAME};
 
 /// Transport failure, as seen by one endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,13 +82,12 @@ impl Lane {
 
     /// The next frame's decode, advancing past it whether or not it
     /// decodes; `None` when the lane is empty.
-    fn pop(&mut self) -> Option<Result<Msg, WireError>> {
+    fn pop(&mut self) -> Option<Result<Msg, ProtoError>> {
         let at = self.read;
         let head = self.bytes.get(at..at + 4)?;
         let len = u32::from_le_bytes(head.try_into().expect("4-byte prefix")) as usize;
         let end = at + 4 + len;
-        let msg =
-            Msg::decode(&self.bytes[at + 4..end]).map_err(|e| WireError::Corrupt(e.to_string()));
+        let msg = Msg::decode(&self.bytes[at + 4..end]);
         self.read = end;
         if end == self.bytes.len() {
             self.read = 0;
@@ -178,7 +177,8 @@ impl Wire for PipeWire {
     fn poll(&mut self) -> Result<Option<Msg>, WireError> {
         let frame = self.pipe.lanes[1 - self.side].borrow_mut().pop();
         match frame {
-            Some(msg) => msg.map(Some),
+            Some(Ok(msg)) => Ok(Some(msg)),
+            Some(Err(e)) => Err(WireError::Corrupt(e.to_string())),
             None if !self.pipe.alive.get() => Err(WireError::Disconnected),
             None => Ok(None),
         }

@@ -3,14 +3,15 @@
 //! tick, the progress bus, the 1 Hz aggregator, the Eq. 7 evaluation,
 //! one cluster barrier's exchange pricing, a pass over a thousand
 //! cluster members, and the arbiter daemon's snapshot encoding, pipe
-//! transport and batch decoding. These are what bound
+//! transport, batch decoding and arbitration round. These are what bound
 //! full-experiment wall time, so regressions here matter directly for
 //! `repro all`.
 
 use arbiterd::loadgen::synth_telemetry;
-use arbiterd::{Msg, PipeWire, Snapshot, Wire};
+use arbiterd::{ArbiterService, Msg, PipeWire, ServiceConfig, Snapshot, Wire};
 use cluster::{
-    exchange, ramp_weights, ClusterNode, CommConfig, CommPattern, Topology, WorkloadShape,
+    exchange, ramp_weights, ArbiterConfig, ClusterNode, CommConfig, CommPattern, NodeTelemetry,
+    Policy, PowerArbiter, Topology, WorkloadShape,
 };
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nrm::daemon::NrmDaemon;
@@ -279,7 +280,8 @@ fn bench_cluster(c: &mut Criterion) {
 /// The arbiter daemon's per-tick paths at the `arbiterd_durable_4k`
 /// and `arbiterd_sharded_100k` shapes: one tick's write-ahead snapshot
 /// of 4096 nodes, one tick's 4096 singleton telemetry frames each over
-/// its own pipe, and one 64-member telemetry batch decoded.
+/// its own pipe, one 64-member telemetry batch decoded, and one
+/// 25 000-node shard's round (ingest and tick).
 fn bench_arbiterd(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro/arbiterd");
     let n = 4096u32;
@@ -326,6 +328,43 @@ fn bench_arbiterd(c: &mut Criterion) {
         b.iter(|| match Msg::decode(black_box(&frame[4..])) {
             Ok(Msg::Batch(members)) => members.len(),
             other => panic!("not a batch: {other:?}"),
+        })
+    });
+
+    // One arbitration round of one `arbiterd_sharded_100k` shard: a tick
+    // of telemetry ingested as 64-member batches, then the tick itself.
+    let n = 25_000u32;
+    let arbiter = PowerArbiter::new(
+        ArbiterConfig {
+            budget_w: 100.0 * f64::from(n),
+            min_cap_w: 40.0,
+            max_cap_w: 130.0,
+            policy: Policy::ProgressFeedback { gain: 1.0 },
+        },
+        n as usize,
+    )
+    .with_tracing(false);
+    let cfg = ServiceConfig {
+        queue_depth: 32_768,
+        snapshot_every: 0,
+        ..ServiceConfig::default()
+    };
+    let mut svc = ArbiterService::new(Box::new(arbiter), cfg);
+    let reports: Vec<NodeTelemetry> = (0..n).map(|i| synth_telemetry(71, i, 1)).collect();
+    let mut seq = 0;
+    g.throughput(Throughput::Elements(u64::from(n)));
+    g.bench_function("round_25k", |b| {
+        b.iter(|| {
+            seq += 1;
+            for (first, chunk) in (0..n).step_by(64).zip(reports.chunks(64)) {
+                let batch = (first..).zip(chunk).map(|(node, &report)| Msg::Telemetry {
+                    node,
+                    seq,
+                    report,
+                });
+                assert!(svc.ingest(Msg::Batch(batch.collect())).is_empty());
+            }
+            black_box(svc.tick()).len()
         })
     });
     g.finish();

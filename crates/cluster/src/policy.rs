@@ -20,6 +20,25 @@
 use crate::arbiter::{NodeTelemetry, Policy};
 use crate::error::ConfigError;
 
+/// One reporting child's telemetry as `desired_into` reads it: a gathered
+/// report, or the slot of a round in which every child reported, read
+/// where the caller left it.
+pub(crate) trait Report {
+    fn get(&self) -> &NodeTelemetry;
+}
+
+impl Report for NodeTelemetry {
+    fn get(&self) -> &NodeTelemetry {
+        self
+    }
+}
+
+impl Report for Option<NodeTelemetry> {
+    fn get(&self) -> &NodeTelemetry {
+        self.as_ref().expect("every child reported")
+    }
+}
+
 impl Policy {
     /// Desired grants for the reporting children, parallel to `grants`,
     /// written into `out` (cleared first). Returns `false` for "hold
@@ -36,10 +55,10 @@ impl Policy {
     /// from equalizing iteration *times* to equalizing weighted
     /// *useful-progress rates*. `tmp` is caller-owned scratch reused
     /// across calls, so the hot path allocates nothing.
-    pub(crate) fn desired_into(
+    pub(crate) fn desired_into<T: Report>(
         self,
         grants: &[f64],
-        telemetry: &[NodeTelemetry],
+        telemetry: &[T],
         pool: f64,
         weights: Option<&[f64]>,
         tmp: &mut Vec<f64>,
@@ -51,7 +70,7 @@ impl Policy {
         match self {
             Policy::UniformStatic => false,
             Policy::DemandProportional => {
-                tmp.extend(telemetry.iter().map(|t| t.power_w.max(0.0)));
+                tmp.extend(telemetry.iter().map(|t| t.get().power_w.max(0.0)));
                 let total: f64 = tmp.iter().sum();
                 if total <= 0.0 {
                     out.resize(grants.len(), pool / grants.len() as f64);
@@ -69,7 +88,7 @@ impl Policy {
                 // relate to science?" semantics, not raw iteration time.
                 let w = weights.expect("guarded by the match arm");
                 debug_assert_eq!(w.len(), grants.len(), "weight arity");
-                tmp.extend(telemetry.iter().zip(w).map(|(t, &wi)| t.rate * wi));
+                tmp.extend(telemetry.iter().zip(w).map(|(t, &wi)| t.get().rate * wi));
                 let mean_u: f64 = tmp.iter().sum::<f64>() / tmp.len() as f64;
                 if mean_u <= 0.0 || !mean_u.is_finite() {
                     // Degenerate rates: hold the desires, let the
@@ -88,52 +107,37 @@ impl Policy {
                             // comm-aware damping as the time mode: watts
                             // cannot speed up the wire.
                             let err = (mean_u - u) / mean_u;
-                            g * (1.0 + gain * err * tel.compute_fraction())
+                            g * (1.0 + gain * err * tel.get().compute_fraction())
                         }),
                 );
                 true
             }
             Policy::ProgressFeedback { gain } => {
-                tmp.extend(telemetry.iter().map(|t| t.compute_s.max(0.0)));
-                // Per-child compute times under a shared barrier, so the
-                // imbalance algebra applies as-is: critical child =
-                // longest time. `analyze` also rejects NaNs for us.
-                match progress::imbalance::analyze(tmp) {
-                    Ok(rep) => {
-                        let mean_t: f64 = tmp.iter().sum::<f64>() / tmp.len() as f64;
-                        if mean_t <= 0.0 {
-                            out.extend_from_slice(grants);
-                        } else {
-                            out.extend(grants.iter().zip(tmp.iter()).zip(telemetry).map(
-                                |((&g, &t), tel)| {
-                                    // Behind the barrier mean (the
-                                    // critical path) ⇒ positive error
-                                    // ⇒ more watts; ahead ⇒ donate.
-                                    let err = (t - mean_t) / mean_t;
-                                    debug_assert!(
-                                        t < tmp[rep.critical_rank] + 1e-6 || err >= -1e-6,
-                                        "critical child must not donate"
-                                    );
-                                    // Comm-aware damping: a child that
-                                    // is slow because it is waiting on
-                                    // the wire cannot convert watts
-                                    // into barrier arrival time, so its
-                                    // error (boost *or* donation) is
-                                    // scaled by its compute fraction.
-                                    g * (1.0 + gain * err * tel.compute_fraction())
-                                },
-                            ));
-                        }
-                        true
-                    }
+                // Per-child compute times under a shared barrier: the
+                // critical child has the longest. `max` maps NaN to 0.
+                tmp.extend(telemetry.iter().map(|t| t.get().compute_s.max(0.0)));
+                let mean_t: f64 = tmp.iter().sum::<f64>() / tmp.len() as f64;
+                if mean_t <= 0.0 {
                     // Degenerate telemetry (no usable times): keep the
                     // current grants as the desire and let the waterfill
                     // renormalize them into the pool.
-                    Err(_) => {
-                        out.extend_from_slice(grants);
-                        true
-                    }
+                    out.extend_from_slice(grants);
+                } else {
+                    out.extend(grants.iter().zip(tmp.iter()).zip(telemetry).map(
+                        |((&g, &t), tel)| {
+                            // Behind the barrier mean (the critical path)
+                            // ⇒ positive error ⇒ more watts; ahead ⇒
+                            // donate. Comm-aware damping: a child that is
+                            // slow because it is waiting on the wire
+                            // cannot convert watts into barrier arrival
+                            // time, so its error (boost *or* donation) is
+                            // scaled by its compute fraction.
+                            let err = (t - mean_t) / mean_t;
+                            g * (1.0 + gain * err * tel.get().compute_fraction())
+                        },
+                    ));
                 }
+                true
             }
         }
     }
@@ -194,22 +198,20 @@ pub(crate) fn rebalance(
     debug_assert_eq!(grants.len(), min.len());
     debug_assert_eq!(grants.len(), max.len());
     let s = scratch;
+    if reports.iter().all(Option::is_some) {
+        // Every child reported (or there is none): nothing is frozen or
+        // clipped, and the reporting subset is every child, so the
+        // engine's inputs, telemetry included, are used in place instead
+        // of gathered. No child is frozen, so the pool is the whole budget.
+        if policy.desired_into(grants, reports, budget, weights, &mut s.tmp, &mut s.desired) {
+            waterfill_into(&s.desired, budget, min, max, &mut s.filled);
+            grants.copy_from_slice(&s.filled);
+        }
+        return;
+    }
     s.tel.clear();
     s.tel.extend(reports.iter().flatten());
     if s.tel.is_empty() {
-        return;
-    }
-    if s.tel.len() == grants.len() {
-        // Every child reported: nothing is frozen or clipped, and the
-        // reporting subset is every child, so the engine's inputs are
-        // used in place instead of gathered. No child is frozen, so the
-        // pool is the whole budget.
-        let pool = budget;
-        if !policy.desired_into(grants, &s.tel, pool, weights, &mut s.tmp, &mut s.desired) {
-            return; // grants are immutable by design
-        }
-        waterfill_into(&s.desired, pool, min, max, &mut s.filled);
-        grants.copy_from_slice(&s.filled);
         return;
     }
     s.reporting.clear();
@@ -521,6 +523,71 @@ mod tests {
         policy
             .desired_into(grants, telemetry, pool, weights, &mut Vec::new(), &mut out)
             .then_some(out)
+    }
+
+    /// The time-mode feedback arm as it was with
+    /// `progress::imbalance::analyze` in front of it: the reference that
+    /// shows dropping the call moves no output.
+    fn feedback_with_analyze(gain: f64, grants: &[f64], telemetry: &[NodeTelemetry]) -> Vec<f64> {
+        let times: Vec<f64> = telemetry.iter().map(|t| t.compute_s.max(0.0)).collect();
+        let Ok(_) = progress::imbalance::analyze(&times) else {
+            return grants.to_vec();
+        };
+        let mean_t = times.iter().sum::<f64>() / times.len() as f64;
+        if mean_t <= 0.0 {
+            return grants.to_vec();
+        }
+        (grants.iter().zip(&times).zip(telemetry))
+            .map(|((&g, &t), tel)| {
+                g * (1.0 + gain * ((t - mean_t) / mean_t) * tel.compute_fraction())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn feedback_without_analyze_is_unchanged_on_nan_signed_zero_and_infinity() {
+        // NaN, -0.0 and +∞ compute times are what `analyze` could have
+        // rejected; after `max(0.0)` it never does, so its error arm was
+        // dead and the outputs, slot by slot or gathered, are the same.
+        let policy = Policy::ProgressFeedback { gain: 0.7 };
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+        };
+        let odd = [f64::NAN, -0.0, 0.0, f64::INFINITY, 1.5, 0.25];
+        let grants = [80.0, 100.0, 120.0];
+        for a in odd {
+            for b in odd {
+                for c in odd {
+                    let tel: Vec<NodeTelemetry> = [a, b, c]
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &t)| NodeTelemetry {
+                            comm_s: 0.1 * i as f64,
+                            ..NodeTelemetry::compute_only(t, 1.0, 90.0)
+                        })
+                        .collect();
+                    let times: Vec<f64> = tel.iter().map(|t| t.compute_s.max(0.0)).collect();
+                    assert!(progress::imbalance::analyze(&times).is_ok(), "{times:?}");
+                    let want = feedback_with_analyze(0.7, &grants, &tel);
+                    let got = desired(policy, &grants, &tel, 300.0, None).expect("moves");
+                    assert!(same(&got, &want), "{a} {b} {c}: {got:?} vs {want:?}");
+                    let slots: Vec<Option<NodeTelemetry>> = tel.into_iter().map(Some).collect();
+                    let mut in_place = Vec::new();
+                    assert!(policy.desired_into(
+                        &grants,
+                        &slots,
+                        300.0,
+                        None,
+                        &mut Vec::new(),
+                        &mut in_place
+                    ));
+                    assert!(same(&in_place, &want), "{a} {b} {c}: {in_place:?}");
+                }
+            }
+        }
     }
 
     #[test]
