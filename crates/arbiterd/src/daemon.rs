@@ -1,40 +1,41 @@
-//! The long-running daemon: an [`ArbiterService`] behind a TCP listener.
+//! The long-running daemon: a [`ShardedService`] behind one TCP
+//! listener per shard.
 //!
-//! Plain threads over `std::net`, no async runtime: an accept thread
-//! spawns one reader per connection, every reader parks on a *blocking*
-//! read (with a timeout so it can notice shutdown) and stages inbound
-//! messages into its own per-connection inbox, and a ticker thread
-//! drives [`ArbiterService::tick`] on a fixed period. The ticker is the
-//! only thread that touches the service: it drains every inbox, takes
-//! the service lock exactly once per tick, ingests the staged traffic,
-//! ticks, and then routes the resulting grants back — grouped into one
-//! [`Msg::Batch`] frame per connection, so a connection multiplexing
-//! many producers costs one syscall per tick instead of one per node.
-//! The service object is the single source of truth; the threads are
-//! plumbing, so every robustness property lives in the deterministic
-//! core where the tests can reach it.
+//! Plain threads over `std::net`, no async runtime:
+//! - one acceptor polls every listener; a connection accepted on
+//!   `listeners[i]` speaks shard `i`'s shard-local node ids;
+//! - one reader per connection parks on a *blocking* read (with a
+//!   timeout so it can notice shutdown) and only stages what it reads
+//!   into that connection's inbox;
+//! - one ticker owns the service, every write half and the route table.
+//!   Every `tick_period` it drains the inboxes, ingests the staged
+//!   traffic (routing each Hello's node to its connection as it ingests
+//!   that Hello), runs one [`ShardedService::tick`], and sends each
+//!   connection its replies and grants as one frame, so a connection
+//!   multiplexing many producers costs one syscall per tick.
 //!
-//! [`Daemon::kill`] is deliberately abrupt — it drops the listener and
+//! The ticker runs the lockstep tick itself, so the live daemon
+//! re-splits the machine budget on the schedule the tests pin: every
+//! `outer_period`-th tick, between `begin_tick` and `finish_tick`. The
+//! threads are plumbing; every robustness property lives in the
+//! deterministic core where the tests can reach it.
+//!
+//! [`Daemon::kill`] is deliberately abrupt — it drops the listeners and
 //! lets connections die without any state flush — because the crash
 //! story the chaos tests exercise is `kill -9`, not a polite shutdown:
 //! durability must come from the write-ahead snapshots alone.
 
-use std::collections::HashMap;
-use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::proto::Msg;
-use crate::service::{ArbiterService, ServiceStats};
-use crate::wire::{TcpWire, Wire, WireError};
+use crate::proto::{Msg, MAX_BATCH_FRAME};
+use crate::sharded::ShardedService;
+use crate::wire::{TcpWire, Wire};
 
 use nrm::Backoff;
-
-/// Route table: node id → the write half of its most recent Hello.
-type Routes = Arc<Mutex<HashMap<u32, Arc<Mutex<TcpWire>>>>>;
 
 /// How long a reader parks in `read(2)` before re-checking the stop
 /// flag. Bounds shutdown latency; idle connections cost no CPU.
@@ -51,159 +52,230 @@ const INBOX_DEPTH: usize = 8192;
 /// Cap (in [`ACCEPT_QUANTUM`]s) for the acceptor's idle backoff.
 const ACCEPT_BACKOFF_CAP: u32 = 8;
 
-/// The acceptor sleeps `quantum × Backoff::record_failure()` when no
-/// connection is pending, so an idle listener decays toward ~4 ms polls
-/// while a connect burst is drained at full speed after one `reset`.
+/// The acceptor sleeps `quantum × Backoff::record_failure()` after a
+/// sweep that accepted nothing, so idle listeners decay toward ~4 ms
+/// polls while a connect burst is drained at full speed after one
+/// `reset`.
 const ACCEPT_QUANTUM: Duration = Duration::from_micros(500);
 
-/// One live connection as the ticker sees it: the write half for
-/// replies, the staged inbound traffic, and a liveness flag the reader
-/// clears on its way out.
+/// Replies per outbound frame. A grant (33 bytes) is the largest reply
+/// and a batch spends 5 payload bytes on its tag and count, so this
+/// many always fit under [`MAX_BATCH_FRAME`]; a connection owed more
+/// (a peer can send ~100k Hellos in one frame) gets several frames.
+const REPLIES_PER_FRAME: usize = (MAX_BATCH_FRAME - 5) / 33;
+
+/// One live connection: its shard, the write half the ticker replies
+/// on, the inbox its reader stages into, the reader itself (which ends
+/// with the connection), and the replies owed this tick.
 struct Conn {
-    wire: Arc<Mutex<TcpWire>>,
+    /// Acceptance order; routes name connections by it.
+    id: u64,
+    shard: usize,
+    wire: TcpWire,
     inbox: Arc<Mutex<Vec<Msg>>>,
-    alive: Arc<AtomicBool>,
+    reader: JoinHandle<()>,
+    out: Vec<Msg>,
+    /// The reader ended or a send failed: the connection goes at the
+    /// end of the tick.
+    gone: bool,
 }
 
-type Conns = Arc<Mutex<Vec<Conn>>>;
+impl Conn {
+    /// Send the replies owed this tick, one frame per
+    /// [`REPLIES_PER_FRAME`]: a lone reply goes as itself, several as a
+    /// [`Msg::Batch`]. A failed send marks the connection dead; the wire
+    /// has already shut the socket, so its reader leaves too, and the
+    /// client reconnects and re-Hellos.
+    fn flush(&mut self) {
+        for chunk in self.out.chunks(REPLIES_PER_FRAME) {
+            let sent = match chunk {
+                [one] => self.wire.send(one),
+                many => self.wire.send(&Msg::Batch(many.to_vec())),
+            };
+            if sent.is_err() {
+                self.gone = true;
+                break;
+            }
+        }
+        self.out.clear();
+    }
+}
+
+/// The ticker: the arbitration heartbeat, and the only thread that
+/// touches the service, a write half or the route table.
+/// `routes[shard][node]` is the id of the connection whose Hello for
+/// shard-local `node` was ingested last; `conns` stay in id order.
+fn run_ticker(
+    mut service: ShardedService,
+    accepted: &Mutex<Vec<Conn>>,
+    stop: &AtomicBool,
+    tick_period: Duration,
+) -> ShardedService {
+    let mut conns: Vec<Conn> = Vec::new();
+    let mut routes: Vec<Vec<Option<u64>>> = service
+        .spans()
+        .iter()
+        .map(|s| vec![None; s.len()])
+        .collect();
+    while !stop.load(Ordering::SeqCst) {
+        std::thread::sleep(tick_period);
+        conns.append(&mut accepted.lock().expect(UNPOISONED));
+        for c in &mut conns {
+            // Checked before the drain, so whatever a reader staged
+            // before it ended is ingested before its connection goes.
+            c.gone |= c.reader.is_finished();
+            let msgs = std::mem::take(&mut *c.inbox.lock().expect(UNPOISONED));
+            for msg in msgs {
+                register_hellos(&msg, &mut routes[c.shard], c.id);
+                for reply in service.ingest(c.shard, msg) {
+                    match reply {
+                        Msg::Batch(members) => c.out.extend(members),
+                        m => c.out.push(m),
+                    }
+                }
+            }
+        }
+        for (shard, grants) in service.tick().into_iter().enumerate() {
+            for grant in grants {
+                let Msg::Grant { node, .. } = grant else {
+                    continue;
+                };
+                // A route outlives its connection until the node's next
+                // Hello; a grant for it is dropped, as the client is gone.
+                let Some(id) = routes[shard][node as usize] else {
+                    continue;
+                };
+                if let Ok(i) = conns.binary_search_by_key(&id, |c| c.id) {
+                    conns[i].out.push(grant);
+                }
+            }
+        }
+        for c in &mut conns {
+            c.flush();
+        }
+        // A failed send shut the socket its reader reads, so that
+        // reader is leaving too.
+        for c in conns.extract_if(.., |c| c.gone) {
+            c.reader.join().ok();
+        }
+    }
+    // Each reader re-checks `stop` within READ_TIMEOUT.
+    for c in conns {
+        c.reader.join().ok();
+    }
+    service
+}
+
+/// Why a lock cannot be poisoned: no thread panics while holding an
+/// inbox or the accepted list.
+const UNPOISONED: &str = "no thread panics holding a daemon lock";
+
+/// Point each Hello's node, batched or not, at connection `id`. Node
+/// ids come off the wire: one outside the shard's span registers
+/// nothing (the service NACKs its Hello).
+fn register_hellos(msg: &Msg, routes: &mut [Option<u64>], id: u64) {
+    let members = match msg {
+        Msg::Batch(members) => members.as_slice(),
+        m => std::slice::from_ref(m),
+    };
+    for m in members {
+        if let Msg::Hello { node } = m {
+            if let Some(route) = routes.get_mut(*node as usize) {
+                *route = Some(id);
+            }
+        }
+    }
+}
 
 /// A running daemon and its control handle.
 pub struct Daemon {
-    addr: SocketAddr,
+    addrs: Vec<SocketAddr>,
     stop: Arc<AtomicBool>,
-    service: Arc<Mutex<ArbiterService>>,
     dropped: Arc<AtomicU64>,
-    threads: Vec<JoinHandle<()>>,
+    /// Connections set up by the acceptor, not yet adopted by the
+    /// ticker, in acceptance (id) order.
+    accepted: Arc<Mutex<Vec<Conn>>>,
+    acceptor: Option<JoinHandle<()>>,
+    ticker: Option<JoinHandle<ShardedService>>,
 }
 
 impl Daemon {
-    /// Serve `service` on `listener`, ticking every `tick_period`.
+    /// Serve `service`'s shard `i` on `listeners[i]`, ticking every
+    /// `tick_period`. A one-shard service is the unsharded daemon.
+    ///
+    /// # Errors
+    /// `InvalidInput` when the listener and shard counts differ, or the
+    /// error of reading a listener's address or making it non-blocking.
     pub fn spawn(
-        listener: TcpListener,
-        service: ArbiterService,
+        listeners: Vec<TcpListener>,
+        service: ShardedService,
         tick_period: Duration,
     ) -> std::io::Result<Daemon> {
-        Daemon::spawn_shared(listener, Arc::new(Mutex::new(service)), tick_period)
-    }
-
-    /// Serve an externally-owned service handle, ticking every
-    /// `tick_period`. A sharded deployment uses this to keep the
-    /// coordinator's grip on each shard's service while the daemon moves
-    /// its bytes.
-    pub fn spawn_shared(
-        listener: TcpListener,
-        service: Arc<Mutex<ArbiterService>>,
-        tick_period: Duration,
-    ) -> std::io::Result<Daemon> {
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let routes: Routes = Arc::new(Mutex::new(HashMap::new()));
-        let conns: Conns = Arc::new(Mutex::new(Vec::new()));
-        let dropped = Arc::new(AtomicU64::new(0));
-        let mut threads = Vec::new();
-
-        // Ticker: the arbitration heartbeat, and the only service user.
-        {
-            let stop = stop.clone();
-            let service = service.clone();
-            let routes = routes.clone();
-            let conns = conns.clone();
-            threads.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick_period);
-
-                    // Stage: swap each connection's inbox out under its
-                    // own tiny lock; prune connections whose reader left.
-                    let mut staged: Vec<(Arc<Mutex<TcpWire>>, Vec<Msg>)> = Vec::new();
-                    {
-                        let mut table = conns.lock().unwrap();
-                        table.retain(|c| c.alive.load(Ordering::SeqCst));
-                        for c in table.iter() {
-                            let msgs = std::mem::take(&mut *c.inbox.lock().unwrap());
-                            if !msgs.is_empty() {
-                                staged.push((c.wire.clone(), msgs));
-                            }
-                        }
-                    }
-
-                    // The service lock is taken once per tick, not once
-                    // per message: readers never contend on it at all.
-                    let mut immediate: Vec<(Arc<Mutex<TcpWire>>, Vec<Msg>)> = Vec::new();
-                    let grants = {
-                        let mut svc = service.lock().unwrap();
-                        for (wire, msgs) in staged {
-                            let mut replies = Vec::new();
-                            for m in msgs {
-                                replies.extend(svc.ingest(m));
-                            }
-                            if !replies.is_empty() {
-                                immediate.push((wire, replies));
-                            }
-                        }
-                        svc.tick()
-                    };
-
-                    for (wire, replies) in immediate {
-                        send_batched(&wire, replies);
-                    }
-                    route_replies(&routes, &grants);
-                }
-            }));
+        let shards = service.spans().len();
+        if listeners.len() != shards {
+            let why = format!("{} listeners for {shards} shards", listeners.len());
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
         }
+        let mut addrs = Vec::with_capacity(listeners.len());
+        for l in &listeners {
+            addrs.push(l.local_addr()?);
+            l.set_nonblocking(true)?;
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let accepted = Arc::new(Mutex::new(Vec::new()));
+        let dropped = Arc::new(AtomicU64::new(0));
+
+        let ticker = {
+            let (stop, accepted) = (stop.clone(), accepted.clone());
+            std::thread::spawn(move || run_ticker(service, &accepted, &stop, tick_period))
+        };
 
         // Acceptor: one reader thread per connection, jittered
-        // exponential backoff while the queue is empty.
-        {
-            let stop = stop.clone();
-            let routes = routes.clone();
-            let conns = conns.clone();
-            let dropped = dropped.clone();
-            let mut backoff = Backoff::new(ACCEPT_BACKOFF_CAP, addr.port() as u64);
-            threads.push(std::thread::spawn(move || {
+        // exponential backoff after a sweep that accepted nothing. An
+        // accept error (`ECONNABORTED`, `EMFILE`, …) counts as nothing
+        // pending: the listener is retried after the backoff.
+        let acceptor = {
+            let (stop, dropped) = (stop.clone(), dropped.clone());
+            let accepted = accepted.clone();
+            let mut backoff = Backoff::new(ACCEPT_BACKOFF_CAP, addrs[0].port() as u64);
+            std::thread::spawn(move || {
+                let mut next_id = 0u64;
                 while !stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            backoff.reset();
-                            spawn_reader(
-                                stream,
-                                stop.clone(),
-                                routes.clone(),
-                                conns.clone(),
-                                dropped.clone(),
-                            );
+                    let mut idle = true;
+                    for (shard, listener) in listeners.iter().enumerate() {
+                        if let Ok((stream, _)) = listener.accept() {
+                            idle = false;
+                            next_id += 1;
+                            let conn = spawn_reader(stream, next_id, shard, &stop, &dropped);
+                            // A connection whose reader could not start
+                            // is dropped, and its client redials.
+                            if let Ok(conn) = conn {
+                                accepted.lock().expect(UNPOISONED).push(conn);
+                            }
                         }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(ACCEPT_QUANTUM * backoff.record_failure());
-                        }
-                        Err(_) => break,
+                    }
+                    if idle {
+                        std::thread::sleep(ACCEPT_QUANTUM * backoff.record_failure());
+                    } else {
+                        backoff.reset();
                     }
                 }
-            }));
-        }
+            })
+        };
 
         Ok(Daemon {
-            addr,
+            addrs,
             stop,
-            service,
             dropped,
-            threads,
+            accepted,
+            acceptor: Some(acceptor),
+            ticker: Some(ticker),
         })
     }
 
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// A point-in-time copy of the service counters.
-    pub fn stats(&self) -> ServiceStats {
-        self.service.lock().unwrap().stats()
-    }
-
-    /// Current grants, W.
-    pub fn grants(&self) -> Vec<f64> {
-        self.service.lock().unwrap().grants().to_vec()
+    /// The bound addresses, in shard order (useful with port 0).
+    pub fn addrs(&self) -> &[SocketAddr] {
+        &self.addrs
     }
 
     /// Messages dropped on inbox overflow since spawn.
@@ -211,10 +283,11 @@ impl Daemon {
         self.dropped.load(Ordering::SeqCst)
     }
 
-    /// The shared service handle (a sharded coordinator holds its own
-    /// clone; this one is for tests and tooling).
-    pub fn service(&self) -> Arc<Mutex<ArbiterService>> {
-        self.service.clone()
+    /// Stop every thread and hand back the service as the last tick
+    /// left it; `None` when the ticker panicked (for instance on the
+    /// machine-wide Σ grants ≤ budget assertion).
+    pub fn shutdown(mut self) -> Option<ShardedService> {
+        self.halt()
     }
 
     /// Simulated `kill -9`: stop every thread without flushing anything
@@ -222,192 +295,142 @@ impl Daemon {
     pub fn kill(self) {
         drop(self);
     }
+
+    /// Stop and join every thread: the acceptor, then the ticker
+    /// (which joins the readers it adopted), then the readers of the
+    /// connections it had not adopted yet.
+    fn halt(&mut self) -> Option<ShardedService> {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(a) = self.acceptor.take() {
+            a.join().ok();
+        }
+        let service = self.ticker.take()?.join().ok();
+        // `Drop` runs this, so a poisoned list is skipped, not a panic.
+        if let Ok(mut unadopted) = self.accepted.lock() {
+            for c in unadopted.drain(..) {
+                c.reader.join().ok();
+            }
+        }
+        service
+    }
 }
 
 impl Drop for Daemon {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            t.join().ok();
-        }
+        self.halt();
     }
 }
 
-/// Send `replies` down one wire as a single frame: one message goes as
-/// itself, several are wrapped in a [`Msg::Batch`]. Replies that are
-/// already batches (the service folds a batched ingest's replies) are
-/// flattened first — batches do not nest on the wire.
-fn send_batched(wire: &Arc<Mutex<TcpWire>>, replies: Vec<Msg>) {
-    let mut flat: Vec<Msg> = Vec::with_capacity(replies.len());
-    for r in replies {
-        match r {
-            Msg::Batch(members) => flat.extend(members),
-            m => flat.push(m),
-        }
-    }
-    // A dead route is cleaned up by its reader thread; a failed send
-    // here just means the client reconnects and re-Hellos.
-    let mut w = wire.lock().unwrap();
-    if flat.len() == 1 {
-        w.send(&flat[0]).ok();
-    } else if !flat.is_empty() {
-        w.send(&Msg::Batch(flat)).ok();
-    }
-}
-
-/// Deliver a tick's grants: group by destination wire, one batched
-/// frame per connection.
-fn route_replies(routes: &Routes, replies: &[Msg]) {
-    if replies.is_empty() {
-        return;
-    }
-    let mut order: Vec<Arc<Mutex<TcpWire>>> = Vec::new();
-    let mut groups: HashMap<usize, Vec<Msg>> = HashMap::new();
-    {
-        let table = routes.lock().unwrap();
-        for msg in replies {
-            let Msg::Grant { node, .. } = msg else {
-                continue;
-            };
-            let Some(wire) = table.get(node) else {
-                continue;
-            };
-            let key = Arc::as_ptr(wire) as usize;
-            groups
-                .entry(key)
-                .or_insert_with(|| {
-                    order.push(wire.clone());
-                    Vec::new()
-                })
-                .push(msg.clone());
-        }
-    }
-    for wire in order {
-        let key = Arc::as_ptr(&wire) as usize;
-        if let Some(msgs) = groups.remove(&key) {
-            send_batched(&wire, msgs);
-        }
-    }
-}
-
+/// Start connection `id`'s reader: it exclusively owns the blocking
+/// read half and stages what it reads into the inbox; the write half
+/// goes to the ticker inside the returned [`Conn`]. Timeouts live on
+/// the shared socket, so the split preserves them.
 fn spawn_reader(
     stream: TcpStream,
-    stop: Arc<AtomicBool>,
-    routes: Routes,
-    conns: Conns,
-    dropped: Arc<AtomicU64>,
-) {
-    // The reader exclusively owns the blocking read half; the write
-    // half goes behind a mutex shared with the ticker. Timeouts live on
-    // the shared socket, so the split preserves them.
-    let Ok(mut rd) = TcpWire::new_blocking(stream, READ_TIMEOUT, WRITE_TIMEOUT) else {
-        return;
-    };
-    let Ok(wr) = rd.split() else {
-        return;
-    };
-    let wire = Arc::new(Mutex::new(wr));
+    id: u64,
+    shard: usize,
+    stop: &Arc<AtomicBool>,
+    dropped: &Arc<AtomicU64>,
+) -> std::io::Result<Conn> {
+    let mut rd = TcpWire::new_blocking(stream, READ_TIMEOUT, WRITE_TIMEOUT)?;
+    let wire = rd.split()?;
     let inbox = Arc::new(Mutex::new(Vec::new()));
-    let alive = Arc::new(AtomicBool::new(true));
-    conns.lock().unwrap().push(Conn {
-        wire: wire.clone(),
-        inbox: inbox.clone(),
-        alive: alive.clone(),
-    });
-    std::thread::spawn(move || {
-        let mut my_nodes: Vec<u32> = Vec::new();
-        while !stop.load(Ordering::SeqCst) {
-            match rd.poll() {
-                Ok(Some(msg)) => {
-                    register_hellos(&msg, &routes, &wire, &mut my_nodes);
-                    let mut q = inbox.lock().unwrap();
-                    if q.len() < INBOX_DEPTH {
-                        q.push(msg);
-                    } else {
-                        dropped.fetch_add(1, Ordering::SeqCst);
+    let reader = {
+        let (stop, dropped) = (stop.clone(), dropped.clone());
+        let inbox = inbox.clone();
+        std::thread::Builder::new().spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                match rd.poll() {
+                    Ok(Some(msg)) => {
+                        let mut q = inbox.lock().expect(UNPOISONED);
+                        if q.len() < INBOX_DEPTH {
+                            q.push(msg);
+                        } else {
+                            dropped.fetch_add(1, Ordering::SeqCst);
+                        }
                     }
+                    // Read timeout: nothing arrived, loop re-checks stop.
+                    Ok(None) => {}
+                    Err(_) => break,
                 }
-                // Read timeout: nothing arrived, loop re-checks stop.
-                Ok(None) => {}
-                Err(WireError::Disconnected) | Err(WireError::Corrupt(_)) => break,
             }
-        }
-        alive.store(false, Ordering::SeqCst);
-        // Drop our routes so grants stop chasing a dead socket.
-        let mut table = routes.lock().unwrap();
-        for node in my_nodes {
-            if table.get(&node).is_some_and(|w| Arc::ptr_eq(w, &wire)) {
-                table.remove(&node);
-            }
-        }
-    });
-}
-
-/// Route registration happens on the reader (not the ticker) so a Hello
-/// and the grants it provokes can never race: by the time the staged
-/// Hello is ingested, its route already exists. Batched Hellos count.
-fn register_hellos(
-    msg: &Msg,
-    routes: &Routes,
-    wire: &Arc<Mutex<TcpWire>>,
-    my_nodes: &mut Vec<u32>,
-) {
-    let mut register = |node: u32| {
-        routes.lock().unwrap().insert(node, wire.clone());
-        if !my_nodes.contains(&node) {
-            my_nodes.push(node);
-        }
+        })?
     };
-    match msg {
-        Msg::Hello { node } => register(*node),
-        Msg::Batch(members) => {
-            for m in members {
-                if let Msg::Hello { node } = m {
-                    register(*node);
-                }
-            }
-        }
-        _ => {}
-    }
+    Ok(Conn {
+        id,
+        shard,
+        wire,
+        inbox,
+        reader,
+        out: Vec::new(),
+        gone: false,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{Connector, GrantClient};
-    use crate::service::ServiceConfig;
+    use crate::service::{ArbiterService, ServiceConfig};
     use cluster::{ArbiterConfig, BudgetArbiter, NodeTelemetry, Policy, PowerArbiter};
 
-    fn service(n: usize) -> ArbiterService {
-        let arbiter: Box<dyn BudgetArbiter> = Box::new(PowerArbiter::new(
-            ArbiterConfig {
-                budget_w: 100.0 * n as f64,
-                min_cap_w: 40.0,
-                max_cap_w: 130.0,
-                policy: Policy::ProgressFeedback { gain: 1.0 },
-            },
-            n,
-        ));
-        ArbiterService::new(
-            arbiter,
-            ServiceConfig {
-                snapshot_every: 0,
-                ..ServiceConfig::default()
-            },
-        )
+    fn service(n: usize) -> ShardedService {
+        let cfg = ArbiterConfig {
+            budget_w: 100.0 * n as f64,
+            min_cap_w: 40.0,
+            max_cap_w: 130.0,
+            policy: Policy::ProgressFeedback { gain: 1.0 },
+        };
+        ShardedService::new(&cfg, n, 1, 1, &mut |_, cfg, k| {
+            let arbiter: Box<dyn BudgetArbiter> = Box::new(PowerArbiter::new(cfg, k));
+            ArbiterService::new(
+                arbiter,
+                ServiceConfig {
+                    snapshot_every: 0,
+                    ..ServiceConfig::default()
+                },
+            )
+        })
     }
 
     fn tcp_connector(addr: SocketAddr) -> Connector {
         crate::client::tcp_connector(addr, Duration::from_millis(250))
     }
 
+    /// A raw non-blocking client connection to `addr`.
+    fn raw(addr: SocketAddr) -> TcpWire {
+        let stream =
+            TcpStream::connect_timeout(&addr, Duration::from_millis(250)).expect("connect");
+        TcpWire::new(stream).expect("wire")
+    }
+
+    /// Every message `wire` has ready, batches unpacked.
+    fn drain(wire: &mut TcpWire) -> Vec<Msg> {
+        let mut got = Vec::new();
+        while let Ok(Some(msg)) = wire.poll() {
+            match msg {
+                Msg::Batch(ms) => got.extend(ms),
+                m => got.push(m),
+            }
+        }
+        got
+    }
+
+    fn telemetry(node: u32, seq: u64) -> Msg {
+        Msg::Telemetry {
+            node,
+            seq,
+            report: NodeTelemetry::compute_only(1.0 + node as f64, 1.0, 95.0),
+        }
+    }
+
     #[test]
     fn grants_flow_over_real_sockets() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let daemon = Daemon::spawn(listener, service(2), Duration::from_millis(5)).unwrap();
+        let daemon = Daemon::spawn(vec![listener], service(2), Duration::from_millis(5)).unwrap();
 
         let mut clients: Vec<GrantClient> = (0..2u32)
-            .map(|i| GrantClient::new(i, tcp_connector(daemon.addr()), 32, i as u64))
+            .map(|i| GrantClient::new(i, tcp_connector(daemon.addrs()[0]), 32, i as u64))
             .collect();
 
         // Everyone reports until a joint round funds the critical path
@@ -440,8 +463,8 @@ mod tests {
     #[test]
     fn client_survives_a_daemon_kill_and_redials() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let daemon = Daemon::spawn(listener, service(1), Duration::from_millis(5)).unwrap();
-        let addr = daemon.addr();
+        let daemon = Daemon::spawn(vec![listener], service(1), Duration::from_millis(5)).unwrap();
+        let addr = daemon.addrs()[0];
         let mut c = GrantClient::new(0, tcp_connector(addr), 8, 3);
         c.send_report(&NodeTelemetry::compute_only(1.0, 1.0, 90.0));
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -468,7 +491,7 @@ mod tests {
             // on environment noise.
             Err(_) => return,
         };
-        let daemon2 = Daemon::spawn(listener, service(1), Duration::from_millis(5)).unwrap();
+        let daemon2 = Daemon::spawn(vec![listener], service(1), Duration::from_millis(5)).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while !c.connected() && std::time::Instant::now() < deadline {
             c.advance();
@@ -484,9 +507,9 @@ mod tests {
         // Four producers share one TCP connection: a batched Hello+
         // telemetry frame up, one batched grant frame back per tick.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let daemon = Daemon::spawn(listener, service(4), Duration::from_millis(5)).unwrap();
+        let daemon = Daemon::spawn(vec![listener], service(4), Duration::from_millis(5)).unwrap();
 
-        let stream = TcpStream::connect_timeout(&daemon.addr(), Duration::from_millis(250))
+        let stream = TcpStream::connect_timeout(&daemon.addrs()[0], Duration::from_millis(250))
             .expect("connect");
         let mut wire = TcpWire::new(stream).expect("wire");
         let hello = Msg::Batch((0..4).map(|node| Msg::Hello { node }).collect());
@@ -526,6 +549,86 @@ mod tests {
         }
         let sum: f64 = grants.iter().map(|g| g.unwrap()).sum();
         assert!(sum <= 400.0 + 1e-6, "Σ grants {sum} over budget");
+        daemon.kill();
+    }
+
+    #[test]
+    fn a_reconnected_client_gets_its_grants_on_the_new_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let daemon = Daemon::spawn(vec![listener], service(2), Duration::from_millis(5)).unwrap();
+        let addr = daemon.addrs()[0];
+        let mut seq = 0;
+        // Hello node 0 on a fresh connection, then report until a round
+        // grant (seq > 0, not the Hello's seq-0 reply) comes back on it.
+        let mut granted_on = |wire: &mut TcpWire| {
+            wire.send(&Msg::Hello { node: 0 }).expect("hello");
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            loop {
+                seq += 1;
+                wire.send(&telemetry(0, seq)).expect("report");
+                std::thread::sleep(Duration::from_millis(2));
+                let round = drain(wire)
+                    .into_iter()
+                    .any(|m| matches!(m, Msg::Grant { node: 0, seq: s, .. } if s > 0));
+                if round {
+                    return;
+                }
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "node 0 must be granted on its newest connection"
+                );
+            }
+        };
+        let mut first = raw(addr);
+        granted_on(&mut first);
+        drop(first);
+        let mut second = raw(addr);
+        granted_on(&mut second);
+        daemon.kill();
+    }
+
+    #[test]
+    fn a_node_outside_the_span_is_nacked_and_the_ticker_keeps_serving() {
+        // A 2-node shard. One connection claims nodes far outside it —
+        // one frame of Hellos, answered by more NACKs (13 bytes each)
+        // than one frame can carry — and reports for one of them;
+        // another connection is a well-behaved node 1.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let daemon = Daemon::spawn(vec![listener], service(2), Duration::from_millis(5)).unwrap();
+        let addr = daemon.addrs()[0];
+        let hellos = 100_000;
+        let mut rogue = raw(addr);
+        let outside = (2..2 + hellos).map(|node| Msg::Hello { node });
+        rogue
+            .send(&Msg::Batch(outside.collect()))
+            .expect("hello batch");
+        rogue.send(&telemetry(u32::MAX, 7)).expect("report");
+
+        let mut good = raw(addr);
+        good.send(&Msg::Hello { node: 1 }).expect("hello");
+        let (mut nacks, mut seven, mut round) = (0, false, false);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut seq = 0;
+        while nacks < hellos || !seven || !round {
+            seq += 1;
+            good.send(&telemetry(1, seq)).expect("report");
+            std::thread::sleep(Duration::from_millis(2));
+            for m in drain(&mut rogue) {
+                match m {
+                    Msg::Nack { seq: 0 } => nacks += 1,
+                    Msg::Nack { seq: 7 } => seven = true,
+                    other => panic!("an out-of-span node got {other:?}"),
+                }
+            }
+            round |= drain(&mut good)
+                .into_iter()
+                .any(|m| matches!(m, Msg::Grant { node: 1, seq: s, .. } if s > 0));
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{nacks} of {hellos} Hello NACKs, report NACK {seven}, node 1 granted {round}"
+            );
+        }
+        assert_eq!(nacks, hellos, "one NACK per out-of-span Hello");
         daemon.kill();
     }
 }

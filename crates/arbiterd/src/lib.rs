@@ -23,9 +23,6 @@
 //! - [`snapshot`] — atomic (write-temp → fsync → rename) checksummed
 //!   state captures; a restarted daemon resumes with Σ grants ≤ budget
 //!   intact and grants bitwise-unchanged.
-//! - [`daemon`] — the threaded TCP front-end around the service:
-//!   blocking readers staging into per-connection inboxes, one service
-//!   lock per tick, grants batched into one frame per connection.
 //! - [`sharded`] — horizontal scale-out: N shards, each owning a span
 //!   of producers and a rack-style sub-budget, under a coordinator
 //!   that runs the in-process rack tree's own outer epoch
@@ -34,6 +31,13 @@
 //!   every node-level arbiter runs, so the machine budget splits exactly
 //!   as the rack tree splits it and the same level invariants are
 //!   asserted.
+//! - [`daemon`] — the one TCP server: shard `i` of a
+//!   [`sharded::ShardedService`] on listener `i`, blocking readers
+//!   staging into per-connection inboxes, and one ticker thread that
+//!   owns the service, every write half and the route table and runs
+//!   the lockstep tick — so the live re-split lands on the same ticks
+//!   the tests pin — with each connection's grants in one frame. A
+//!   one-shard service is the unsharded daemon.
 //! - [`client`] — the member side, one client per group of nodes
 //!   sharing a connection: hold-last-grant degradation, jittered
 //!   exponential reconnect backoff, shed-hint compliance.
@@ -59,6 +63,6 @@ pub use loadgen::{
 };
 pub use proto::Msg;
 pub use service::{ArbiterService, ServiceConfig, ServiceStats};
-pub use sharded::{shard_spans, ShardedDaemon, ShardedService};
+pub use sharded::{shard_spans, ShardedService};
 pub use snapshot::Snapshot;
 pub use wire::{FaultyWire, PipeWire, TcpWire, Wire, WireError, WireFaultPlan, WireFaultStats};

@@ -31,12 +31,13 @@
 //!
 //! [`run_concurrent_loadgen`] is the wall-clock sibling: the same client
 //! groups over TCP, driven from a thread pool with seeded jitter against
-//! live [`ShardedDaemon`] sockets. It measures throughput and checks
-//! Σ ≤ budget, but makes no bitwise claims — lockstep mode is the
-//! bitwise-reference path.
+//! a live [`Daemon`] ticking the same [`ShardedService`]. It measures
+//! throughput and checks Σ ≤ budget, but makes no bitwise claims —
+//! lockstep mode is the bitwise-reference path.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::net::TcpListener;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -45,9 +46,10 @@ use std::time::{Duration, Instant};
 use cluster::{ArbiterConfig, BudgetArbiter, ConfigError, NodeTelemetry, Policy, PowerArbiter};
 
 use crate::client::{tcp_connector, ClientStats, GrantClient};
+use crate::daemon::Daemon;
 use crate::proto::Msg;
 use crate::service::{ArbiterService, ServiceConfig, ServiceStats};
-use crate::sharded::{shard_spans, ShardedDaemon, ShardedService};
+use crate::sharded::ShardedService;
 use crate::wire::{FaultyWire, PipeWire, Wire, WireFaultPlan};
 
 /// Transport-fault knobs for the simulated cluster.
@@ -663,7 +665,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
 }
 
 /// A wall-clock scenario for [`run_concurrent_loadgen`]: thread-pooled
-/// TCP producer groups against live [`ShardedDaemon`] sockets. The
+/// TCP producer groups against a live [`Daemon`]'s sockets. The
 /// budget, grant clamps and outer re-split period are
 /// [`LoadgenConfig::default`]'s.
 #[derive(Debug, Clone)]
@@ -711,10 +713,10 @@ pub struct ConcurrentReport {
     pub elapsed: Duration,
     /// `telemetry_sent / elapsed`.
     pub msgs_per_sec: f64,
-    /// Σ grants ≤ budget held at the coordinator's every epoch and at
-    /// the final observation.
+    /// Every worker connected, and Σ grants ≤ budget held at every
+    /// daemon tick.
     pub invariant_ok: bool,
-    /// Largest Σ grants the coordinator observed, W.
+    /// Largest Σ grants at any daemon tick, W (NaN if the ticker died).
     pub max_sum_grants_w: f64,
     /// Machine budget, W.
     pub budget_w: f64,
@@ -722,7 +724,7 @@ pub struct ConcurrentReport {
 
 /// Drive genuinely concurrent TCP producers — `threads` workers, each
 /// owning whole multiplexed connections, with a seeded per-worker
-/// jitter schedule — against a live [`ShardedDaemon`].
+/// jitter schedule — against a live [`Daemon`].
 ///
 /// # Panics
 /// Panics on zero shards/producers/batch/threads, or when a listener
@@ -759,18 +761,20 @@ pub fn run_concurrent_loadgen(cfg: &ConcurrentConfig) -> ConcurrentReport {
             Box::new(PowerArbiter::new(shard_cfg, k).with_tracing(false));
         ArbiterService::new(arbiter, service.clone())
     };
-    let daemon = ShardedDaemon::spawn(
+    let sharded = ShardedService::new(
         &machine,
         cfg.producers,
         cfg.shards,
         defaults.outer_period,
-        CONCURRENT_TICK,
         &mut make,
-    )
-    .expect("sharded daemon must spawn");
-
+    );
     // Client groups, dealt round-robin to the workers.
-    let groups = client_groups(&shard_spans(cfg.producers, cfg.shards), cfg.batch);
+    let groups = client_groups(sharded.spans(), cfg.batch);
+    let listeners = (0..cfg.shards)
+        .map(|_| TcpListener::bind("127.0.0.1:0"))
+        .collect::<std::io::Result<_>>()
+        .expect("shard listeners must bind");
+    let daemon = Daemon::spawn(listeners, sharded, CONCURRENT_TICK).expect("daemon must spawn");
     let addrs = daemon.addrs().to_vec();
     let started = Instant::now();
     let mut workers = Vec::new();
@@ -832,20 +836,16 @@ pub fn run_concurrent_loadgen(cfg: &ConcurrentConfig) -> ConcurrentReport {
     }
     let elapsed = started.elapsed();
 
-    let final_sum = daemon.sum_grants();
-    let max_sum = daemon.max_sum_grants_w().max(final_sum);
-    let invariant_ok = daemon.invariant_ok() && final_sum <= machine.budget_w + 1e-6 && connect_ok;
-    let report = ConcurrentReport {
+    let max_sum = daemon.shutdown().map_or(f64::NAN, |s| s.max_sum_grants_w());
+    ConcurrentReport {
         telemetry_sent: sent,
         grants_seen: client_stats.grants,
         elapsed,
         msgs_per_sec: sent as f64 / elapsed.as_secs_f64().max(1e-9),
-        invariant_ok,
+        invariant_ok: max_sum <= machine.budget_w + 1e-6 && connect_ok,
         max_sum_grants_w: max_sum,
         budget_w: machine.budget_w,
-    };
-    daemon.kill();
-    report
+    }
 }
 
 #[cfg(test)]

@@ -136,10 +136,6 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
 fn get_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes(b[..4].try_into().unwrap())
 }
@@ -236,11 +232,11 @@ impl Msg {
     /// the encoded payload would exceed its frame cap — both are
     /// construction bugs on *our* side of the wire, not input errors.
     pub fn encode_into(&self, frame: &mut Vec<u8>) {
-        // Fixed-size fast paths for the two frame types that dominate
-        // every wire (telemetry up, grants down): build the whole frame
-        // in a stack buffer and append it in one go, instead of one
-        // capacity-checked extend per field. Byte layout is identical
-        // to the generic path below (covered by the round-trip tests).
+        // The two frame types that dominate every wire (telemetry up,
+        // grants down) are fixed-size: build the whole frame in a stack
+        // buffer and append it in one go, instead of one
+        // capacity-checked extend per field. Their byte layout is pinned
+        // by `telemetry_and_grant_frames_are_pinned_byte_for_byte`.
         match self {
             Msg::Telemetry { node, seq, report } => {
                 let mut b = [0u8; 57];
@@ -300,27 +296,8 @@ impl Msg {
                 p.push(TAG_HEARTBEAT);
                 put_u32(p, *node);
             }
-            Msg::Telemetry { node, seq, report } => {
-                p.push(TAG_TELEMETRY);
-                put_u32(p, *node);
-                put_u64(p, *seq);
-                put_f64(p, report.compute_s);
-                put_f64(p, report.comm_s);
-                put_f64(p, report.slack_s);
-                put_f64(p, report.rate);
-                put_f64(p, report.power_w);
-            }
-            Msg::Grant {
-                node,
-                seq,
-                tick,
-                watts,
-            } => {
-                p.push(TAG_GRANT);
-                put_u32(p, *node);
-                put_u64(p, *seq);
-                put_u64(p, *tick);
-                put_f64(p, *watts);
+            Msg::Telemetry { .. } | Msg::Grant { .. } => {
+                unreachable!("encode_into writes fixed-size frames itself")
             }
             Msg::Busy { retry_after } => {
                 p.push(TAG_BUSY);
@@ -681,6 +658,54 @@ mod tests {
             let got = Msg::decode(&frame[4..]).unwrap();
             assert_eq!(got, m);
         }
+    }
+
+    /// The two fixed-size frames, byte for byte: little-endian length
+    /// prefix, tag, node, seq, then the grant's tick and the raw `f64`
+    /// bits in field order.
+    #[test]
+    fn telemetry_and_grant_frames_are_pinned_byte_for_byte() {
+        let telemetry = Msg::Telemetry {
+            node: 0x0403_0201,
+            seq: 0x0C0B_0A09_0807_0605,
+            report: NodeTelemetry {
+                compute_s: 1.0,
+                comm_s: 2.0,
+                slack_s: 0.5,
+                rate: -1.0,
+                power_w: 100.0,
+            },
+        };
+        #[rustfmt::skip]
+        let expect: [u8; 57] = [
+            53, 0, 0, 0,
+            3,
+            1, 2, 3, 4,
+            5, 6, 7, 8, 9, 10, 11, 12,
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F,
+            0, 0, 0, 0, 0, 0, 0x00, 0x40,
+            0, 0, 0, 0, 0, 0, 0xE0, 0x3F,
+            0, 0, 0, 0, 0, 0, 0xF0, 0xBF,
+            0, 0, 0, 0, 0, 0, 0x59, 0x40,
+        ];
+        assert_eq!(telemetry.encode(), expect);
+
+        let grant = Msg::Grant {
+            node: 7,
+            seq: 0x0102_0304_0506_0708,
+            tick: 9,
+            watts: 88.125,
+        };
+        #[rustfmt::skip]
+        let expect: [u8; 33] = [
+            29, 0, 0, 0,
+            4,
+            7, 0, 0, 0,
+            8, 7, 6, 5, 4, 3, 2, 1,
+            9, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0x08, 0x56, 0x40,
+        ];
+        assert_eq!(grant.encode(), expect);
     }
 
     #[test]

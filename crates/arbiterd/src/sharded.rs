@@ -15,28 +15,21 @@
 //! whose racks are the shard spans (`inner_period = 1`, same outer
 //! period and policy) — the tests assert that, grant for grant.
 //!
-//! Two layers, same split as service/daemon:
-//! - [`ShardedService`]: the deterministic core — lockstep ticks, no
-//!   threads, drives `N` services and the solver in a fixed order.
-//! - [`ShardedDaemon`]: the live plumbing — `N` TCP daemons over shared
-//!   service handles plus a coordinator thread running the same solve
-//!   on a wall-clock outer period, with the machine-wide
-//!   Σ grants ≤ budget invariant monitored on every epoch.
+//! [`ShardedService`] is the deterministic core — lockstep ticks, no
+//! threads, `N` services and the solver driven in a fixed order — and
+//! the only one: the lockstep load generator drives it over in-process
+//! pipes, and the TCP [`crate::daemon::Daemon`] ticks it on one thread,
+//! shard `i` served on its own listener. A one-shard service is the
+//! unsharded daemon, bit for bit.
 //!
 //! Node addressing: the wire always carries *shard-local* ids (shard
 //! `s` numbers its nodes `0..span.len()`); [`ShardedService::locate`]
 //! maps a global node id to its `(shard, local)` pair.
 
-use std::net::{SocketAddr, TcpListener};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use cluster::{ArbiterConfig, OuterSolver};
 
-use crate::daemon::Daemon;
 use crate::proto::Msg;
 use crate::service::{ArbiterService, ServiceStats};
 
@@ -234,146 +227,6 @@ impl ShardedService {
         let adopted = fresh.restore();
         self.shards[i] = fresh;
         adopted
-    }
-}
-
-/// `N` live TCP daemons over shared service handles, plus a coordinator
-/// thread re-splitting the machine budget on a wall-clock outer period.
-pub struct ShardedDaemon {
-    /// Held for their `Drop`: after [`ShardedDaemon`]'s own `drop` joins
-    /// the coordinator, the shard daemons stop as this field drops.
-    _daemons: Vec<Daemon>,
-    services: Vec<Arc<Mutex<ArbiterService>>>,
-    addrs: Vec<SocketAddr>,
-    stop: Arc<AtomicBool>,
-    coordinator: Option<JoinHandle<()>>,
-    /// High-water Σ grants across epochs, as f64 bits.
-    max_sum_bits: Arc<AtomicU64>,
-    /// Cleared by the coordinator if Σ grants ever exceeds the budget.
-    invariant_ok: Arc<AtomicBool>,
-}
-
-impl ShardedDaemon {
-    /// Bind `shards` listeners on `127.0.0.1:0`, spawn one daemon per
-    /// shard over a shared service handle ticking every `tick_period`,
-    /// and start the coordinator. `cfg` is machine-level; shards are
-    /// built by `make` exactly as in [`ShardedService::new`].
-    pub fn spawn(
-        cfg: &ArbiterConfig,
-        nodes: usize,
-        shards: usize,
-        outer_period: u64,
-        tick_period: Duration,
-        make: &mut MakeShard,
-    ) -> std::io::Result<ShardedDaemon> {
-        let ShardedService {
-            shards: services,
-            mut solver,
-            ..
-        } = ShardedService::new(cfg, nodes, shards, outer_period, make);
-        let services: Vec<Arc<Mutex<ArbiterService>>> = services
-            .into_iter()
-            .map(|s| Arc::new(Mutex::new(s)))
-            .collect();
-
-        let mut daemons = Vec::with_capacity(shards);
-        let mut addrs = Vec::with_capacity(shards);
-        for svc in &services {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            let d = Daemon::spawn_shared(listener, svc.clone(), tick_period)?;
-            addrs.push(d.addr());
-            daemons.push(d);
-        }
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let max_sum_bits = Arc::new(AtomicU64::new(0.0f64.to_bits()));
-        let invariant_ok = Arc::new(AtomicBool::new(true));
-        let coordinator = {
-            let stop = stop.clone();
-            let services = services.clone();
-            let max_sum_bits = max_sum_bits.clone();
-            let invariant_ok = invariant_ok.clone();
-            let budget_w = cfg.budget_w;
-            let period = tick_period * outer_period.max(1) as u32;
-            Some(std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(period);
-                    // Lock every shard in index order for the epoch:
-                    // windows drain and budgets land atomically with
-                    // respect to the shard tickers (which each take a
-                    // single lock — no ordering cycle, no deadlock).
-                    let mut guards: Vec<_> = services.iter().map(|s| s.lock().unwrap()).collect();
-                    let mut shards: Vec<&mut ArbiterService> =
-                        guards.iter_mut().map(|g| &mut **g).collect();
-                    solver.epoch(budget_w, &mut shards);
-                    let sum: f64 = shards.iter().map(|s| s.sum_grants()).sum();
-                    drop(guards);
-                    if sum > budget_w + 1e-6 {
-                        invariant_ok.store(false, Ordering::SeqCst);
-                    }
-                    max_sum_bits
-                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |bits| {
-                            (sum > f64::from_bits(bits)).then(|| sum.to_bits())
-                        })
-                        .ok();
-                }
-            }))
-        };
-
-        Ok(ShardedDaemon {
-            _daemons: daemons,
-            services,
-            addrs,
-            stop,
-            coordinator,
-            max_sum_bits,
-            invariant_ok,
-        })
-    }
-
-    /// Shard listen addresses, in shard order.
-    pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
-    }
-
-    /// Machine-wide Σ of current grants, W (locks each shard briefly).
-    pub fn sum_grants(&self) -> f64 {
-        self.services
-            .iter()
-            .map(|s| s.lock().unwrap().sum_grants())
-            .sum()
-    }
-
-    /// High-water Σ grants the coordinator has observed, W.
-    pub fn max_sum_grants_w(&self) -> f64 {
-        f64::from_bits(self.max_sum_bits.load(Ordering::SeqCst))
-    }
-
-    /// Whether Σ grants ≤ machine budget has held at every epoch so far.
-    pub fn invariant_ok(&self) -> bool {
-        self.invariant_ok.load(Ordering::SeqCst)
-    }
-
-    /// Summed service counters across the shards.
-    pub fn stats(&self) -> ServiceStats {
-        self.services
-            .iter()
-            .map(|s| s.lock().unwrap().stats())
-            .sum()
-    }
-
-    /// Stop the coordinator and every shard.
-    pub fn kill(self) {
-        drop(self);
-    }
-}
-
-impl Drop for ShardedDaemon {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(c) = self.coordinator.take() {
-            c.join().ok();
-        }
     }
 }
 
@@ -599,16 +452,18 @@ mod tests {
     #[test]
     fn sharded_daemons_grant_over_sockets_and_hold_the_invariant() {
         use crate::client::{tcp_connector, GrantClient};
+        use crate::daemon::Daemon;
+        use std::net::{SocketAddr, TcpListener};
 
         let n = 4;
         let cfg = machine_cfg(n);
-        let daemon = ShardedDaemon::spawn(
-            &cfg,
-            n,
-            2,
-            2,
+        let listeners = (0..2)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let daemon = Daemon::spawn(
+            listeners,
+            ShardedService::new(&cfg, n, 2, 2, &mut plain_make(no_snap())),
             Duration::from_millis(5),
-            &mut plain_make(no_snap()),
         )
         .unwrap();
 
@@ -647,10 +502,9 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        let sum = daemon.sum_grants();
+        let service = daemon.shutdown().expect("the ticker held Σ ≤ budget");
+        let sum = service.sum_grants();
         assert!(sum <= cfg.budget_w + 1e-6, "Σ {sum} over {}", cfg.budget_w);
-        assert!(daemon.invariant_ok(), "coordinator saw Σ ≤ budget");
-        assert!(daemon.max_sum_grants_w() <= cfg.budget_w + 1e-6);
-        daemon.kill();
+        assert!(service.max_sum_grants_w() <= cfg.budget_w + 1e-6);
     }
 }

@@ -11,7 +11,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::rc::Rc;
 
 use simnode::faults::FaultWindow;
@@ -261,67 +261,81 @@ impl TcpWire {
 }
 
 impl Wire for TcpWire {
+    /// A send that fails shuts the socket down, both directions: it may
+    /// have stopped partway through the frame, and a later frame must
+    /// not follow the torn bytes. The peer reads the whole frames sent
+    /// before, then end of stream.
     fn send(&mut self, msg: &Msg) -> Result<(), WireError> {
         let frame = msg.encode();
         let mut at = 0;
         while at < frame.len() {
             match self.stream.write(&frame[at..]) {
-                Ok(0) => return Err(WireError::Disconnected),
-                Ok(n) => at += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if self.blocking {
-                        // The write timeout lapsed with the peer's socket
-                        // buffer still full: a consumer that stalled for
-                        // that long is dead to the daemon — dropping the
-                        // connection beats blocking the tick loop.
-                        return Err(WireError::Disconnected);
-                    }
-                    // A frame is one message: a singleton of at most
-                    // MAX_FRAME payload bytes or a batch of up to
-                    // MAX_BATCH_FRAME (1 MiB). The peer drains its socket
-                    // as it reads, so spin until the rest fits rather
-                    // than growing an unbounded outbound queue.
+                Ok(n) if n > 0 => at += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // A frame is one message: a singleton of at most
+                // MAX_FRAME payload bytes or a batch of up to
+                // MAX_BATCH_FRAME (1 MiB). The peer drains its socket as
+                // it reads, so spin until the rest fits rather than
+                // growing an unbounded outbound queue.
+                Err(e) if !self.blocking && e.kind() == ErrorKind::WouldBlock => {
                     std::thread::yield_now();
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Err(WireError::Disconnected),
+                // A closed peer, or, in blocking mode, the write timeout
+                // lapsing with the peer's socket buffer still full: a
+                // consumer that stalled for that long is dead to the
+                // daemon — dropping the connection beats blocking the
+                // tick loop.
+                _ => {
+                    self.stream.shutdown(Shutdown::Both).ok();
+                    return Err(WireError::Disconnected);
+                }
             }
         }
         Ok(())
     }
 
+    /// Frames that arrived before the peer closed are delivered first;
+    /// the poll after the last of them reports
+    /// [`WireError::Disconnected`], as a [`PipeWire`] does after a hang-up.
     fn poll(&mut self) -> Result<Option<Msg>, WireError> {
         if let Some(m) = self.pending.pop_front() {
             return Ok(Some(m));
         }
         let mut chunk = [0u8; 4096];
+        // End of stream or a read error: deliver what is buffered first.
+        let mut closed = false;
         if self.blocking {
             // One read, parked in the kernel up to the read timeout. A
             // quiet interval is Ok(None) — the caller re-checks its stop
             // flag and parks again — so idle connections cost no CPU.
             match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(WireError::Disconnected),
-                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) if n > 0 => self.inbuf.extend_from_slice(&chunk[..n]),
                 Err(e)
                     if e.kind() == ErrorKind::WouldBlock
                         || e.kind() == ErrorKind::TimedOut
                         || e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Err(WireError::Disconnected),
+                _ => closed = true,
             }
         } else {
             loop {
                 match self.stream.read(&mut chunk) {
-                    Ok(0) => return Err(WireError::Disconnected),
-                    Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
+                    Ok(n) if n > 0 => self.inbuf.extend_from_slice(&chunk[..n]),
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => return Err(WireError::Disconnected),
+                    _ => {
+                        closed = true;
+                        break;
+                    }
                 }
             }
         }
         let msgs = drain_frames(&mut self.inbuf).map_err(|e| WireError::Corrupt(e.to_string()))?;
         self.pending.extend(msgs);
-        Ok(self.pending.pop_front())
+        match self.pending.pop_front() {
+            Some(m) => Ok(Some(m)),
+            None if closed => Err(WireError::Disconnected),
+            None => Ok(None),
+        }
     }
 }
 
@@ -725,13 +739,97 @@ mod tests {
         assert_eq!(b.poll().unwrap(), None);
     }
 
-    /// The daemon's reader and ticker threads share each connection's
-    /// write half as an `Arc<Mutex<TcpWire>>`: the one transport that
-    /// must cross threads, now that [`Wire`] does not require it.
+    /// The daemon's acceptor hands each connection's write half to the
+    /// ticker thread, and its read half to a reader thread: the one
+    /// transport that must cross threads, now that [`Wire`] does not
+    /// require it.
     #[test]
     fn tcp_wire_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<TcpWire>();
+    }
+
+    /// A connected pair over loopback: the accepted end and the dialler.
+    fn tcp_pair() -> (TcpStream, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (server, client)
+    }
+
+    #[test]
+    fn a_send_that_times_out_shuts_the_socket_instead_of_tearing_a_frame() {
+        use std::time::Duration;
+        let (server, mut client) = tcp_pair();
+        let mut wire =
+            TcpWire::new_blocking(server, Duration::from_millis(20), Duration::from_millis(50))
+                .unwrap();
+        let grants = |tick: u64| {
+            Msg::Batch(
+                (0..(MAX_BATCH_FRAME / 40) as u32)
+                    .map(|node| Msg::Grant {
+                        node,
+                        seq: 1,
+                        tick,
+                        watts: 1.0,
+                    })
+                    .collect(),
+            )
+        };
+        // The client reads nothing, so the socket buffers fill and one
+        // send times out, most likely partway through its frame.
+        let mut whole = 0;
+        while wire.send(&grants(whole)).is_ok() {
+            whole += 1;
+            assert!(whole < 1000, "the send never timed out");
+        }
+        // The client starts reading: a sender that kept the connection
+        // would append the next frame to the torn bytes.
+        let reader = std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            client.read_to_end(&mut bytes).ok();
+            bytes
+        });
+        let grant = Msg::Grant {
+            node: 0,
+            seq: 2,
+            tick: 0,
+            watts: 1.0,
+        };
+        assert_eq!(
+            wire.send(&grant),
+            Err(WireError::Disconnected),
+            "a send after a failed one must not reach the peer"
+        );
+        drop(wire);
+        let mut bytes = reader.join().unwrap();
+        let frames = drain_frames(&mut bytes).expect("whole frames, then the cut");
+        assert_eq!(frames.len() as u64, whole, "every whole frame arrives");
+        assert!(frames
+            .iter()
+            .enumerate()
+            .all(|(t, f)| *f == grants(t as u64)));
+    }
+
+    #[test]
+    fn frames_that_arrive_with_the_fin_are_delivered_before_the_disconnect() {
+        use std::net::Shutdown;
+        let (mut server, client) = tcp_pair();
+        let grant = |seq: u64| Msg::Grant {
+            node: 3,
+            seq,
+            tick: seq,
+            watts: 50.0,
+        };
+        server.write_all(&grant(1).encode()).unwrap();
+        server.write_all(&grant(2).encode()).unwrap();
+        server.shutdown(Shutdown::Write).unwrap();
+        // Let both frames and the FIN land before the first poll.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let mut wire = TcpWire::new(client).unwrap();
+        assert_eq!(wire.poll(), Ok(Some(grant(1))));
+        assert_eq!(wire.poll(), Ok(Some(grant(2))));
+        assert_eq!(wire.poll(), Err(WireError::Disconnected));
     }
 
     #[test]
