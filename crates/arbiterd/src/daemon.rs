@@ -41,9 +41,6 @@ use nrm::Backoff;
 /// flag. Bounds shutdown latency; idle connections cost no CPU.
 const READ_TIMEOUT: Duration = Duration::from_millis(20);
 
-/// How long a send may park before the peer is declared dead.
-const WRITE_TIMEOUT: Duration = Duration::from_millis(250);
-
 /// Per-connection staged-message cap; overflow drops the newest message
 /// (producers resend telemetry every tick, so a drop heals on the next
 /// report, exactly like a lost datagram).
@@ -332,7 +329,7 @@ fn spawn_reader(
     stop: &Arc<AtomicBool>,
     dropped: &Arc<AtomicU64>,
 ) -> std::io::Result<Conn> {
-    let mut rd = TcpWire::new_blocking(stream, READ_TIMEOUT, WRITE_TIMEOUT)?;
+    let mut rd = TcpWire::new_blocking(stream, READ_TIMEOUT)?;
     let wire = rd.split()?;
     let inbox = Arc::new(Mutex::new(Vec::new()));
     let reader = {

@@ -20,9 +20,11 @@
 //! - [`service`] — the deterministic core: bounded ingress with
 //!   load-shedding, per-client token buckets, heartbeat leases that
 //!   reclaim a crashed client's watts, and write-ahead snapshots.
-//! - [`snapshot`] — atomic (write-temp → fsync → rename) checksummed
-//!   state captures; a restarted daemon resumes with Σ grants ≤ budget
-//!   intact and grants bitwise-unchanged.
+//! - [`snapshot`] — checksummed state captures written in place into
+//!   two alternating slot files, so a torn write leaves the previous
+//!   tick in the other; a restarted daemon adopts the newest valid slot
+//!   and resumes with Σ grants ≤ budget intact and grants
+//!   bitwise-unchanged.
 //! - [`sharded`] — horizontal scale-out: N shards, each owning a span
 //!   of producers and a rack-style sub-budget, under a coordinator
 //!   that runs the in-process rack tree's own outer epoch

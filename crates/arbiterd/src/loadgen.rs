@@ -50,6 +50,7 @@ use crate::daemon::Daemon;
 use crate::proto::Msg;
 use crate::service::{ArbiterService, ServiceConfig, ServiceStats};
 use crate::sharded::ShardedService;
+use crate::snapshot::slot_paths;
 use crate::wire::{FaultyWire, PipeWire, Wire, WireFaultPlan};
 
 /// Transport-fault knobs for the simulated cluster.
@@ -463,7 +464,9 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
     // A stale snapshot from a previous run must not leak into this one.
     for i in 0..cfg.shards {
         if let Some(p) = shard_snapshot_path(cfg, i) {
-            std::fs::remove_file(p).ok();
+            for slot in slot_paths(&p) {
+                std::fs::remove_file(slot).ok();
+            }
         }
     }
 

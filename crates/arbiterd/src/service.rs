@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use cluster::{BudgetArbiter, NodeTelemetry, RackWindow, Subtree};
 
 use crate::proto::Msg;
-use crate::snapshot::{Snapshot, SnapshotRef};
+use crate::snapshot::{SnapshotRef, SnapshotSlots};
 
 /// Service tuning knobs (see EXPERIMENTS.md for the operational guide).
 #[derive(Debug, Clone)]
@@ -124,6 +124,9 @@ pub struct ArbiterService {
     /// [`BudgetArbiter::redistribute_trusted`] reads, so a round passes
     /// it as it stands.
     fresh: Vec<Option<NodeTelemetry>>,
+    /// How many entries of `fresh` are `Some`: counted at ingest, so a
+    /// round learns whether anyone reported without a scan.
+    reporting: usize,
     /// Accumulated telemetry sums since the last
     /// [`Subtree::take_window`]: the upward half of a sharded
     /// deployment, where a coordinator drains each shard's window on the
@@ -131,7 +134,7 @@ pub struct ArbiterService {
     /// racks'.
     window: RackWindow,
     tick: u64,
-    snapshot_path: Option<PathBuf>,
+    snapshots: Option<SnapshotSlots>,
     stats: ServiceStats,
 }
 
@@ -146,38 +149,42 @@ impl ArbiterService {
             leases: vec![None; n],
             last_seq: vec![0; n],
             fresh: vec![None; n],
+            reporting: 0,
             cfg,
             queued: 0,
             window: RackWindow::default(),
             tick: 0,
-            snapshot_path: None,
+            snapshots: None,
             stats: ServiceStats::default(),
         }
     }
 
-    /// Persist state to `path` every `snapshot_every` ticks, write-ahead
-    /// of grant release.
+    /// Persist state every `snapshot_every` ticks, write-ahead of grant
+    /// release, into the two slot files `path` and `<path>.1` (see
+    /// [`SnapshotSlots`]).
     pub fn with_snapshot_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.snapshot_path = Some(path.into());
+        self.snapshots = Some(SnapshotSlots::new(path));
         self
     }
 
-    /// Try to resume from the snapshot at the configured path. Returns
-    /// `true` when a usable snapshot was adopted (tick counter, budget,
-    /// grants — bitwise — and the lease table); `false` leaves the fresh
+    /// Try to resume from the newest checksum-valid snapshot slot at the
+    /// configured path. Returns `true` when it was adopted (tick counter,
+    /// budget, grants — bitwise — and the lease table), and later
+    /// snapshots continue in the other slot; `false` leaves the fresh
     /// state untouched, which is the cold-start path. A snapshot the
     /// arbiter refuses (see [`BudgetArbiter::restore`]) is a cold start
     /// too, never a panic.
     pub fn restore(&mut self) -> bool {
-        let Some(path) = &self.snapshot_path else {
+        let Some(slots) = &mut self.snapshots else {
             return false;
         };
-        let Some(snap) = Snapshot::load(path) else {
+        let Some((slot, snap)) = slots.newest() else {
             return false;
         };
         if !self.arbiter.restore(snap.budget_w, &snap.grants_w) {
             return false;
         }
+        slots.adopt(slot);
         self.tick = snap.tick;
         self.leases = snap.leases;
         // Adopt the mid-epoch aggregation window (bit-exact), so a
@@ -279,7 +286,9 @@ impl ArbiterService {
         // Fold into the round immediately: the duplicate filter above
         // lets through only seqs above every one accepted before, so the
         // newest seq always wins and arrival order is irrelevant.
-        self.fresh[id] = Some(report);
+        if self.fresh[id].replace(report).is_none() {
+            self.reporting += 1;
+        }
         Vec::new()
     }
 
@@ -303,36 +312,36 @@ impl ArbiterService {
     /// [`ArbiterService::finish_tick`].
     pub fn begin_tick(&mut self) {
         self.tick += 1;
-        for b in &mut self.buckets {
-            *b = (*b + self.cfg.rate_refill).min(self.cfg.rate_capacity);
-        }
-
-        // Lease expiry: the silent client's grant is dropped to the
-        // floor and the freed watts return to the pool at the next
-        // redistribution. Σ ≤ budget can only improve here.
-        for id in 0..self.leases.len() {
-            if let Some(expiry) = self.leases[id] {
-                if expiry <= self.tick {
-                    self.leases[id] = None;
-                    self.arbiter.reclaim(id);
-                    self.stats.leases_expired += 1;
-                }
+        let now = self.tick;
+        let (refill, capacity) = (self.cfg.rate_refill, self.cfg.rate_capacity);
+        // One pass in node order. Telemetry already folded into `fresh`
+        // at ingest (newest seq wins), and a report accepted this round
+        // outlives its own lease's expiry.
+        let nodes = self
+            .buckets
+            .iter_mut()
+            .zip(&mut self.leases)
+            .zip(&self.fresh);
+        for (id, ((bucket, lease), report)) in nodes.enumerate() {
+            *bucket = (*bucket + refill).min(capacity);
+            // Lease expiry: the silent client's grant is dropped to the
+            // floor and the freed watts return to the pool at the next
+            // redistribution. Σ ≤ budget can only improve here.
+            if lease.is_some_and(|expiry| expiry <= now) {
+                *lease = None;
+                self.arbiter.reclaim(id);
+                self.stats.leases_expired += 1;
+            }
+            // Aggregate the round's accepted reports upward in node
+            // order — the fold order RackArbiter uses over a rack span,
+            // which keeps a sharded run's window sums bit-identical to
+            // the in-process tree's.
+            if let Some(report) = report {
+                self.window.add(report);
             }
         }
-
-        // Telemetry already folded into `fresh` at ingest (newest seq
-        // wins); a report accepted this round outlives its lease expiry
-        // above, exactly as a queued report used to. Reset the bounded-
-        // ingress counter for the next round.
+        // Reset the bounded-ingress counter for the next round.
         self.queued = 0;
-
-        // Aggregate the round's accepted reports upward, in node order —
-        // the same fold order RackArbiter uses over a rack span, which
-        // keeps a sharded run's window sums bit-identical to the
-        // in-process tree's.
-        for report in self.fresh.iter().flatten() {
-            self.window.add(report);
-        }
     }
 
     /// Second half of a tick: redistribute (when the round saw
@@ -342,7 +351,7 @@ impl ArbiterService {
         // Redistribute only when the round saw telemetry: an idle tick
         // must not perturb grants (and bitwise-matches the in-process
         // arbiter, which is only called when reports exist).
-        if self.fresh.iter().any(Option::is_some) {
+        if self.reporting > 0 {
             // Ingest already validated every queued report, so the
             // trusted path skips the redundant per-field scan (grants
             // are bit-identical either way); an error here is
@@ -360,23 +369,27 @@ impl ArbiterService {
             self.write_snapshot();
         }
 
-        let grants = self.arbiter.grants();
-        // Sized up front: filter gives collect no usable size hint, and
-        // on a full round this reallocates its way to node_count.
-        let mut replies: Vec<Msg> = Vec::with_capacity(self.fresh.len());
-        let reported = self.fresh.iter().enumerate().filter(|(_, f)| f.is_some());
-        replies.extend(reported.map(|(id, _)| Msg::Grant {
-            node: id as u32,
-            seq: self.last_seq[id],
-            tick: self.tick,
-            watts: grants[id],
-        }));
-        self.fresh.fill(None);
+        // One pass grants every reporter and empties the round.
+        let mut replies: Vec<Msg> = Vec::with_capacity(self.reporting);
+        if self.reporting > 0 {
+            let grants = self.arbiter.grants();
+            for (id, report) in self.fresh.iter_mut().enumerate() {
+                if report.take().is_some() {
+                    replies.push(Msg::Grant {
+                        node: id as u32,
+                        seq: self.last_seq[id],
+                        tick: self.tick,
+                        watts: grants[id],
+                    });
+                }
+            }
+            self.reporting = 0;
+        }
         replies
     }
 
     fn write_snapshot(&mut self) {
-        let Some(path) = &self.snapshot_path else {
+        let Some(slots) = &mut self.snapshots else {
             return;
         };
         let snap = SnapshotRef {
@@ -388,7 +401,7 @@ impl ArbiterService {
         };
         // A failed write is survivable (the previous snapshot stays);
         // recovery fidelity degrades, the service does not.
-        if snap.save(path).is_ok() {
+        if slots.write_ref(snap).is_ok() {
             self.stats.snapshots += 1;
         }
     }
@@ -456,6 +469,7 @@ impl Subtree for ArbiterService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{slot_paths, Snapshot};
     use cluster::{ArbiterConfig, Policy, PowerArbiter};
     use proptest::prelude::*;
 
@@ -689,13 +703,153 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A scratch directory per test, removed with every slot in it.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("arbiterd-slots-{}-{tag}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+
+        fn path(&self) -> PathBuf {
+            self.0.join("svc.snap")
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    /// What each slot file holds: `None` for a missing or invalid one.
+    fn slots(path: &std::path::Path) -> [Option<Snapshot>; 2] {
+        slot_paths(path).map(|p| Snapshot::from_bytes(&std::fs::read(p).ok()?))
+    }
+
+    /// A 3-node service snapshotting every `every` ticks into `path`.
+    fn durable(path: &std::path::Path, every: u64) -> ArbiterService {
+        let cfg = ServiceConfig {
+            snapshot_every: every,
+            ..ServiceConfig::default()
+        };
+        ArbiterService::new(arbiter(3), cfg).with_snapshot_path(path)
+    }
+
+    /// One round of distinct reports from all three nodes.
+    fn report_round(svc: &mut ArbiterService, round: u64) {
+        for i in 0..3u32 {
+            let t = 0.5 + f64::from(i) * 0.75 + round as f64 * 0.1;
+            svc.ingest(telemetry(i, round, t));
+        }
+        svc.tick();
+    }
+
+    #[test]
+    fn a_torn_newest_slot_restores_the_previous_tick() {
+        for (name, damage) in [
+            (
+                "corrupt",
+                (|b: &mut Vec<u8>| b[30] ^= 0x01) as fn(&mut Vec<u8>),
+            ),
+            ("truncated", |b: &mut Vec<u8>| b.truncate(b.len() / 2)),
+        ] {
+            let dir = Scratch::new(name);
+            let path = dir.path();
+            let mut svc = durable(&path, 1);
+            let mut after = Vec::new();
+            for round in 1..=3 {
+                report_round(&mut svc, round);
+                after.push(svc.grants().to_vec());
+            }
+            // Ticks 1 and 3 went to slot 0, tick 2 to slot 1.
+            let [newest, _] = slot_paths(&path);
+            let mut bytes = std::fs::read(&newest).unwrap();
+            damage(&mut bytes);
+            std::fs::write(&newest, bytes).unwrap();
+            drop(svc);
+
+            let mut revived = durable(&path, 1);
+            assert!(revived.restore(), "{name}: the other slot is adoptable");
+            assert_eq!(revived.now(), 2, "{name}");
+            let bits = |g: &[f64]| g.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(revived.grants()), bits(&after[1]), "{name}");
+            // The restored service continues in the slot it did not
+            // adopt: tick 3 overwrites the damaged slot, tick 2 stays.
+            report_round(&mut revived, 3);
+            let ticks = slots(&path).map(|s| s.map(|s| s.tick));
+            assert_eq!(ticks, [Some(3), Some(2)], "{name}");
+        }
+    }
+
+    #[test]
+    fn a_stale_higher_tick_slot_is_never_adopted_after_a_cold_start() {
+        let dir = Scratch::new("stale");
+        let path = dir.path();
+        // An earlier run's slots, both far ahead of the new run.
+        let stale = |tick| Snapshot {
+            tick,
+            budget_w: 300.0,
+            grants_w: vec![100.0; 3],
+            leases: vec![Some(tick + 8); 3],
+            window: None,
+        };
+        let [first, second] = slot_paths(&path);
+        std::fs::write(&first, stale(400).to_bytes()).unwrap();
+        std::fs::write(&second, stale(500).to_bytes()).unwrap();
+
+        let mut svc = durable(&path, 1);
+        report_round(&mut svc, 1);
+        let grants = svc.grants().to_vec();
+        drop(svc); // kill -9 right after the first snapshot
+
+        assert_eq!(
+            slots(&path).map(|s| s.map(|s| s.tick)),
+            [Some(1), None],
+            "the cold start emptied slot 1 before writing slot 0"
+        );
+        let mut revived = durable(&path, 1);
+        assert!(revived.restore());
+        assert_eq!(revived.now(), 1, "the new run's state, not the stale one");
+        for (a, b) in revived.grants().iter().zip(&grants) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn snapshots_alternate_slots_and_never_overwrite_the_newest() {
+        let dir = Scratch::new("every2");
+        let path = dir.path();
+        let mut svc = durable(&path, 2);
+        let mut before = slots(&path);
+        for round in 1..=8 {
+            report_round(&mut svc, round);
+            let now = slots(&path);
+            if round % 2 == 1 {
+                assert_eq!(now, before, "tick {round} writes no snapshot");
+                continue;
+            }
+            // Slot 0 first, then alternating: the slot holding the
+            // newest state before this write is left as it was.
+            let written = (round / 2 - 1) as usize % 2;
+            let tick = now[written].as_ref().map(|s| s.tick);
+            assert_eq!(tick, Some(round), "tick {round}");
+            assert_eq!(now[1 - written], before[1 - written], "tick {round}");
+            before = now;
+        }
+        assert_eq!(svc.stats().snapshots, 4);
+    }
+
     /// A fresh 4-node, 400 W service (40 W floor) that restores from
     /// `snap`: whether it adopted it, and the service afterwards.
     fn restore_from(snap: &Snapshot, name: &str) -> (bool, ArbiterService) {
         let dir = std::env::temp_dir().join(format!("arbiterd-rst-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("svc.snap");
-        snap.save(&path).unwrap();
+        std::fs::write(&path, snap.to_bytes()).unwrap();
         let mut svc =
             ArbiterService::new(arbiter(4), ServiceConfig::default()).with_snapshot_path(path);
         let adopted = svc.restore();

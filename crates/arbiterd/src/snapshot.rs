@@ -1,22 +1,31 @@
-//! Write-ahead arbiter-state snapshots with atomic replacement.
+//! Write-ahead arbiter-state snapshots in two alternating slot files.
 //!
 //! The durability contract: the daemon persists its state *before*
 //! releasing the grants computed from it, so a `kill -9` at any instant
 //! leaves on disk either the pre-tick or the post-tick state — never a
 //! torn hybrid — and a restarted daemon resumes with Σ grants ≤ budget
 //! intact and grants bit-identical to what clients last saw (or were
-//! about to see). Atomicity comes from the classic
-//! write-temp → fsync → rename dance; torn or tampered files are caught
-//! by an FNV-1a checksum over the payload and rejected as "no snapshot"
-//! rather than trusted.
+//! about to see).
+//!
+//! A snapshot path names two slots, `<path>` (slot 0) and `<path>.1`
+//! (slot 1), which [`SnapshotSlots`] opens once and keeps open. Each
+//! write overwrites, in place and then fsynced, the slot that does *not*
+//! hold the newest state, so a write torn by a crash leaves the previous
+//! tick intact in the other slot. [`Snapshot::load`] adopts the newest
+//! checksum-valid slot by tick; torn or tampered slots are caught by an
+//! FNV-1a checksum over the payload and rejected as "no snapshot" rather
+//! than trusted. A cold-started writer (one that adopted nothing)
+//! durably empties slot 1 before its first write to slot 0, so a
+//! higher-tick slot left by an earlier run can never outrank the new
+//! run's state.
 //!
 //! Watts are stored as hex-encoded `f64` bits, not decimal — restore
 //! must be *bitwise*, and a decimal round-trip would quietly break the
 //! chaos acceptance criterion.
 
-use std::fs::{self, File};
-use std::io::Write;
-use std::path::Path;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 /// A daemon state capture: everything needed to resume arbitration.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,22 +140,6 @@ impl SnapshotRef<'_> {
         out.push(b'\n');
         out
     }
-
-    /// Persist atomically: write `<path>.tmp`, fsync, rename over
-    /// `path`. On any error the previous snapshot (if one exists) is
-    /// left untouched.
-    pub fn save(self, path: &Path) -> std::io::Result<()> {
-        // Appended, not `with_extension`: that would map every shard's
-        // `x.snap.s<i>` onto one shared `x.snap.tmp`.
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)
-    }
 }
 
 impl Snapshot {
@@ -228,16 +221,118 @@ impl Snapshot {
         })
     }
 
-    /// Persist atomically: write `<path>.tmp`, fsync, rename over
-    /// `path`. On any error the previous snapshot (if one exists) is
-    /// left untouched.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        self.borrowed().save(path)
+    /// Load the newest checksum-valid slot under `path` (see
+    /// [`SnapshotSlots`]); `None` when neither slot is usable.
+    pub fn load(path: &Path) -> Option<Snapshot> {
+        SnapshotSlots::new(path).newest().map(|(_, snap)| snap)
+    }
+}
+
+/// The two slot files behind a snapshot path: `<path>` and `<path>.1`.
+/// Appended, not `with_extension`: that would map every shard's
+/// `x.snap.s<i>` onto one shared `x.snap.1`.
+pub(crate) fn slot_paths(path: &Path) -> [PathBuf; 2] {
+    let mut second = path.as_os_str().to_owned();
+    second.push(".1");
+    [path.to_path_buf(), second.into()]
+}
+
+/// The snapshot writer: two slot files under one path, overwritten in
+/// place in turn (see the module docs). The files are opened on the
+/// first write and kept open.
+#[derive(Debug)]
+pub struct SnapshotSlots {
+    paths: [PathBuf; 2],
+    files: Option<[File; 2]>,
+    /// The slot the next write overwrites: the one not holding the
+    /// newest state.
+    next: usize,
+    /// Nothing was adopted, so slot 1 may hold an earlier run's state
+    /// that must be emptied before the first write.
+    cold: bool,
+}
+
+impl SnapshotSlots {
+    /// A cold-started writer for `path`: its first write goes to slot 0,
+    /// after emptying slot 1. Touches no file until then.
+    pub fn new(path: impl Into<PathBuf>) -> Self {
+        Self {
+            paths: slot_paths(&path.into()),
+            files: None,
+            next: 0,
+            cold: true,
+        }
     }
 
-    /// Load from `path`; `None` when missing or unusable.
-    pub fn load(path: &Path) -> Option<Snapshot> {
-        Snapshot::from_bytes(&fs::read(path).ok()?)
+    /// The newest checksum-valid slot by tick (slot 0 on a tie) and its
+    /// index; adopting it is the caller's decision, recorded with
+    /// [`SnapshotSlots::adopt`].
+    pub(crate) fn newest(&self) -> Option<(usize, Snapshot)> {
+        let read = |slot: usize| {
+            let snap = Snapshot::from_bytes(&fs::read(&self.paths[slot]).ok()?)?;
+            Some((slot, snap))
+        };
+        match (read(0), read(1)) {
+            (Some(a), Some(b)) => Some(if b.1.tick > a.1.tick { b } else { a }),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// The state in `slot` was adopted: continue in the other slot, and
+    /// keep both as they are.
+    pub(crate) fn adopt(&mut self, slot: usize) {
+        self.next = 1 - slot;
+        self.cold = false;
+    }
+
+    /// Persist `snap` write-ahead; see [`SnapshotSlots`].
+    pub fn write(&mut self, snap: &Snapshot) -> io::Result<()> {
+        self.write_ref(snap.borrowed())
+    }
+
+    /// Overwrite the slot not holding the newest state: seek to 0,
+    /// write, trim to length, fsync. On any error that slot may be torn,
+    /// so the next write retries it and the other slot keeps the newest
+    /// state.
+    pub(crate) fn write_ref(&mut self, snap: SnapshotRef<'_>) -> io::Result<()> {
+        let bytes = snap.to_bytes();
+        let slot = self.next;
+        let file = &mut self.open()?[slot];
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&bytes)?;
+        file.set_len(bytes.len() as u64)?;
+        file.sync_all()?;
+        self.next = 1 - slot;
+        Ok(())
+    }
+
+    fn open(&mut self) -> io::Result<&mut [File; 2]> {
+        if self.files.is_none() {
+            let open = |p: &PathBuf| {
+                OpenOptions::new()
+                    .write(true)
+                    .create(true)
+                    .truncate(false)
+                    .open(p)
+            };
+            let files = [open(&self.paths[0])?, open(&self.paths[1])?];
+            if self.cold {
+                // Slot 0 is about to be overwritten; a stale slot 1 left
+                // by an earlier run would outrank it after a crash.
+                files[1].set_len(0)?;
+                files[1].sync_all()?;
+            }
+            // Either slot may have just been created: make its name as
+            // durable as its contents.
+            let dir = match self.paths[0].parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => Path::new("."),
+            };
+            File::open(dir)?.sync_all()?;
+            self.cold = false;
+            self.files = Some(files);
+        }
+        Ok(self.files.as_mut().expect("opened above"))
     }
 }
 
@@ -395,34 +490,99 @@ mod tests {
         assert_eq!(Snapshot::from_bytes(b"not a snapshot"), None);
     }
 
+    /// A scratch directory per test, removed with both slots in it.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("arbiterd-snap-{tag}-{}", std::process::id()));
+            fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    /// The tick each slot holds, `None` for a missing or invalid slot.
+    fn slot_ticks(path: &Path) -> [Option<u64>; 2] {
+        slot_paths(path).map(|p| Snapshot::from_bytes(&fs::read(p).ok()?).map(|s| s.tick))
+    }
+
     #[test]
     fn save_load_round_trips_through_disk() {
-        let dir = std::env::temp_dir().join(format!("arbiterd-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.snap");
+        let dir = Scratch::new("rt");
+        let path = dir.0.join("state.snap");
+        let mut slots = SnapshotSlots::new(&path);
         let s = sample();
-        s.save(&path).unwrap();
+        slots.write(&s).unwrap();
         assert_eq!(Snapshot::load(&path), Some(s.clone()));
-        // Overwrite is atomic-replace, not append.
+        // The next write lands in the other slot; load takes the newer.
         let s2 = Snapshot { tick: 43, ..s };
-        s2.save(&path).unwrap();
+        slots.write(&s2).unwrap();
         assert_eq!(Snapshot::load(&path), Some(s2));
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(slot_ticks(&path), [Some(42), Some(43)]);
+    }
+
+    #[test]
+    fn successive_writes_alternate_slots() {
+        let dir = Scratch::new("alt");
+        let path = dir.0.join("state.snap");
+        let mut slots = SnapshotSlots::new(&path);
+        let mut seen = Vec::new();
+        for tick in 1..=4 {
+            slots.write(&Snapshot { tick, ..sample() }).unwrap();
+            seen.push(slot_ticks(&path));
+        }
+        assert_eq!(
+            seen,
+            [
+                [Some(1), None],
+                [Some(1), Some(2)],
+                [Some(3), Some(2)],
+                [Some(3), Some(4)],
+            ]
+        );
+    }
+
+    #[test]
+    fn load_reads_slot_one_when_only_it_is_valid() {
+        let dir = Scratch::new("one");
+        let path = dir.0.join("state.snap");
+        let [first, second] = slot_paths(&path);
+        fs::write(&second, sample().to_bytes()).unwrap();
+        assert_eq!(Snapshot::load(&path), Some(sample()), "slot 0 missing");
+        fs::write(&first, b"not a snapshot").unwrap();
+        assert_eq!(Snapshot::load(&path), Some(sample()), "slot 0 garbage");
+        let bytes = Snapshot {
+            tick: 99,
+            ..sample()
+        }
+        .to_bytes();
+        fs::write(&first, &bytes[..bytes.len() - 5]).unwrap();
+        assert_eq!(Snapshot::load(&path), Some(sample()), "slot 0 torn");
     }
 
     #[test]
     fn sibling_shard_files_stage_through_their_own_temp_files() {
-        let dir = std::env::temp_dir().join(format!("arbiterd-snap-sib-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        // Every shard's `x.snap.s<i>` has slots of its own (`x.snap.s<i>`
+        // and `x.snap.s<i>.1`), so concurrent shard writers never share
+        // a file.
+        let dir = Scratch::new("sib");
         let writers: Vec<_> = (0..2u64)
             .map(|i| {
-                let path = dir.join(format!("x.snap.s{i}"));
+                let path = dir.0.join(format!("x.snap.s{i}"));
                 std::thread::spawn(move || {
                     let s = Snapshot {
                         tick: i,
                         ..sample()
                     };
-                    let failed = (0..200).filter(|_| s.save(&path).is_err()).count();
+                    let mut slots = SnapshotSlots::new(&path);
+                    let failed = (0..200).filter(|_| slots.write(&s).is_err()).count();
                     (failed, Snapshot::load(&path) == Some(s))
                 })
             })
@@ -432,7 +592,6 @@ mod tests {
             assert_eq!(failed, 0, "shard {i}: every save must succeed");
             assert!(own, "shard {i}'s file must hold its own snapshot");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

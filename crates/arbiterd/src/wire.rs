@@ -13,10 +13,15 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 use simnode::faults::FaultWindow;
 
 use crate::proto::{drain_frames, Msg, ProtoError, MAX_FRAME};
+
+/// How long a [`TcpWire`] send may stall on a peer that does not read
+/// before the peer is declared dead, in either mode.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Transport failure, as seen by one endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,18 +230,14 @@ impl TcpWire {
 
     /// Wrap a connected stream in blocking mode: `poll` parks in the
     /// kernel up to `read_timeout` (returning `Ok(None)` on a quiet
-    /// interval), and a write stalled past `write_timeout` is treated as
-    /// a dead peer rather than a reason to block the daemon. Both
-    /// timeouts apply to the underlying socket, so they are shared with
-    /// any `try_clone`d half of the same connection.
-    pub fn new_blocking(
-        stream: TcpStream,
-        read_timeout: std::time::Duration,
-        write_timeout: std::time::Duration,
-    ) -> std::io::Result<Self> {
+    /// interval), and a write stalled past `WRITE_TIMEOUT` (250 ms) is
+    /// treated as a dead peer rather than a reason to block the daemon.
+    /// Both timeouts apply to the underlying socket, so they are shared
+    /// with any `try_clone`d half of the same connection.
+    pub fn new_blocking(stream: TcpStream, read_timeout: Duration) -> std::io::Result<Self> {
         stream.set_nonblocking(false)?;
         stream.set_read_timeout(Some(read_timeout))?;
-        stream.set_write_timeout(Some(write_timeout))?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         stream.set_nodelay(true).ok();
         Ok(Self {
             stream,
@@ -244,6 +245,15 @@ impl TcpWire {
             pending: VecDeque::new(),
             blocking: true,
         })
+    }
+
+    /// Give up on the peer after a failed send: shut the socket down
+    /// both ways and report it gone. A consumer that stalled past the
+    /// write timeout is as dead as a closed one, and dropping it beats
+    /// blocking the tick loop.
+    fn hang_up(&mut self) -> WireError {
+        self.stream.shutdown(Shutdown::Both).ok();
+        WireError::Disconnected
     }
 
     /// A second [`TcpWire`] over the same connection (shared file
@@ -268,27 +278,31 @@ impl Wire for TcpWire {
     fn send(&mut self, msg: &Msg) -> Result<(), WireError> {
         let frame = msg.encode();
         let mut at = 0;
+        // Non-blocking mode: when the current stall gives up.
+        let mut stall = None;
         while at < frame.len() {
             match self.stream.write(&frame[at..]) {
-                Ok(n) if n > 0 => at += n,
+                Ok(n) if n > 0 => {
+                    at += n;
+                    stall = None;
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 // A frame is one message: a singleton of at most
                 // MAX_FRAME payload bytes or a batch of up to
                 // MAX_BATCH_FRAME (1 MiB). The peer drains its socket as
                 // it reads, so spin until the rest fits rather than
-                // growing an unbounded outbound queue.
+                // growing an unbounded outbound queue — for at most
+                // WRITE_TIMEOUT, as a blocking write waits.
                 Err(e) if !self.blocking && e.kind() == ErrorKind::WouldBlock => {
+                    let deadline = *stall.get_or_insert_with(|| Instant::now() + WRITE_TIMEOUT);
+                    if Instant::now() >= deadline {
+                        return Err(self.hang_up());
+                    }
                     std::thread::yield_now();
                 }
                 // A closed peer, or, in blocking mode, the write timeout
-                // lapsing with the peer's socket buffer still full: a
-                // consumer that stalled for that long is dead to the
-                // daemon — dropping the connection beats blocking the
-                // tick loop.
-                _ => {
-                    self.stream.shutdown(Shutdown::Both).ok();
-                    return Err(WireError::Disconnected);
-                }
+                // lapsing with the peer's socket buffer still full.
+                _ => return Err(self.hang_up()),
             }
         }
         Ok(())
@@ -761,9 +775,7 @@ mod tests {
     fn a_send_that_times_out_shuts_the_socket_instead_of_tearing_a_frame() {
         use std::time::Duration;
         let (server, mut client) = tcp_pair();
-        let mut wire =
-            TcpWire::new_blocking(server, Duration::from_millis(20), Duration::from_millis(50))
-                .unwrap();
+        let mut wire = TcpWire::new_blocking(server, Duration::from_millis(20)).unwrap();
         let grants = |tick: u64| {
             Msg::Batch(
                 (0..(MAX_BATCH_FRAME / 40) as u32)
@@ -809,6 +821,37 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(t, f)| *f == grants(t as u64)));
+    }
+
+    #[test]
+    fn a_non_blocking_send_to_a_peer_that_never_reads_gives_up() {
+        use std::time::Duration;
+        // The connection completes in the listener's backlog, but nothing
+        // ever accepts it, so no byte is read and the buffers fill.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (done, outcome) = std::sync::mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            let mut wire = TcpWire::new(stream).unwrap();
+            let batch = Msg::Batch(
+                (0..(MAX_BATCH_FRAME / 40) as u32)
+                    .map(|node| Msg::Grant {
+                        node,
+                        seq: 1,
+                        tick: 1,
+                        watts: 1.0,
+                    })
+                    .collect(),
+            );
+            let failed = (0..1000).find_map(|_| wire.send(&batch).err());
+            done.send(failed).ok();
+        });
+        let failed = outcome
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the send still spins on a peer that never reads");
+        assert_eq!(failed, Some(WireError::Disconnected));
+        sender.join().unwrap();
+        drop(listener);
     }
 
     #[test]

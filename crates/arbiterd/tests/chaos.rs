@@ -8,7 +8,7 @@
 //! daemon path stays grant-for-grant *bit-identical* to the in-process
 //! [`cluster::BudgetArbiter`].
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use arbiterd::loadgen::{run_loadgen, synth_telemetry, FaultKnobs, LoadgenConfig};
@@ -26,6 +26,14 @@ fn scratch(tag: &str) -> PathBuf {
         tag,
         NTH.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+/// Remove both snapshot slot files under `path`: `<path>` and
+/// `<path>.1`.
+fn remove_slots(path: impl AsRef<Path>) {
+    let path = path.as_ref();
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(format!("{}.1", path.display())).ok();
 }
 
 fn bare_arbiter(n: usize) -> PowerArbiter {
@@ -105,7 +113,7 @@ fn crash_recovery_matches_the_uncrashed_reference_bitwise() {
         snapshot_path: Some(path.clone()),
         ..base
     });
-    std::fs::remove_file(&path).ok();
+    remove_slots(&path);
 
     assert!(
         crashed.invariant_ok,
@@ -161,7 +169,7 @@ fn hostile_wires_plus_crash_keep_every_invariant() {
         snapshot_path: Some(path.clone()),
         ..LoadgenConfig::default()
     });
-    std::fs::remove_file(&path).ok();
+    remove_slots(&path);
 
     assert!(run.invariant_ok, "Σ ≤ budget under faults + crash");
     assert_eq!(run.hold_violations, 0);
@@ -209,7 +217,7 @@ fn hostile_wires_drop_whole_batches_and_nothing_breaks() {
         snapshot_path: Some(path.clone()),
         ..LoadgenConfig::default()
     });
-    std::fs::remove_file(&path).ok();
+    remove_slots(&path);
 
     assert!(run.invariant_ok, "Σ ≤ budget under batch faults + crash");
     assert!(run.max_sum_grants_w <= run.budget_w + 1e-6);
@@ -270,7 +278,7 @@ fn single_shard_crash_recovers_while_peers_keep_serving() {
     let replay = run_loadgen(&crash_cfg);
     for p in [&ref_path, crash_cfg.snapshot_path.as_ref().unwrap()] {
         for i in 0..2 {
-            std::fs::remove_file(format!("{}.s{i}", p.display())).ok();
+            remove_slots(format!("{}.s{i}", p.display()));
         }
     }
 
@@ -423,7 +431,7 @@ proptest! {
         for (a, b) in revived.grants().iter().zip(witness.grants()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
-        std::fs::remove_file(&path).ok();
+        remove_slots(&path);
     }
 
     /// Whatever a client throws at the service — unknown nodes, replayed

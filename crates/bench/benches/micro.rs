@@ -2,12 +2,13 @@
 //! macro-step, the RAPL control decision, the hardened daemon's control
 //! tick, the progress bus, the 1 Hz aggregator, the Eq. 7 evaluation,
 //! one cluster barrier's exchange pricing, a pass over a thousand
-//! cluster members, and the arbiter daemon's snapshot encoding, pipe
-//! transport, batch decoding and arbitration round. These are what bound
-//! full-experiment wall time, so regressions here matter directly for
-//! `repro all`.
+//! cluster members, and the arbiter daemon's snapshot encoding and
+//! writing, pipe transport, batch decoding and arbitration round. These
+//! are what bound full-experiment wall time, so regressions here matter
+//! directly for `repro all`.
 
 use arbiterd::loadgen::synth_telemetry;
+use arbiterd::snapshot::SnapshotSlots;
 use arbiterd::{ArbiterService, Msg, PipeWire, ServiceConfig, Snapshot, Wire};
 use cluster::{
     exchange, ramp_weights, ArbiterConfig, ClusterNode, CommConfig, CommPattern, NodeTelemetry,
@@ -279,7 +280,8 @@ fn bench_cluster(c: &mut Criterion) {
 
 /// The arbiter daemon's per-tick paths at the `arbiterd_durable_4k`
 /// and `arbiterd_sharded_100k` shapes: one tick's write-ahead snapshot
-/// of 4096 nodes, one tick's 4096 singleton telemetry frames each over
+/// of 4096 nodes, encoded alone and encoded, written and fsynced into
+/// its slot file, one tick's 4096 singleton telemetry frames each over
 /// its own pipe, one 64-member telemetry batch decoded, and one
 /// 25 000-node shard's round (ingest and tick).
 fn bench_arbiterd(c: &mut Criterion) {
@@ -298,6 +300,13 @@ fn bench_arbiterd(c: &mut Criterion) {
     g.bench_function("snapshot_4k", |b| {
         b.iter(|| black_box(snap.to_bytes()).len())
     });
+    let dir = std::env::temp_dir().join(format!("micro-snapshot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut slots = SnapshotSlots::new(dir.join("bench.snap"));
+    g.bench_function("snapshot_write_4k", |b| {
+        b.iter(|| slots.write(&snap).expect("snapshot write"))
+    });
+    std::fs::remove_dir_all(&dir).ok();
 
     let telemetry = |node: u32, seq: u64| Msg::Telemetry {
         node,

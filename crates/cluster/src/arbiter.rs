@@ -190,6 +190,17 @@ impl NodeTelemetry {
     /// corrupted frame), reported as a recoverable [`TelemetryError`]
     /// naming `node` rather than an abort.
     pub fn validate(&self, node: usize) -> Result<(), TelemetryError> {
+        // `0 <= v < ∞` is false for NaN and both infinities, true for -0.
+        let ok = |v: f64| (0.0..f64::INFINITY).contains(&v);
+        if ok(self.compute_s)
+            && ok(self.comm_s)
+            && ok(self.slack_s)
+            && ok(self.rate)
+            && ok(self.power_w)
+        {
+            return Ok(());
+        }
+        // Name the first failing field only once something failed.
         let fields = [
             ("compute_s", self.compute_s),
             ("comm_s", self.comm_s),
@@ -197,12 +208,11 @@ impl NodeTelemetry {
             ("rate", self.rate),
             ("power_w", self.power_w),
         ];
-        for (field, value) in fields {
-            if !value.is_finite() || value < 0.0 {
-                return Err(TelemetryError::Malformed { node, field, value });
-            }
-        }
-        Ok(())
+        let (field, value) = fields
+            .into_iter()
+            .find(|&(_, v)| !ok(v))
+            .expect("a field failed above");
+        Err(TelemetryError::Malformed { node, field, value })
     }
 
     /// Fraction of this node's busy time spent computing (1.0 when the
@@ -1036,6 +1046,41 @@ mod tests {
             },
             4,
         );
+    }
+
+    #[test]
+    fn validate_names_the_first_malformed_field() {
+        let names = ["compute_s", "comm_s", "slack_s", "rate", "power_w"];
+        let report = |values: [f64; 5]| NodeTelemetry {
+            compute_s: values[0],
+            comm_s: values[1],
+            slack_s: values[2],
+            rate: values[3],
+            power_w: values[4],
+        };
+        assert_eq!(
+            report([-0.0; 5]).validate(3),
+            Ok(()),
+            "-0.0 is non-negative"
+        );
+        assert_eq!(report([0.0, 0.5, 1.0, 2.0, 90.0]).validate(3), Ok(()));
+        for (i, field) in names.into_iter().enumerate() {
+            for bad in [f64::NAN, -1.0, f64::INFINITY] {
+                // Every later field fails too: the first is the one named.
+                let mut values = [1.0; 5];
+                values[i..].fill(bad);
+                let Err(TelemetryError::Malformed {
+                    node,
+                    field: named,
+                    value,
+                }) = report(values).validate(3)
+                else {
+                    panic!("{field} = {bad} passed");
+                };
+                assert_eq!((node, named), (3, field), "{field} = {bad}");
+                assert_eq!(value.to_bits(), bad.to_bits(), "{field} = {bad}");
+            }
+        }
     }
 
     #[test]
