@@ -24,7 +24,7 @@
 //! chaos acceptance criterion.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// A daemon state capture: everything needed to resume arbitration.
@@ -49,6 +49,39 @@ pub struct Snapshot {
 }
 
 const MAGIC: &str = "arbiterd-snapshot v1";
+
+/// Bytes [`SnapshotSlots::newest`] reads to find a slot's tick: more than
+/// the magic line and the longest tick line (20 digits) take.
+const HEAD_LEN: u64 = 64;
+
+/// The tick in a snapshot's first two lines, the magic line and the
+/// tick line.
+fn header_tick(lines: &mut std::str::Lines<'_>) -> Option<u64> {
+    if lines.next()? != MAGIC {
+        return None;
+    }
+    lines.next()?.strip_prefix("tick ")?.parse().ok()
+}
+
+/// The tick a slot file's header claims, read from its first
+/// [`HEAD_LEN`] bytes without checking the rest: `None` when they hold
+/// no complete header, which no valid file lacks.
+fn peek_tick(path: &Path) -> Option<u64> {
+    let mut head = Vec::with_capacity(HEAD_LEN as usize);
+    File::open(path)
+        .ok()?
+        .take(HEAD_LEN)
+        .read_to_end(&mut head)
+        .ok()?;
+    // The header ends at the second newline.
+    let end = head
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .nth(1)?
+        .0;
+    header_tick(&mut std::str::from_utf8(&head[..end]).ok()?.lines())
+}
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -168,10 +201,7 @@ impl Snapshot {
             return None;
         }
         let mut lines = body.lines();
-        if lines.next()? != MAGIC {
-            return None;
-        }
-        let tick = lines.next()?.strip_prefix("tick ")?.parse().ok()?;
+        let tick = header_tick(&mut lines)?;
         let budget_w =
             f64::from_bits(u64::from_str_radix(lines.next()?.strip_prefix("budget ")?, 16).ok()?);
         let grants_w = lines
@@ -267,15 +297,17 @@ impl SnapshotSlots {
     /// The newest checksum-valid slot by tick (slot 0 on a tie) and its
     /// index; adopting it is the caller's decision, recorded with
     /// [`SnapshotSlots::adopt`].
+    ///
+    /// Only the slot whose header claims the higher tick is read whole
+    /// and checked; the other is read only when that check fails.
     pub(crate) fn newest(&self) -> Option<(usize, Snapshot)> {
-        let read = |slot: usize| {
+        let ticks = [0, 1].map(|slot| peek_tick(&self.paths[slot]));
+        let first = usize::from(ticks[1] > ticks[0]);
+        [first, 1 - first].into_iter().find_map(|slot| {
+            ticks[slot]?;
             let snap = Snapshot::from_bytes(&fs::read(&self.paths[slot]).ok()?)?;
             Some((slot, snap))
-        };
-        match (read(0), read(1)) {
-            (Some(a), Some(b)) => Some(if b.1.tick > a.1.tick { b } else { a }),
-            (a, b) => a.or(b),
-        }
+        })
     }
 
     /// The state in `slot` was adopted: continue in the other slot, and
@@ -565,6 +597,42 @@ mod tests {
         .to_bytes();
         fs::write(&first, &bytes[..bytes.len() - 5]).unwrap();
         assert_eq!(Snapshot::load(&path), Some(sample()), "slot 0 torn");
+    }
+
+    #[test]
+    fn a_torn_newer_slot_falls_back_to_the_older_one() {
+        let dir = Scratch::new("torn");
+        let path = dir.0.join("state.snap");
+        let [first, second] = slot_paths(&path);
+        let older = sample();
+        let newer = Snapshot {
+            tick: 43,
+            ..sample()
+        }
+        .to_bytes();
+        fs::write(&first, older.to_bytes()).unwrap();
+        let mut flipped = newer.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x01;
+        // Torn past its header (tick 43 still readable), inside the tick
+        // line, and after it, with the checksum line cut short.
+        let tick_line = MAGIC.len() + "\ntick 4".len();
+        for torn in [&flipped[..], &newer[..tick_line], &newer[..newer.len() - 5]] {
+            fs::write(&second, torn).unwrap();
+            assert_eq!(SnapshotSlots::new(&path).newest(), Some((0, older.clone())));
+        }
+        // Intact, the newer slot wins; at an equal tick slot 0 does.
+        fs::write(&second, &newer).unwrap();
+        assert_eq!(
+            SnapshotSlots::new(&path).newest().map(|(i, s)| (i, s.tick)),
+            Some((1, 43))
+        );
+        let tie = Snapshot {
+            budget_w: 500.0,
+            ..older.clone()
+        };
+        fs::write(&second, tie.to_bytes()).unwrap();
+        assert_eq!(SnapshotSlots::new(&path).newest(), Some((0, older)));
     }
 
     #[test]

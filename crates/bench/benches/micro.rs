@@ -29,6 +29,7 @@ use simnode::rapl::{ActivitySnapshot, RaplController};
 use simnode::time::{MS, SEC};
 use simnode::{NodeTables, SimAgent};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn busy_node() -> Node {
     let mut node = Node::new(NodeConfig::default());
@@ -254,14 +255,19 @@ fn bench_cluster(c: &mut Criterion) {
     // One compute phase and one barrier spin of each of 1024 reference
     // members in turn, at the `cluster_hier_halo_4096` member shape. The
     // node benches above step one node whose state stays in cache; here
-    // every member's state is cold by the time its turn comes again.
+    // every member's state is cold by the time its turn comes again. The
+    // members share one copy of the reference node's tables, as
+    // `run_cluster` builds them.
     let n = 1024;
+    let cfg = simnode::presets::reference();
+    let tables = Arc::new(NodeTables::new(&cfg));
     let mut members: Vec<ClusterNode> = ramp_weights(n, 1.0, 2.6)
         .into_iter()
         .enumerate()
         .map(|(id, w)| {
             let shape = WorkloadShape::default().scaled(0.1);
-            let mut m = ClusterNode::new(id, simnode::presets::reference(), w, shape, 10 * MS);
+            let tables = Arc::clone(&tables);
+            let mut m = ClusterNode::with_tables(id, cfg.clone(), tables, w, shape, 10 * MS);
             m.set_grant(65.0);
             m
         })

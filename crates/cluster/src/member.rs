@@ -21,6 +21,8 @@ use simnode::agent::SimAgent;
 use simnode::config::NodeConfig;
 use simnode::node::{CoreWork, Node};
 use simnode::time::{secs, Nanos, SEC};
+use simnode::NodeTables;
+use std::sync::Arc;
 
 use crate::arbiter::NodeTelemetry;
 use crate::grant::{GrantCell, GrantSchedule};
@@ -79,6 +81,23 @@ impl ClusterNode {
         shape: WorkloadShape,
         daemon_period: Nanos,
     ) -> Self {
+        let tables = Arc::new(NodeTables::new(&cfg));
+        Self::with_tables(id, cfg, tables, weight, shape, daemon_period)
+    }
+
+    /// [`ClusterNode::new`] on `cfg`'s lookup tables, shared with the
+    /// other members of the same hardware (see [`Node::with_tables`]).
+    ///
+    /// # Panics
+    /// As [`ClusterNode::new`] and [`Node::with_tables`].
+    pub fn with_tables(
+        id: usize,
+        cfg: NodeConfig,
+        tables: Arc<NodeTables>,
+        weight: f64,
+        shape: WorkloadShape,
+        daemon_period: Nanos,
+    ) -> Self {
         assert!(
             daemon_period > 0 && daemon_period.is_multiple_of(cfg.quantum),
             "daemon period must be a positive multiple of the quantum"
@@ -90,7 +109,7 @@ impl ClusterNode {
             cluster_resilience(),
         )
         .with_period(daemon_period);
-        let node = Node::new(cfg);
+        let node = Node::with_tables(cfg, tables);
         let mut member = Self {
             id,
             rack: 0,

@@ -35,6 +35,7 @@ use simnode::faults::FaultPlan;
 use simnode::hw::BackendKind;
 use simnode::node::WorkCounts;
 use simnode::time::{secs, Nanos};
+use simnode::NodeTables;
 use std::sync::Arc;
 
 use crate::arbiter::{ArbiterConfig, BudgetArbiter, GrantTrace, NodeTelemetry, PowerArbiter};
@@ -75,11 +76,51 @@ impl Preset {
     /// above it would be clawed back by the throttle while still being
     /// charged against the cluster budget.
     pub fn thermal_ceiling_w(self) -> f64 {
-        self.config()
-            .thermal
-            .as_ref()
-            .map(|t| t.sustainable_power_w())
-            .unwrap_or(f64::INFINITY)
+        thermal_ceiling_w(&self.config())
+    }
+}
+
+/// [`Preset::thermal_ceiling_w`] of the preset `cfg` was resolved from.
+fn thermal_ceiling_w(cfg: &NodeConfig) -> f64 {
+    cfg.thermal
+        .as_ref()
+        .map(|t| t.sustainable_power_w())
+        .unwrap_or(f64::INFINITY)
+}
+
+/// The presets of a fleet, each resolved once into its validated node
+/// configuration and the lookup tables every member of that hardware
+/// shares, in order of first appearance.
+struct Resolved {
+    presets: Vec<(Preset, NodeConfig, Arc<NodeTables>)>,
+    /// Each node's index into `presets`.
+    of_node: Vec<usize>,
+}
+
+impl Resolved {
+    /// # Panics
+    /// Panics on an invalid preset (those validators live in `simnode`
+    /// and still assert).
+    fn new(nodes: &[NodeSpec]) -> Self {
+        let mut presets: Vec<(Preset, NodeConfig, Arc<NodeTables>)> = Vec::new();
+        let of_node = nodes
+            .iter()
+            .map(|spec| {
+                // `Preset` compares its payload as `f64`: a NaN preset
+                // matches nothing and is resolved on its own.
+                presets
+                    .iter()
+                    .position(|(p, ..)| *p == spec.preset)
+                    .unwrap_or_else(|| {
+                        let cfg = spec.preset.config();
+                        cfg.validate();
+                        let tables = Arc::new(NodeTables::new(&cfg));
+                        presets.push((spec.preset, cfg, tables));
+                        presets.len() - 1
+                    })
+            })
+            .collect();
+        Self { presets, of_node }
     }
 }
 
@@ -184,8 +225,8 @@ impl ClusterConfig {
                     spec.backend
                 )
             })?;
-            spec.preset.config().validate();
         }
+        Resolved::new(&self.nodes);
         Ok(())
     }
 }
@@ -313,49 +354,61 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
 /// Build the arbiter and the member fleet for a validated `cfg`.
 fn setup(cfg: &ClusterConfig) -> (Box<dyn BudgetArbiter>, Vec<ClusterNode>) {
     let n = cfg.nodes.len();
-    // Thermal-headroom clamps: a node whose cooling cannot dissipate the
-    // shared max cap gets its grant ceiling tightened to what it can
-    // actually spend (∞ for presets without a thermal model, which keeps
-    // thermally unconstrained clusters bitwise unchanged). Flat
-    // arbitration only: the rack tree's per-rack clamps scale with rack
-    // size, not per-node cooling, so the hierarchy keeps the shared
-    // ceiling for now.
-    let ceilings: Vec<f64> = cfg
-        .nodes
-        .iter()
-        .map(|s| s.preset.thermal_ceiling_w())
-        .collect();
+    let resolved = Resolved::new(&cfg.nodes);
     let arbiter: Box<dyn BudgetArbiter> = match &cfg.hierarchy {
         Some(h) => Box::new(RackArbiter::new(cfg.arbiter, h.clone())),
-        None => Box::new(PowerArbiter::new(cfg.arbiter, n).with_node_ceilings(&ceilings)),
-    };
-    let rack_of = |id: usize| -> usize {
-        match &cfg.hierarchy {
-            None => 0,
-            Some(h) => {
-                let mut start = 0;
-                for (r, &k) in h.racks.iter().enumerate() {
-                    if id < start + k {
-                        return r;
-                    }
-                    start += k;
-                }
-                unreachable!("validate() pinned the rack sum to the node count")
-            }
+        None => {
+            // Thermal-headroom clamps: a node whose cooling cannot
+            // dissipate the shared max cap gets its grant ceiling
+            // tightened to what it can actually spend (∞ for presets
+            // without a thermal model, which keeps thermally unconstrained
+            // clusters bitwise unchanged). Flat arbitration only: the rack
+            // tree's per-rack clamps scale with rack size, not per-node
+            // cooling, so the hierarchy keeps the shared ceiling for now.
+            let ceilings: Vec<f64> = resolved
+                .of_node
+                .iter()
+                .map(|&p| thermal_ceiling_w(&resolved.presets[p].1))
+                .collect();
+            Box::new(PowerArbiter::new(cfg.arbiter, n).with_node_ceilings(&ceilings))
         }
     };
+    // A flat cluster is one rack of every node.
+    let rack_sizes = match &cfg.hierarchy {
+        Some(h) => h.racks.as_slice(),
+        None => std::slice::from_ref(&n),
+    };
+    assert_eq!(
+        rack_sizes.iter().sum::<usize>(),
+        n,
+        "validate() pinned the rack sum to the node count"
+    );
+    let racks = rack_sizes
+        .iter()
+        .enumerate()
+        .flat_map(|(r, &k)| std::iter::repeat_n(r, k));
     let members = cfg
         .nodes
         .iter()
+        .zip(&resolved.of_node)
+        .zip(racks)
         .enumerate()
-        .map(|(id, spec)| {
+        .map(|(id, ((spec, &p), rack))| {
+            let (_, preset_cfg, tables) = &resolved.presets[p];
             let node_cfg = NodeConfig {
                 faults: spec.faults.clone(),
                 backend: spec.backend,
-                ..spec.preset.config()
+                ..preset_cfg.clone()
             };
-            let mut m = ClusterNode::new(id, node_cfg, spec.weight, cfg.shape, cfg.daemon_period)
-                .with_rack(rack_of(id));
+            let mut m = ClusterNode::with_tables(
+                id,
+                node_cfg,
+                Arc::clone(tables),
+                spec.weight,
+                cfg.shape,
+                cfg.daemon_period,
+            )
+            .with_rack(rack);
             m.set_grant(arbiter.grants()[id]);
             m
         })
@@ -649,6 +702,50 @@ mod tests {
             out.final_grants_w
         );
         assert!(out.min_budget_slack_w() >= -1e-6);
+    }
+
+    #[test]
+    fn members_of_one_preset_share_one_table_allocation() {
+        let mut cfg = small_cfg(Policy::ProgressFeedback { gain: 1.0 });
+        cfg.nodes = (0..64)
+            .map(|i| {
+                let preset = if i % 3 == 0 {
+                    Preset::Leaky(15.0)
+                } else {
+                    Preset::Reference
+                };
+                NodeSpec::new(preset, 1.0 + 0.01 * i as f64)
+            })
+            .collect();
+        cfg.arbiter.budget_w = 64.0 * 65.0;
+        cfg.hierarchy = Some(HierarchyConfig {
+            racks: vec![16; 4],
+            outer_period: 2,
+            inner_period: 1,
+            rack_policy: Policy::ProgressFeedback { gain: 1.0 },
+            rack_clamps: None,
+        });
+        cfg.validate().unwrap();
+        let (_, members) = setup(&cfg);
+        let mut allocations: Vec<(&Arc<NodeTables>, usize)> = Vec::new();
+        // Each member's tables equal its own preset's bit for bit:
+        // `Node::with_tables` asserts it in the debug builds tests run.
+        for m in &members {
+            let tables = m.node().tables();
+            match allocations.iter_mut().find(|(t, _)| Arc::ptr_eq(t, tables)) {
+                Some((_, count)) => *count += 1,
+                None => allocations.push((tables, 1)),
+            }
+        }
+        let counts: Vec<usize> = allocations.iter().map(|&(_, k)| k).collect();
+        assert_eq!(counts, [22, 42], "one allocation per preset");
+        for (tables, count) in allocations {
+            assert_eq!(Arc::strong_count(tables), count, "no other holder");
+        }
+        assert_eq!(
+            members.iter().map(ClusterNode::rack).collect::<Vec<_>>(),
+            (0..64).map(|i| i / 16).collect::<Vec<_>>()
+        );
     }
 
     #[test]

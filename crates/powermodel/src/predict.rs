@@ -163,6 +163,33 @@ mod tests {
         assert!(m.predict_delta(200.0).abs() < 1e-9);
     }
 
+    /// The paper's chain from a package cap to progress: Eq. 5 splits
+    /// the cap, Eq. 6 spends the core budget whole, Eq. 4 prices it.
+    #[test]
+    fn eq6_chain_reproduces_the_package_cap_prediction_bit_for_bit() {
+        use crate::eqs::eq6_core_power;
+        for x in [0.0, -0.0, 1e-300, 37.5, 155.0, f64::INFINITY] {
+            assert_eq!(eq6_core_power(x).to_bits(), x.to_bits(), "Eq. 6 at {x}");
+        }
+        for (beta, pkg) in [(1.0, 155.0), (0.84, 148.0), (0.37, 120.0)] {
+            let m = ProgressModel::from_uncapped_run(beta, PAPER_ALPHA, pkg, 16.0);
+            for cap in [40.0, 60.0, 80.5, 100.0, 150.0, 400.0] {
+                let chained = m.predict_rate_at_corecap(eq6_core_power(m.corecap(cap)));
+                assert_eq!(
+                    chained.to_bits(),
+                    m.predict_rate(cap).to_bits(),
+                    "{m:?} at {cap} W"
+                );
+            }
+            for core_cap in [m.p_coremax, m.p_coremax * 1.5, f64::INFINITY] {
+                assert_eq!(
+                    m.predict_rate_at_corecap(core_cap).to_bits(),
+                    m.r_max.to_bits()
+                );
+            }
+        }
+    }
+
     #[test]
     fn delta_grows_as_cap_shrinks() {
         let m = lammps_like();

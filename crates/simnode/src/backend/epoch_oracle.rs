@@ -24,6 +24,7 @@ use crate::msr::{
     IA32_MPERF, IA32_PERF_CTL, MSR_PKG_ENERGY_STATUS, MSR_PKG_POWER_LIMIT, MSR_RAPL_POWER_UNIT,
 };
 use crate::node::Node;
+use crate::power::NodeTables;
 use crate::time::{Nanos, MS, US};
 
 /// Forwards everything to `B` except `control_epoch` and `hw_count`,
@@ -159,10 +160,16 @@ fn race<B: MsrBackend + 'static>(make: impl Fn() -> B, seed: u64, rounds: usize)
         ..NodeConfig::default()
     };
     cfg.validate();
-    let mut fast = Node::with_msr(cfg.clone(), MsrDevice::from_backend(Box::new(make())));
+    let tables = Arc::new(NodeTables::new(&cfg));
+    let mut fast = Node::with_msr(
+        cfg.clone(),
+        MsrDevice::from_backend(Box::new(make())),
+        tables.clone(),
+    );
     let mut reference = Node::with_msr(
         cfg,
         MsrDevice::from_backend(Box::new(TraitDefaults(make()))),
+        tables,
     );
     let mut rng = Mix(seed);
     let mut finished: Vec<usize> = (0..fast.cores()).collect();

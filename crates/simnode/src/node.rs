@@ -29,6 +29,7 @@
 //! a core through its run.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::config::NodeConfig;
 use crate::counters::Counters;
@@ -368,8 +369,9 @@ pub struct Node {
     acc_quanta: u64,
     thermal: Option<ThermalState>,
     next_rapl: Nanos,
-    /// Per-P-state and per-uncore-level lookups (see [`NodeTables`]).
-    tables: NodeTables,
+    /// Per-P-state and per-uncore-level lookups (see [`NodeTables`]),
+    /// shared by the nodes built from one configuration.
+    tables: Arc<NodeTables>,
     /// Reusable step result; cleared at the start of every step.
     outcome: StepOutcome,
     /// Reusable per-core macro-step evaluations (see [`CoreScratch`]).
@@ -467,24 +469,39 @@ impl RaplRegs {
 impl Node {
     /// Build a node from a validated configuration.
     pub fn new(cfg: NodeConfig) -> Self {
+        let tables = Arc::new(NodeTables::new(&cfg));
+        Self::with_tables(cfg, tables)
+    }
+
+    /// Build a node from a validated configuration on `tables`, which
+    /// must be `NodeTables::new(&cfg)`: nodes of one configuration can
+    /// share one copy of the tables, which never change.
+    ///
+    /// # Panics
+    /// Panics on an invalid `cfg`; in debug builds, also when `tables`
+    /// differ from `cfg`'s in any bit.
+    pub fn with_tables(cfg: NodeConfig, tables: Arc<NodeTables>) -> Self {
         cfg.validate();
+        debug_assert!(
+            tables.same_bits(&NodeTables::new(&cfg)),
+            "node tables were built from another configuration"
+        );
         // Arc clone: the plan itself is shared, not deep-copied.
         let msr = MsrDevice::builder()
             .backend(cfg.backend)
             .maybe_faults(cfg.faults.clone())
             .build()
             .unwrap_or_else(|e| panic!("cannot initialise MSR backend {:?}: {e}", cfg.backend));
-        Self::with_msr(cfg, msr)
+        Self::with_msr(cfg, msr, tables)
     }
 
-    /// A node on an already-built MSR device, for a validated `cfg`;
-    /// `cfg.backend` and `cfg.faults` are not consulted.
-    pub(crate) fn with_msr(cfg: NodeConfig, msr: MsrDevice) -> Self {
+    /// A node on an already-built MSR device and `cfg`'s tables, for a
+    /// validated `cfg`; `cfg.backend` and `cfg.faults` are not consulted.
+    pub(crate) fn with_msr(cfg: NodeConfig, msr: MsrDevice, tables: Arc<NodeTables>) -> Self {
         let actuation = Actuation::flat_out(&cfg);
         let cores = vec![CoreWork::Idle; cfg.cores];
         let thermal = cfg.thermal.clone().map(ThermalState::new);
         let retain = cfg.rapl_window.max(crate::time::SEC);
-        let tables = NodeTables::new(&cfg);
         Self {
             energy: EnergyMeter::new(retain * 2),
             next_rapl: cfg.rapl_period,
@@ -515,6 +532,11 @@ impl Node {
     /// The node configuration.
     pub fn config(&self) -> &NodeConfig {
         &self.cfg
+    }
+
+    /// The node's lookup tables, shared with every node built on them.
+    pub fn tables(&self) -> &Arc<NodeTables> {
+        &self.tables
     }
 
     /// Current simulated time.
@@ -1377,6 +1399,61 @@ mod tests {
             mlp: 1.0,
             mem_weight: 1.0,
         }
+    }
+
+    #[test]
+    fn nodes_on_shared_tables_match_a_node_with_its_own_bit_for_bit() {
+        let cfg = crate::presets::leaky(15.0);
+        let tables = Arc::new(NodeTables::new(&cfg));
+        let mut own = Node::new(cfg.clone());
+        let mut shared = [
+            Node::with_tables(cfg.clone(), Arc::clone(&tables)),
+            Node::with_tables(cfg, Arc::clone(&tables)),
+        ];
+        assert_eq!(Arc::strong_count(&tables), 3);
+        for node in std::iter::once(&mut own).chain(&mut shared) {
+            node.set_package_cap(Some(70.0)).unwrap();
+            for c in 0..node.cores() {
+                let s = 1.0 + 0.05 * c as f64;
+                let packet = WorkPacket::new(3.3e10 * s, 4e7 * s, 5e10);
+                node.assign(c, CoreWork::Compute(packet.into()));
+            }
+        }
+        // The sharing nodes step in turn, so each one's steps interleave
+        // with the other's reads of the same tables.
+        for t in 1..=20 {
+            for node in std::iter::once(&mut own).chain(&mut shared) {
+                if t == 10 {
+                    node.set_package_cap(Some(95.0)).unwrap();
+                }
+                node.step_until(t * 100 * MS);
+            }
+        }
+        let telemetry_bits = |n: &Node| {
+            let t = n.telemetry();
+            [
+                t.package_w,
+                t.core_w,
+                t.uncore_w,
+                t.effective_mhz,
+                t.achieved_bw,
+            ]
+            .map(f64::to_bits)
+        };
+        assert!(own.work_counts().capped_ticks > 0, "the run must be capped");
+        for node in &shared {
+            assert_eq!(node.work_counts(), own.work_counts());
+            assert_eq!(node.total_energy().to_bits(), own.total_energy().to_bits());
+            assert_eq!(telemetry_bits(node), telemetry_bits(&own));
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "another configuration")]
+    fn tables_of_another_configuration_are_rejected() {
+        let tables = Arc::new(NodeTables::new(&crate::presets::leaky(15.0)));
+        Node::with_tables(crate::presets::reference(), tables);
     }
 
     #[test]

@@ -130,8 +130,10 @@ impl CorePowerConfig {
 ///   bandwidth, `p_uf2·uf²` power term and per-core service ceiling, each
 ///   of which costs a division in [`UncoreConfig::ghz`].
 ///
-/// The ladders are tiny and immutable, so each entry is evaluated once at
-/// node construction, with the configuration's own methods. Entries are
+/// The ladders are tiny and immutable, so each entry is evaluated once per
+/// configuration, with the configuration's own methods, and nodes of one
+/// configuration may share one copy (see
+/// [`Node::with_tables`](crate::node::Node::with_tables)). Entries are
 /// the exact `f64`s the direct computation produces, so reading the tables
 /// is bit-neutral.
 ///
@@ -186,6 +188,35 @@ impl NodeTables {
             );
         }
         tables
+    }
+
+    /// Whether every entry holds the same bits as `other`'s.
+    pub(crate) fn same_bits(&self, other: &Self) -> bool {
+        let bits = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let Self {
+            mhz,
+            dynamic_full,
+            static_w,
+            uncore_scale,
+            total_bw,
+            uncore_freq_w,
+            service_cap,
+            uncore_base_w,
+            uncore_w_per_gbs,
+        } = self;
+        bits(mhz, &other.mhz)
+            && bits(dynamic_full, &other.dynamic_full)
+            && bits(static_w, &other.static_w)
+            && bits(uncore_scale, &other.uncore_scale)
+            && bits(total_bw, &other.total_bw)
+            && bits(uncore_freq_w, &other.uncore_freq_w)
+            && bits(service_cap, &other.service_cap)
+            && bits(
+                &[*uncore_base_w, *uncore_w_per_gbs],
+                &[other.uncore_base_w, other.uncore_w_per_gbs],
+            )
     }
 
     /// Frequency of `p` in MHz, as `f64` (same value as

@@ -68,6 +68,10 @@ if [[ "$run_tests" -eq 1 ]]; then
     # and `repro loadgen --quick --shards 4 --seed 7` each replayed twice
     # and diffed, all bit for bit.
     cargo test --workspace --release -q
+    echo "== cargo test (dev profile)"
+    # The release run above compiles out `debug_assert!`; this one keeps
+    # the debug assertions on (the default members, as tier-1 runs them).
+    cargo test -q
     echo "== cargo test -p simnode --features rapl"
     # The rapl feature's probe path degrades to MsrError::Unsupported on
     # machines without /dev/cpu/*/msr, so this runs anywhere.
