@@ -109,8 +109,6 @@ pub struct GrantClient {
     /// Newest grant seen per member, W; held across outages. Its length
     /// is the group size.
     grants: Vec<Option<f64>>,
-    /// Daemon tick of the newest grant.
-    last_tick: u64,
     /// Telemetry sequence, shared by the members — advances only when a
     /// report is actually sent, so a recovered run's seq stream aligns
     /// with an uncrashed reference regardless of how long the outage
@@ -151,7 +149,6 @@ impl GrantClient {
             connector,
             backoff: Backoff::new(backoff_cap, seed),
             grants: vec![None; count as usize],
-            last_tick: 0,
             seq: 0,
             polls: 0,
             muted_until: 0,
@@ -232,13 +229,10 @@ impl GrantClient {
 
     fn absorb(&mut self, msg: Msg) {
         match msg {
-            Msg::Grant {
-                node, tick, watts, ..
-            } => {
+            Msg::Grant { node, watts, .. } => {
                 self.stats.grants += 1;
                 if let Some(g) = self.grants.get_mut(node.wrapping_sub(self.first) as usize) {
                     *g = Some(watts);
-                    self.last_tick = tick;
                 }
             }
             Msg::Busy { retry_after } => {
@@ -259,7 +253,8 @@ impl GrantClient {
     /// [`GrantClient::send_reports`]). Returns the seq it was sent
     /// under, or `None` when held back (down, muted, or send failure) —
     /// the member then simply keeps its current cap.
-    pub fn send_report(&mut self, report: &NodeTelemetry) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn send_report(&mut self, report: &NodeTelemetry) -> Option<u64> {
         self.send_reports(|_, _| *report)
     }
 
@@ -316,18 +311,14 @@ impl GrantClient {
 
     /// Newest grant seen by the first member (a one-node client's only
     /// member), W — held across outages.
-    pub fn last_grant(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn last_grant(&self) -> Option<f64> {
         self.grants[0]
     }
 
     /// Newest grant seen per member, W, in node order.
     pub fn grants(&self) -> &[Option<f64>] {
         &self.grants
-    }
-
-    /// Daemon tick of the newest grant.
-    pub fn last_grant_tick(&self) -> u64 {
-        self.last_tick
     }
 
     /// Client counters.
@@ -392,7 +383,6 @@ mod tests {
             .unwrap();
         c.advance();
         assert_eq!(c.last_grant(), Some(88.5));
-        assert_eq!(c.last_grant_tick(), 7);
 
         let seq = c.send_report(&report()).unwrap();
         assert_eq!(seq, 1);

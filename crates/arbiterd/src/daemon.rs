@@ -122,14 +122,9 @@ fn run_ticker(
             // before it ended is ingested before its connection goes.
             c.gone |= c.reader.is_finished();
             let msgs = std::mem::take(&mut *c.inbox.lock().expect(UNPOISONED));
-            for msg in msgs {
-                register_hellos(&msg, &mut routes[c.shard], c.id);
-                for reply in service.ingest(c.shard, msg) {
-                    match reply {
-                        Msg::Batch(members) => c.out.extend(members),
-                        m => c.out.push(m),
-                    }
-                }
+            for msg in &msgs {
+                register_hellos(msg, &mut routes[c.shard], c.id);
+                service.ingest_into(c.shard, msg, &mut c.out);
             }
         }
         for (shard, grants) in service.tick().into_iter().enumerate() {

@@ -151,9 +151,17 @@ impl ShardedService {
     }
 
     /// Feed one message to shard `i`. The message carries shard-local
-    /// node ids; replies come back the same way.
+    /// node ids; replies come back the same way, at most one per message
+    /// or batch member, folded into one batch when there are several
+    /// (see [`ArbiterService::ingest`]).
     pub fn ingest(&mut self, shard: usize, msg: Msg) -> Vec<Msg> {
         self.shards[shard].ingest(msg)
+    }
+
+    /// [`ShardedService::ingest`] without the fold: append shard `i`'s
+    /// replies to `replies` one by one.
+    pub(crate) fn ingest_into(&mut self, shard: usize, msg: &Msg, replies: &mut Vec<Msg>) {
+        self.shards[shard].ingest_into(msg, replies);
     }
 
     /// One lockstep machine tick: every shard runs the first half of

@@ -3,9 +3,9 @@
 //! tick, the progress bus, the 1 Hz aggregator, the Eq. 7 evaluation,
 //! one cluster barrier's exchange pricing, a pass over a thousand
 //! cluster members, and the arbiter daemon's snapshot encoding and
-//! writing, pipe transport, batch decoding and arbitration round. These
-//! are what bound full-experiment wall time, so regressions here matter
-//! directly for `repro all`.
+//! writing, pipe transport, batch decoding, ingest and arbitration
+//! round. These are what bound full-experiment wall time, so regressions
+//! here matter directly for `repro all`.
 
 use arbiterd::loadgen::synth_telemetry;
 use arbiterd::snapshot::SnapshotSlots;
@@ -289,7 +289,7 @@ fn bench_cluster(c: &mut Criterion) {
 /// of 4096 nodes, encoded alone and encoded, written and fsynced into
 /// its slot file, one tick's 4096 singleton telemetry frames each over
 /// its own pipe, one 64-member telemetry batch decoded, and one
-/// 25 000-node shard's round (ingest and tick).
+/// 25 000-node shard's round (ingest and tick) and its ingest alone.
 fn bench_arbiterd(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro/arbiterd");
     let n = 4096u32;
@@ -380,6 +380,41 @@ fn bench_arbiterd(c: &mut Criterion) {
                 assert!(svc.ingest(Msg::Batch(batch.collect())).is_empty());
             }
             black_box(svc.tick()).len()
+        })
+    });
+
+    // The ingest half of that round alone: the same 64-member batches,
+    // and no tick. Nothing refills the buckets or empties the queue
+    // without one, so neither may run dry: every report is accepted.
+    let unbounded = ServiceConfig {
+        queue_depth: usize::MAX,
+        rate_capacity: f64::INFINITY,
+        snapshot_every: 0,
+        ..ServiceConfig::default()
+    };
+    let arbiter = PowerArbiter::new(
+        ArbiterConfig {
+            budget_w: 100.0 * f64::from(n),
+            min_cap_w: 40.0,
+            max_cap_w: 130.0,
+            policy: Policy::ProgressFeedback { gain: 1.0 },
+        },
+        n as usize,
+    )
+    .with_tracing(false);
+    let mut svc = ArbiterService::new(Box::new(arbiter), unbounded);
+    g.bench_function("ingest_25k", |b| {
+        b.iter(|| {
+            seq += 1;
+            for (first, chunk) in (0..n).step_by(64).zip(reports.chunks(64)) {
+                let batch = (first..).zip(chunk).map(|(node, &report)| Msg::Telemetry {
+                    node,
+                    seq,
+                    report,
+                });
+                assert!(svc.ingest(Msg::Batch(batch.collect())).is_empty());
+            }
+            black_box(svc.stats()).shed
         })
     });
     g.finish();
