@@ -22,6 +22,8 @@
 //! CSV. Every experiment has a `quick()` configuration used by tests and
 //! a `Default` configuration matching the paper's scale.
 
+#[cfg(test)]
+mod difftests;
 pub mod experiments;
 pub mod jobsim;
 pub mod report;

@@ -11,7 +11,7 @@ use nrm::scheme::{
 use progress::aggregator::ProgressAggregator;
 use progress::bus::{BusConfig, ProgressBus};
 use progress::series::TimeSeries;
-use proxyapps::catalog::{build, AppId};
+use proxyapps::catalog::{build, AppId, AppInstance};
 use proxyapps::runtime::{Driver, RunRecord};
 use proxyapps::trace::TelemetryAgent;
 use simnode::agent::SimAgent;
@@ -422,6 +422,13 @@ impl SimAgent for MonitorAgent {
 
 /// Execute one run.
 pub fn run_app(cfg: &RunConfig) -> RunArtifacts {
+    let app = build(cfg.app, &cfg.node, cfg.ranks, cfg.seed);
+    run_instance(cfg, app, &ProgressBus::new())
+}
+
+/// [`run_app`] on an application already built, publishing its progress
+/// on `bus`; `cfg.app`, `cfg.ranks` and `cfg.seed` are not read again.
+pub(crate) fn run_instance(cfg: &RunConfig, app: AppInstance, bus: &ProgressBus) -> RunArtifacts {
     let mut node_cfg = cfg.node.clone();
     if cfg.faults.is_some() {
         node_cfg.faults = cfg.faults.clone();
@@ -434,8 +441,6 @@ pub fn run_app(cfg: &RunConfig) -> RunArtifacts {
             .expect("PERF_CTL writable");
     }
 
-    let bus = ProgressBus::new();
-    let app = build(cfg.app, &cfg.node, cfg.ranks, cfg.seed);
     let channels = app.channels();
 
     let bus_cfg = match cfg.lossy_capacity {
@@ -443,7 +448,7 @@ pub fn run_app(cfg: &RunConfig) -> RunArtifacts {
         None => BusConfig::lossless(),
     };
 
-    let mut driver = Driver::new(node, app.programs, &bus, channels);
+    let mut driver = Driver::new(node, app.programs, bus, channels);
     let sources = driver.channel_sources();
     let mut monitors: Vec<MonitorAgent> = sources
         .iter()
