@@ -15,7 +15,8 @@ use simnode::node::WorkPacket;
 use simnode::time::{Nanos, MS};
 
 use crate::catalog::AppInstance;
-use crate::runtime::{Action, Program};
+use crate::programs::packet_bits;
+use crate::runtime::{downcast, Action, Program};
 use crate::spec::KernelSpec;
 
 /// Long-range solve period, in timesteps.
@@ -35,6 +36,7 @@ pub fn long_spec(ranks: usize) -> KernelSpec {
     KernelSpec::new(0.45, 1.2, 25.0e-3, ranks)
 }
 
+#[derive(PartialEq)]
 enum Step {
     Short,
     Long,
@@ -96,6 +98,16 @@ impl Program for HaccProgram {
                 }
             }
         }
+    }
+
+    fn is_replica_of(&self, other: &dyn Program) -> bool {
+        downcast::<Self>(other).is_some_and(|o| {
+            packet_bits(&self.short) == packet_bits(&o.short)
+                && packet_bits(&self.long) == packet_bits(&o.long)
+                && self.timestep == o.timestep
+                && self.max_steps == o.max_steps
+                && self.step == o.step
+        })
     }
 }
 

@@ -14,7 +14,8 @@ use simnode::config::NodeConfig;
 use simnode::node::WorkPacket;
 
 use crate::catalog::AppInstance;
-use crate::runtime::{Action, Program};
+use crate::programs::packet_bits;
+use crate::runtime::{downcast, Action, Program};
 use crate::spec::KernelSpec;
 
 /// CFD steps per EnergyPlus step (disparate timescales).
@@ -79,6 +80,16 @@ impl Program for UrbanProgram {
                 }
             }
         }
+    }
+
+    fn is_replica_of(&self, other: &dyn Program) -> bool {
+        downcast::<Self>(other).is_some_and(|o| {
+            packet_bits(&self.cfd) == packet_bits(&o.cfd)
+                && packet_bits(&self.ep) == packet_bits(&o.ep)
+                && self.cfd_done_in_cycle == o.cfd_done_in_cycle
+                && self.in_ep == o.in_ep
+                && self.step == o.step
+        })
     }
 }
 

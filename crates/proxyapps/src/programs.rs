@@ -17,8 +17,13 @@ use simnode::config::NodeConfig;
 use simnode::node::WorkPacket;
 use simnode::time::Nanos;
 
-use crate::runtime::{Action, Program};
+use crate::runtime::{downcast, Action, Program};
 use crate::spec::{iteration_noise, KernelSpec};
+
+/// Every field of `p` as bits: exact equality for replica checks.
+pub(crate) fn packet_bits(p: &WorkPacket) -> [u64; 5] {
+    [p.cycles, p.misses, p.instructions, p.mlp, p.mem_weight].map(f64::to_bits)
+}
 
 /// One segment of a phased program.
 #[derive(Debug, Clone)]
@@ -83,6 +88,17 @@ impl IterSegment {
     pub fn silent(mut self) -> Self {
         self.report_value = 0.0;
         self
+    }
+
+    /// Every field equal, floats bit for bit.
+    fn same_bits(&self, o: &Self) -> bool {
+        self.phase == o.phase
+            && self.iters == o.iters
+            && self.spec.bits() == o.spec.bits()
+            && self.subpackets == o.subpackets
+            && self.report_value.to_bits() == o.report_value.to_bits()
+            && self.channel == o.channel
+            && self.noise.to_bits() == o.noise.to_bits()
     }
 }
 
@@ -191,6 +207,20 @@ impl Program for PhasedProgram {
                 }
             }
         }
+    }
+
+    fn is_replica_of(&self, other: &dyn Program) -> bool {
+        downcast::<Self>(other).is_some_and(|o| {
+            self.seed == o.seed
+                && self.seg == o.seg
+                && self.iter == o.iter
+                && self.global_iter == o.global_iter
+                && self.step == o.step
+                && self.segments.len() == o.segments.len()
+                && (self.segments.iter().zip(&o.segments)).all(|(a, b)| a.same_bits(b))
+                && (self.base_packets.iter().map(packet_bits))
+                    .eq(o.base_packets.iter().map(packet_bits))
+        })
     }
 }
 
@@ -355,6 +385,18 @@ impl Program for ConvergenceProgram {
                 }
             }
         }
+    }
+
+    fn is_replica_of(&self, other: &dyn Program) -> bool {
+        downcast::<Self>(other).is_some_and(|o| {
+            packet_bits(&self.packet) == packet_bits(&o.packet)
+                && self.seed == o.seed
+                && self.target.to_bits() == o.target.to_bits()
+                && self.a_inf.to_bits() == o.a_inf.to_bits()
+                && self.rate.to_bits() == o.rate.to_bits()
+                && self.epoch == o.epoch
+                && self.step == o.step
+        })
     }
 }
 
@@ -524,6 +566,31 @@ mod tests {
                 other => panic!("expected livelock compute, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn replica_checks_compare_every_field_bit_for_bit() {
+        let seg = || IterSegment::new(spec(), 4, 1.0).with_noise(0.0);
+        let phased = |seg: IterSegment, seed| PhasedProgram::new(&cfg(), vec![seg], seed);
+        let a = phased(seg(), 9);
+        assert!(a.is_replica_of(&phased(seg(), 9)));
+        assert!(!a.is_replica_of(&phased(seg(), 10)));
+        // -0.0 == 0.0, but the bits differ.
+        assert!(!a.is_replica_of(&phased(seg().with_noise(-0.0), 9)));
+        assert!(!a.is_replica_of(&phased(seg().with_phase("solve"), 9)));
+        assert!(!a.is_replica_of(&phased(seg().on_channel(1), 9)));
+        assert!(!a.is_replica_of(&HangAfter::new(phased(seg(), 9), 5)));
+        let mut b = phased(seg(), 9);
+        b.next_action(0);
+        assert!(!a.is_replica_of(&b));
+
+        let s = KernelSpec::new(0.9, 0.001, 1e-3, 2);
+        let c = ConvergenceProgram::new(&cfg(), s, 7, 0.92);
+        assert!(c.is_replica_of(&ConvergenceProgram::new(&cfg(), s, 7, 0.92)));
+        assert!(!c.is_replica_of(&ConvergenceProgram::new(&cfg(), s, 7, 0.93)));
+        assert!(!c.is_replica_of(&a));
+        assert!(!SleepBarrierProgram::new(2, 1000, 1.0, 1.0)
+            .is_replica_of(&SleepBarrierProgram::new(2, 1000, 1.0, 1.0)));
     }
 
     #[test]

@@ -97,6 +97,20 @@ impl KernelSpec {
             .service_rate(cfg.uncore.max_level(), self.pressure(), self.mlp)
     }
 
+    /// Every field, floats as their bits: exact equality for replica
+    /// checks.
+    pub(crate) fn bits(&self) -> [u64; 6] {
+        let f = f64::to_bits;
+        [
+            f(self.beta),
+            f(self.iter_seconds),
+            f(self.mpo),
+            f(self.mlp),
+            self.ranks as u64,
+            f(self.fallback_ipc),
+        ]
+    }
+
     /// Synthesize the per-iteration work packet.
     pub fn packet(&self, cfg: &NodeConfig) -> WorkPacket {
         let fmax_hz = cfg.fmax_mhz() as f64 * 1e6;

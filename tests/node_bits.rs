@@ -63,6 +63,13 @@ impl Pins {
         }
     }
 
+    fn count(&mut self, name: &str, got: u64, want: u64) {
+        if got != want {
+            self.mismatches
+                .push(format!("{name}: got {got}, pinned {want}"));
+        }
+    }
+
     fn finish(self) {
         assert!(
             self.mismatches.is_empty(),
@@ -74,10 +81,23 @@ impl Pins {
 }
 
 /// `[total_energy_j, steady_rate, instructions, cycles, l3_misses]`, then
-/// the node's work counts (see [`Pins::counts`]).
-fn pin_run(pins: &mut Pins, name: &str, cfg: &RunConfig, want: [u64; 5], counts: [u64; 8]) {
+/// the node's work counts (see [`Pins::counts`]) and the runtime's calls
+/// to `Program::next_action`.
+fn pin_run(
+    pins: &mut Pins,
+    name: &str,
+    cfg: &RunConfig,
+    want: [u64; 5],
+    counts: [u64; 8],
+    program_calls: u64,
+) {
     let run = run_app(cfg);
     pins.counts(name, run.record.node_work, counts);
+    pins.count(
+        &format!("{name} program calls"),
+        run.record.program_calls,
+        program_calls,
+    );
     pins.f64(&format!("{name} energy"), run.total_energy_j, want[0]);
     pins.f64(&format!("{name} steady_rate"), run.steady_rate(), want[1]);
     pins.f64(
@@ -107,7 +127,8 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x424b8c8efbe34eb1,
             0x4190074e893e6ef4,
         ],
-        [2999, 0, 3030, 259, 161, 3030, 0, 9892],
+        [2999, 0, 3030, 259, 0, 3030, 0, 9892],
+        241,
     );
     pin_run(
         &mut pins,
@@ -120,7 +141,8 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4246013777880872,
             0x41e6f51fdc920c9a,
         ],
-        [2999, 2000, 3059, 307, 158, 3059, 8117, 10123],
+        [2999, 2000, 3059, 307, 0, 3059, 8117, 10123],
+        189,
     );
     pin_run(
         &mut pins,
@@ -137,7 +159,8 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4251867cfc364cc6,
             0x41e17f9b5126a635,
         ],
-        [3999, 3000, 4003, 27, 19, 4003, 9047, 12123],
+        [3999, 3000, 4003, 27, 0, 4003, 9047, 12123],
+        26,
     );
     pin_run(
         &mut pins,
@@ -152,7 +175,8 @@ fn run_app_outputs_are_pinned_bit_for_bit() {
             0x4247afb20e7ecff1,
             0x418b93b3cdd09ba2,
         ],
-        [2999, 1998, 3034, 226, 139, 3034, 8531, 9805],
+        [2999, 1998, 3034, 226, 0, 3034, 8531, 9805],
+        208,
     );
     pins.finish();
 }
