@@ -45,6 +45,20 @@ pub enum AppId {
 }
 
 impl AppId {
+    /// The nine applications the paper runs under dynamic caps, each as
+    /// its full run.
+    pub const PAPER: [AppId; 9] = [
+        AppId::Lammps,
+        AppId::Stream,
+        AppId::Amg,
+        AppId::Qmcpack,
+        AppId::Openmc,
+        AppId::Candle,
+        AppId::Hacc,
+        AppId::Nek5000,
+        AppId::Urban,
+    ];
+
     /// The five applications the paper characterizes in Table VI, as their
     /// characterization variants.
     pub fn table_vi() -> [AppId; 5] {
